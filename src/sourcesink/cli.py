@@ -513,7 +513,8 @@ def main(argv=None) -> int:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConvergenceError as e:
-        print(f"numerical non-convergence: {e}", file=sys.stderr)
+        detail = "" if e.residual is None else f" (residual {e.residual:.3g})"
+        print(f"numerical non-convergence: {e}{detail}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except StatisticalError as e:
         print(f"statistical failure: {e}", file=sys.stderr)

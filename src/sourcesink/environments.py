@@ -296,14 +296,10 @@ def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> tuple[MetapopGraph, li
     if not isinstance(env.schedule, Periodic) or len(env.schedule.order) != 2:
         raise ValidationError("the edge chain needs a two-state alternation")
     a, b = env.schedule.order
-    pairs = [(i, j) for i in range(g.K) for j in range(g.K) if g.D[i, j] > 0]
-    idx = {e: n for n, e in enumerate(pairs)}
-    n = len(pairs)
-    B = np.zeros((n, n))
-    for (i, j), row in zip(pairs, range(n)):
-        for (k, l), col in zip(pairs, range(n)):
-            B[row, col] = g.D[j, k] * g.D[k, l]
-    m_edge = np.array([env.means[a][i] * env.means[b][j] for (i, j) in pairs])
+    I, J = np.nonzero(g.D > 0)
+    pairs = list(zip(I.tolist(), J.tolist()))
+    B = g.D[np.ix_(J, I)] * g.D[I, J][None, :]
+    m_edge = env.means[a][I] * env.means[b][J]
     labels = tuple(f"{i}->{j}" for (i, j) in pairs)
     return MetapopGraph(m=m_edge, D=B, labels=labels), pairs
 

@@ -8,8 +8,9 @@ reference patch is needed.
 
 This module owns input validation (stochastic rows, non-negative means),
 the structural checks used as preconditions elsewhere (irreducibility,
-aperiodicity, positive means) and the stationary law of the single random
-walker on the graph.
+aperiodicity, positive means), the stationary law of the single random
+walker on the graph, and the dense Perron kernel that the spectral and
+variational modules share.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-12
-STATIONARY_TOL = 1e-12
-STATIONARY_MAX_ITER = 10**6
-STATIONARY_RESIDUAL = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -206,33 +204,30 @@ def validate_graph(g: MetapopGraph) -> AssumptionReport:
     )
 
 
+def _perron(A: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and right Perron vector (sum 1) of an irreducible
+    non-negative matrix, from one dense eigen-solve.
+
+    Every other eigenvalue of such a matrix has modulus at most the
+    spectral radius, and equals it only off the positive real axis, so the
+    eigenvalue with the largest real part is the Perron root.  The Perron
+    vector has entries of one sign; ``abs`` fixes that sign and clears
+    rounding-level negatives of near-zero entries.
+    """
+    w, V = np.linalg.eig(A)
+    i = int(np.argmax(w.real))
+    x = np.abs(V[:, i].real)
+    return float(w[i].real), x / x.sum()
+
+
 def stationary_distribution(g: MetapopGraph) -> np.ndarray:
     """Stationary law u of the random walker: uD = u, u > 0.
 
-    Power iteration on the half-lazy chain (D + I)/2, which shares the
-    fixed point but is primitive for every irreducible D, so periodicity
-    cannot stall convergence.
+    The right Perron vector of D^T, whose Perron root is 1.  A direct
+    eigen-solve has no iteration to stall, so periodic and nearly
+    decomposable chains are answered like any other.
     """
     report = validate_graph(g)
     if not report.irreducible:
         raise ValidationError("stationary distribution needs an irreducible graph")
-    if g.K == 1:
-        return np.array([1.0])
-    P = 0.5 * (g.D + np.eye(g.K))
-    u = np.full(g.K, 1.0 / g.K)
-    for _ in range(STATIONARY_MAX_ITER):
-        nxt = u @ P
-        nxt /= nxt.sum()
-        if np.abs(nxt - u).sum() <= STATIONARY_TOL:
-            u = nxt
-            break
-        u = nxt
-    else:
-        raise ConvergenceError(
-            "stationary distribution did not converge",
-            residual=float(np.abs(u @ g.D - u).max()),
-        )
-    residual = float(np.abs(u @ g.D - u).max())
-    if residual > STATIONARY_RESIDUAL:
-        raise ConvergenceError("stationary residual too large", residual=residual)
-    return u
+    return _perron(g.D.T)[1]

@@ -8,8 +8,9 @@ the asymptotic spatial profile is the left Perron vector, and the lineage
 occupancy of a random survivor is the normalized entrywise product of the
 left and right Perron vectors.
 
-Everything here is plain power iteration with a diagonal shift; no general
-eigensolver is needed for the Perron pair.
+Every Perron pair comes from one dense eigen-solve (``graph._perron``), so
+nearly decomposable and periodic supports are answered as directly as any
+other; there is no iteration, tolerance or iteration cap to tune.
 """
 
 from __future__ import annotations
@@ -18,11 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
-from .graph import MetapopGraph, validate_graph
-
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 10**6
+from .errors import ValidationError
+from .graph import MetapopGraph, _perron, validate_graph
 
 
 @dataclass(frozen=True)
@@ -46,67 +44,15 @@ def mean_matrix(g: MetapopGraph) -> np.ndarray:
     return g.m[:, None] * g.D
 
 
-def _power_right(A: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER):
-    """Dominant eigenpair of a non-negative matrix by shifted power iteration.
-
-    The shift A + cI (c = max row sum) makes every class primitive, so the
-    iteration converges for any irreducible A; the Rayleigh quotient of the
-    unshifted matrix is the eigenvalue estimate.  Exits only once both the
-    Rayleigh quotient has settled and the eigen-residual is small.
-    """
-    k = A.shape[0]
-    if k == 1:
-        return float(A[0, 0]), np.array([1.0])
-    c = float(A.sum(axis=1).max())
-    S = A + c * np.eye(k)
-    x = np.full(k, 1.0 / k)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = S @ x
-        s = y.sum()
-        if s == 0.0:
-            return 0.0, x
-        y /= s
-        Ay = A @ y
-        lam_new = float(y @ Ay) / float(y @ y)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            if np.abs(Ay - lam_new * y).max() <= 1e-12 * max(1.0, abs(lam_new)):
-                return lam_new, y
-        lam = lam_new
-        x = y
-    raise ConvergenceError("power iteration did not converge", residual=abs(lam))
-
-
-def perron_value(A: np.ndarray, tol: float = 1e-13, max_iter: int = 10**5) -> float:
+def perron_value(A: np.ndarray) -> float:
     """Spectral radius of a non-negative matrix (value only, no raise).
 
     Used for threshold decisions where A may be reducible or defective and
-    the eigenvector need not exist in a usable form; the Rayleigh estimate
-    at the iteration cap is returned as-is.
+    the eigenvector need not exist in a usable form.  The spectral radius
+    of a non-negative matrix is itself an eigenvalue, so it is the largest
+    real part among all eigenvalues; an empty matrix gives 0.
     """
-    A = np.asarray(A, dtype=float)
-    k = A.shape[0]
-    if k == 0:
-        return 0.0
-    if k == 1:
-        return float(A[0, 0])
-    c = float(A.sum(axis=1).max())
-    if c == 0.0:
-        return 0.0
-    S = A + c * np.eye(k)
-    x = np.full(k, 1.0 / k)
-    lam = 0.0
-    for _ in range(max_iter):
-        x = S @ x
-        s = x.sum()
-        if s == 0.0:
-            return 0.0
-        x /= s
-        lam_new = float(x @ (A @ x)) / float(x @ x)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+    return float(np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(initial=0.0))
 
 
 def growth_rate(A: np.ndarray) -> SpectralData:
@@ -129,10 +75,8 @@ def growth_rate(A: np.ndarray) -> SpectralData:
     report = validate_graph(support)
     if not report.irreducible:
         raise ValidationError("mean matrix support is not irreducible")
-    rho, right = _power_right(A)
-    _, left = _power_right(A.T)
-    right = right / right.sum()
-    left = left / left.sum()
+    rho, right = _perron(A)
+    _, left = _perron(A.T)
     residual = float(
         max(np.abs(A @ right - rho * right).max(), np.abs(left @ A - rho * left).max())
     )

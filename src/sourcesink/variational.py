@@ -27,8 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .graph import MetapopGraph, as_frequencies, stationary_distribution, validate_graph
-from .spectral import _power_right
+from .graph import (
+    MetapopGraph,
+    _perron,
+    as_frequencies,
+    stationary_distribution,
+    validate_graph,
+)
 
 INNER_RES_TOL = 1e-11
 INNER_MAX_ITER = 200_000
@@ -337,21 +342,17 @@ def _occupancy_set_is_full_dimensional(D: np.ndarray) -> bool:
     with it) and the feasible set is a lower-dimensional slice.
     """
     k = D.shape[0]
-    edges = np.argwhere(D > 0)
-    balance = np.zeros((k, len(edges)))
-    marginal = np.zeros((k, len(edges)))
-    for col, (i, j) in enumerate(edges):
-        balance[i, col] += 1.0
-        balance[j, col] -= 1.0
-        marginal[i, col] = 1.0
-    u, s, vt = np.linalg.svd(balance)
-    null_mask = np.concatenate([s, np.zeros(len(edges) - s.size)]) <= 1e-10
-    null_basis = vt[null_mask.nonzero()[0], :].T
-    if null_basis.size == 0:
-        return False
-    image = marginal @ null_basis
-    rank = int(np.linalg.matrix_rank(image, tol=1e-10))
-    return rank == k
+    tail, head = np.nonzero(D > 0)
+    cols = np.arange(tail.size)
+    balance = np.zeros((k, tail.size))
+    balance[tail, cols] += 1.0
+    balance[head, cols] -= 1.0
+    marginal = np.zeros((k, tail.size))
+    marginal[tail, cols] = 1.0
+    # rank of marginal on the null space of balance (the circulations) is
+    # rank([balance; marginal]) - rank(balance); no null-space basis needed
+    stacked = np.linalg.matrix_rank(np.vstack([balance, marginal]))
+    return int(stacked - np.linalg.matrix_rank(balance)) == k
 
 
 def max_rate_gap(
@@ -445,12 +446,10 @@ def argmax_occupancy(g: MetapopGraph) -> VariationalResult:
     """
     _require_primitive_positive(g)
     Dp = g.D * g.m[None, :]
-    _, v = _power_right(Dp.T)
-    v = v / v.sum()
+    _, v = _perron(Dp.T)
     vD = v @ g.D
     Dpp = (v[:, None] * g.D) / vD[None, :]
-    _, phi = _power_right(Dpp)
-    phi = phi / phi.sum()
+    _, phi = _perron(Dpp)
     cost = float(phi @ (np.log(v) - np.log(vD)))
     gain = float(phi @ np.log(g.m))
     return VariationalResult(gain - cost, phi, "twisted-eigen")

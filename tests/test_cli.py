@@ -1,7 +1,9 @@
 import json
 import math
 
+from sourcesink import cli
 from sourcesink.cli import dumps_report, main
+from sourcesink.errors import ConvergenceError
 
 GRAPH = {"m": [2.0, 0.5], "D": [[0.5, 0.5], [0.5, 0.5]]}
 
@@ -201,3 +203,14 @@ def test_csv_format_output(tmp_path):
 def test_missing_model_is_validation_error(tmp_path):
     cfg = write_cfg(tmp_path, {"seed": 1})
     assert main(["analyze", "--config", cfg]) == 2
+
+
+def test_non_convergence_exits_3_and_prints_residual(tmp_path, monkeypatch, capsys):
+    def stalled(g):
+        raise ConvergenceError("x", residual=1e-3)
+
+    monkeypatch.setattr(cli, "max_rate_gap", stalled)
+    cfg = write_cfg(tmp_path, {"graph": GRAPH})
+    code = main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    assert "numerical non-convergence: x (residual 0.001)" in capsys.readouterr().err

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from sourcesink import (
     MetapopGraph,
     ValidationError,
+    argmax_occupancy,
     growth_rate,
     mean_matrix,
     occupancy_spectral,
+    return_functional_exact,
     stable_geographic_distribution,
     stationary_distribution,
 )
@@ -102,3 +106,21 @@ def test_periodic_support_flagged_but_rho_returned():
 def test_reducible_support_rejected():
     with pytest.raises(ValidationError):
         growth_rate(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-5, 1e-8, 1e-12])
+def test_weakly_coupled_sources_match_dense_eigensolve(eps):
+    # two equal-mean sources coupled with weight eps: the Perron gap of A and
+    # the spectral gap of D both shrink like eps, which stalls power iteration
+    g = MetapopGraph(
+        m=[2.0, 2.0, 0.5],
+        D=[[1 - 2 * eps, eps, eps], [eps, 1 - eps, 0.0], [0.3, 0.3, 0.4]],
+    )
+    A = mean_matrix(g)
+    log_rho = math.log(float(np.linalg.eigvals(A).real.max()))
+    sd = growth_rate(A)
+    assert abs(math.log(sd.rho) - log_rho) <= 1e-10
+    assert abs(argmax_occupancy(g).log_growth - log_rho) <= 1e-10
+    u = stationary_distribution(g)
+    assert np.abs(u @ g.D - u).max() <= 1e-12
+    assert return_functional_exact(g).persists == (sd.rho > 1.0)

@@ -17,6 +17,7 @@ from sourcesink import (
     rate_grid_2patch,
     stationary_distribution,
 )
+from sourcesink.variational import _occupancy_set_is_full_dimensional
 from conftest import (
     random_fully_mixing,
     random_graph,
@@ -220,6 +221,40 @@ def test_simplex_route_rejects_lockstep_supports_twisted_handles_them():
     lr = math.log(growth_rate(mean_matrix(g)).rho)
     assert abs(tw.log_growth - lr) < 1e-9
     assert abs(tw.occupancy[1] - tw.occupancy[2]) < 1e-9  # lockstep pair
+
+
+def _null_space_full_dimensional(D):
+    # reference: marginal image of an explicit null-space basis of balance
+    k = D.shape[0]
+    edges = np.argwhere(D > 0)
+    balance = np.zeros((k, len(edges)))
+    marginal = np.zeros((k, len(edges)))
+    for col, (i, j) in enumerate(edges):
+        balance[i, col] += 1.0
+        balance[j, col] -= 1.0
+        marginal[i, col] = 1.0
+    u, s, vt = np.linalg.svd(balance)
+    null_mask = np.concatenate([s, np.zeros(len(edges) - s.size)]) <= 1e-10
+    null_basis = vt[null_mask.nonzero()[0], :].T
+    if null_basis.size == 0:
+        return False
+    image = marginal @ null_basis
+    rank = int(np.linalg.matrix_rank(image, tol=1e-10))
+    return rank == k
+
+
+def test_full_dimension_rank_identity_matches_null_space_basis():
+    rng = np.random.default_rng(12)
+    graphs = [random_graph(rng, int(rng.integers(2, 13))).D for _ in range(20)]
+    lockstep = [
+        [[0.9458, 0.0, 0.0542], [0.4056, 0.0, 0.5944], [0.0, 1.0, 0.0]],
+        [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+    ]
+    graphs += [np.array(D) for D in lockstep]
+    for D in graphs:
+        assert _occupancy_set_is_full_dimensional(D) == _null_space_full_dimensional(D)
+    assert all(_occupancy_set_is_full_dimensional(D) for D in graphs[:20])
+    assert not any(_occupancy_set_is_full_dimensional(D) for D in graphs[20:])
 
 
 def test_rejects_zero_means():
