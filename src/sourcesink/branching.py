@@ -30,8 +30,8 @@ from .environments import EnvironmentModel, Periodic
 from .errors import StatisticalError, ValidationError
 from .graph import MetapopGraph
 from .spectral import mean_matrix
+from .walks import CHUNK
 
-CHUNK = 1024
 ESCAPE_CAP = 10**7
 MEAN_MATCH_TOL = 1e-12
 

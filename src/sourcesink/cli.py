@@ -181,10 +181,9 @@ def _graph_from_config(cfg: dict) -> MetapopGraph:
     raise ValidationError('config needs one of "graph", "motif" or "pipeline"')
 
 
-def _walk_config(cfg: dict, home: int) -> WalkConfig:
+def _walk_config(cfg: dict) -> WalkConfig:
     mc = cfg.get("mc", {})
     return WalkConfig(
-        start_patch=home,
         max_steps=int(mc.get("max_steps", 10**7)),
         n_trials=int(mc.get("n_trials", 10**5)),
         seed=int(cfg["seed"]),
@@ -266,7 +265,7 @@ def cmd_analyze(args) -> dict:
         },
     }
     if args.trials:
-        mc = return_functional_mc(g, home, _walk_config(cfg, home))
+        mc = return_functional_mc(g, home, _walk_config(cfg))
         out["return_functional_mc"] = mc.to_dict()
         out["cross_checks"]["exact_minus_mc"] = verdict.value - mc.value
     if args.grid_out:

@@ -11,7 +11,6 @@ closed-form lower bound available for the two-patch case.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +25,8 @@ from .variational import argmax_occupancy, max_rate_gap
 from .walks import (
     PersistenceVerdict,
     WalkConfig,
-    _trial_rng,
+    _excursions,
+    _mc_verdict,
     _verdict_from_value,
     return_functional,
 )
@@ -34,6 +34,7 @@ from .walks import (
 LYAPUNOV_BURN_IN = 1000
 LYAPUNOV_BATCHES = 100
 LYAPUNOV_DEFAULT_STEPS = 10**6
+LYAPUNOV_SLAB_BYTES = 1 << 20  # bytes of matrices the Lyapunov kernel reduces at once
 
 
 @dataclass(frozen=True)
@@ -216,52 +217,17 @@ def even_return_functional(
             for phase, A2 in _phase_matrices(g, env).items()
         }
     if method == "monte-carlo":
-        cfg = cfg or WalkConfig(start_patch=home)
+        cfg = cfg or WalkConfig()
         a, b = env.schedule.order
-        out = {}
-        for first, second in ((a, b), (b, a)):
-            out[env.states[first]] = _even_return_mc(g, env, home, cfg, (first, second))
-        return out
+        # step s multiplies by the means of state (first, second)[s % 2]
+        return {
+            env.states[first]: _mc_verdict(*_excursions(
+                g.D, env.means[[first, second]], home,
+                cfg.n_trials, cfg.seed, cfg.max_steps,
+            ))
+            for first, second in ((a, b), (b, a))
+        }
     raise ValidationError(f"unknown method {method!r}")
-
-
-def _even_return_mc(g, env, home, cfg, phase_order) -> PersistenceVerdict:
-    cum = np.cumsum(g.D, axis=1)
-    cum[:, -1] = 1.0
-    cum_rows = [row.tolist() for row in cum]
-    means = env.means
-    n = cfg.n_trials
-    vals = np.empty(n)
-    truncated = 0
-    m_start = means[phase_order[0]][home]
-    for t in range(n):
-        rng = _trial_rng(cfg.seed, t)
-        pos = home
-        prod = 1.0
-        steps = 0
-        done = False
-        while steps < cfg.max_steps and not done:
-            for u in rng.random(64):
-                pos = bisect.bisect_right(cum_rows[pos], u)
-                steps += 1
-                if pos == home and steps % 2 == 0:
-                    done = True
-                    break
-                prod *= means[phase_order[steps % 2]][pos]
-                if steps >= cfg.max_steps:
-                    break
-        if not done:
-            truncated += 1
-        vals[t] = m_start * prod
-    est = float(vals.mean())
-    ci = float(1.96 * vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return PersistenceVerdict(
-        value=est,
-        persists=est > 1.0,
-        method="monte-carlo",
-        ci_halfwidth=ci,
-        truncated_mass=truncated / n,
-    )
 
 
 @dataclass(frozen=True)
@@ -391,13 +357,16 @@ def lyapunov_estimate(
     n_steps: int = LYAPUNOV_DEFAULT_STEPS,
     seed: int = 0,
 ) -> LyapunovEstimate:
-    """Growth exponent of the random environment by direct propagation.
+    """Growth exponent of the random environment by block products.
 
-    A positive row vector is pushed through the per-state mean matrices
-    along one simulated environment path, renormalized in l1 each step;
-    the average log renormalizer estimates the exponent.  The first 1000
-    steps are discarded and the CI comes from batch means over 100 equal
-    batches.
+    Along one simulated environment path (stream (seed, 0)), the ordered
+    products of the per-state mean matrices are formed over the burn-in of
+    1000 steps and over each of 100 equal batches, and a positive row
+    vector is pushed through them with l1 renormalization; the log growth
+    over a batch equals the sum of the step-by-step log renormalizers.
+    The exponent is the total over the batches divided by their steps, and
+    the CI comes from the batch means.  When the vector vanishes (possible
+    when a state has zero means), the exponent is -inf with CI 0.
     """
     if not isinstance(env.schedule, MarkovSwitching):
         raise ValidationError("Lyapunov estimation needs a Markov-switching schedule")
@@ -405,101 +374,80 @@ def lyapunov_estimate(
         raise ValidationError("Lyapunov estimation needs an irreducible graph")
     if n_steps <= LYAPUNOV_BURN_IN + LYAPUNOV_BATCHES:
         raise ValidationError("n_steps too small for burn-in plus batching")
-    rng = _trial_rng(seed, 0)
+    rng = np.random.default_rng([seed, 0])
     w = _markov_env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN, rng)
     batch = n_steps // LYAPUNOV_BATCHES
     used = batch * LYAPUNOV_BATCHES
-    w = w[: LYAPUNOV_BURN_IN + used].tolist()
-    K = g.K
-    mats = [
-        tuple(tuple(float(x) for x in row) for row in state_mean_matrix(g, env, s))
-        for s in range(env.n_states)
-    ]
-    if K == 2:
-        sums, _ = _propagate_2(mats, w, LYAPUNOV_BURN_IN, batch, LYAPUNOV_BATCHES)
-    else:
-        sums, _ = _propagate_k(mats, w, LYAPUNOV_BURN_IN, batch, LYAPUNOV_BATCHES, K)
+    mats = np.stack([state_mean_matrix(g, env, s) for s in range(env.n_states)])
+    sums = _batch_log_growth(mats, w[: LYAPUNOV_BURN_IN + used], LYAPUNOV_BURN_IN,
+                             LYAPUNOV_BATCHES)
+    if np.isneginf(sums).any():
+        return LyapunovEstimate(gamma=-math.inf, ci_halfwidth=0.0, n_steps=used, seed=seed)
     gamma = float(sums.sum() / used)
     batch_means = sums / batch
     ci = float(1.96 * batch_means.std(ddof=1) / math.sqrt(LYAPUNOV_BATCHES))
     return LyapunovEstimate(gamma=gamma, ci_halfwidth=ci, n_steps=used, seed=seed)
 
 
-def _propagate_2(mats, w, burn, batch, n_batches):
-    """Two-patch propagation loop, unrolled scalars (the common hot case)."""
-    (a00, a01), (a10, a11) = mats[0]
-    (b00, b01), (b10, b11) = mats[1]
-    x0, x1 = 0.5, 0.5
-    log = math.log
-    for t in range(burn):
-        if w[t] == 0:
-            y0 = x0 * a00 + x1 * a10
-            y1 = x0 * a01 + x1 * a11
-        else:
-            y0 = x0 * b00 + x1 * b10
-            y1 = x0 * b01 + x1 * b11
-        s = y0 + y1
-        x0 = y0 / s
-        x1 = y1 / s
-    sums = np.empty(n_batches)
-    t = burn
-    for b in range(n_batches):
-        acc = 0.0
-        prod = 1.0
-        cnt = 0
-        for _ in range(batch):
-            if w[t] == 0:
-                y0 = x0 * a00 + x1 * a10
-                y1 = x0 * a01 + x1 * a11
-            else:
-                y0 = x0 * b00 + x1 * b10
-                y1 = x0 * b01 + x1 * b11
-            s = y0 + y1
-            x0 = y0 / s
-            x1 = y1 / s
-            prod *= s
-            cnt += 1
-            t += 1
-            if cnt == 32:  # take logs in blocks; s stays within float range
-                acc += log(prod)
-                prod = 1.0
-                cnt = 0
-        acc += log(prod)
-        sums[b] = acc
-    return sums, (x0, x1)
+def _ordered_products(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered products along axis 1 of A (rows, n, K, K) by pairwise reduction.
+
+    Every partial product is divided by the sum of its entries and the log
+    of that scale is carried, so the result is (scaled products, log scales).
+    An odd element joins the last pair; a zero product stays zero.
+    """
+    logs = np.zeros(A.shape[:2])
+    ones = np.ones(A.shape[2] * A.shape[3])
+    while A.shape[1] > 1:
+        h = A.shape[1] // 2
+        P = A[:, 0 : 2 * h : 2] @ A[:, 1 : 2 * h : 2]
+        lg = logs[:, 0 : 2 * h : 2] + logs[:, 1 : 2 * h : 2]
+        if A.shape[1] % 2:
+            P[:, -1] = P[:, -1] @ A[:, -1]
+            lg[:, -1] += logs[:, -1]
+        total = P.reshape(*P.shape[:2], -1) @ ones
+        total = np.where(total > 0.0, total, 1.0)
+        P /= total[:, :, None, None]
+        A, logs = P, lg + np.log(total)
+    return A[:, 0], logs[:, 0]
 
 
-def _propagate_k(mats, w, burn, batch, n_batches, K):
-    """General-K propagation loop."""
-    rng_k = range(K)
-    x = [1.0 / K] * K
-    log = math.log
+def _batch_log_growth(mats: np.ndarray, w: np.ndarray, burn: int, n_batches: int) -> np.ndarray:
+    """Log l1 growth of the row vector (1/K, ..., 1/K) over each batch of w.
 
-    def step(x, a):
-        y = [sum(x[i] * a[i][j] for i in rng_k) for j in rng_k]
-        s = sum(y)
-        return [yj / s for yj in y], s
-
-    for t in range(burn):
-        x, _ = step(x, mats[w[t]])
-    sums = np.empty(n_batches)
-    t = burn
-    for b in range(n_batches):
-        acc = 0.0
-        prod = 1.0
-        cnt = 0
-        for _ in range(batch):
-            x, s = step(x, mats[w[t]])
-            prod *= s
-            cnt += 1
-            t += 1
-            if cnt == 32:
-                acc += log(prod)
-                prod = 1.0
-                cnt = 0
-        acc += log(prod)
-        sums[b] = acc
-    return sums, x
+    ``mats`` holds one K x K mean matrix per state and ``w`` the burn-in
+    steps followed by ``n_batches`` equal batches of state indices.  Each
+    segment (the burn-in, then each batch) is cut into pieces of at most
+    one slab of matrices, padded with identity steps to equal length; the
+    pieces are reduced together by ``_ordered_products``, and only the
+    vector pass over the piece products is sequential.  If the vector
+    vanishes, every batch gets -inf.
+    """
+    K = mats.shape[1]
+    mats = np.concatenate([mats, np.eye(K)[None]])
+    pad = mats.shape[0] - 1
+    slab = max(1, LYAPUNOV_SLAB_BYTES // (8 * K * K))
+    x = np.full(K, 1.0 / K)
+    for seg, n_seg in ((w[:burn], 1), (w[burn:], n_batches)):
+        L = seg.size // n_seg
+        pieces = -(-L // slab)
+        size = -(-L // pieces)
+        idx = np.full((n_seg, pieces * size), pad, dtype=w.dtype)
+        idx[:, :L] = seg.reshape(n_seg, L)
+        idx = idx.reshape(-1, size)
+        logs = np.empty(idx.shape[0])
+        rows = max(1, slab // size)
+        for r in range(0, idx.shape[0], rows):
+            P, scale = _ordered_products(mats[idx[r : r + rows]])
+            for i in range(P.shape[0]):
+                y = x @ P[i]
+                s = y.sum()
+                if not s > 0.0:
+                    return np.full(n_batches, -math.inf)
+                x = y / s
+                logs[r + i] = math.log(s) + scale[i]
+        sums = logs.reshape(n_seg, pieces).sum(axis=1)
+    return sums
 
 
 def random_env_lower_bound(

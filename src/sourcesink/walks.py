@@ -27,13 +27,17 @@ from .spectral import mean_matrix, perron_value
 
 CRITICAL_RADIUS_TOL = 1e-12  # rho(B) >= 1 - this counts as divergent
 CRITICAL_BAND = 1e-9         # |R - 1| inside this band is flagged
+CHUNK = 1024                 # Monte Carlo trials per random stream
 
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Knobs for excursion sampling.  Trial t draws from stream (seed, t)."""
+    """Knobs for excursion sampling.
 
-    start_patch: int = 0
+    Trials run in chunks of ``CHUNK``: chunk c (trials c*CHUNK onward)
+    draws from stream (seed, c), the layout the branching simulator uses.
+    """
+
     max_steps: int = 10**7
     n_trials: int = 10**5
     seed: int = 0
@@ -133,8 +137,57 @@ def return_functional_exact(g: MetapopGraph, home: int = 0) -> PersistenceVerdic
     return _verdict_from_value(value, "exact-linear-system")
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
+def _excursions(
+    D: np.ndarray, factors: np.ndarray, home: int, n: int, seed: int, max_steps: int
+) -> tuple[np.ndarray, int]:
+    """Products of ``n`` sampled excursions from ``home`` and the truncated count.
+
+    Step s multiplies by ``factors[s % P]`` at the patch reached, and the walk
+    ends at the first return to home with s % P == 0; step 0 contributes
+    ``factors[0, home]``.  Trials run in chunks of ``CHUNK``, chunk c drawing
+    from stream (seed, c); inside a chunk every active trial takes its step
+    at once and returned trials leave the active set.  A trial still active
+    after ``max_steps`` keeps its partial product and counts as truncated.
+    """
+    cum = np.cumsum(D, axis=1)
+    cum[:, -1] = 1.0
+    period = factors.shape[0]
+    products = np.empty(n)
+    truncated = 0
+    for c, lo in enumerate(range(0, n, CHUNK)):
+        rng = np.random.default_rng([seed, c])
+        trial = np.arange(lo, min(lo + CHUNK, n))
+        pos = np.full(trial.size, home)
+        prod = np.full(trial.size, factors[0, home])
+        for s in range(1, max_steps + 1):
+            u = rng.random(trial.size)
+            pos = (cum[pos] <= u[:, None]).sum(axis=1)
+            if s % period == 0:
+                back = pos == home
+                if back.any():
+                    products[trial[back]] = prod[back]
+                    away = ~back
+                    trial, pos, prod = trial[away], pos[away], prod[away]
+                    if trial.size == 0:
+                        break
+            prod *= factors[s % period, pos]
+        products[trial] = prod
+        truncated += trial.size
+    return products, truncated
+
+
+def _mc_verdict(products: np.ndarray, truncated: int) -> PersistenceVerdict:
+    """Mean of the sampled excursion products with its 95% normal CI."""
+    n = products.size
+    est = float(products.mean())
+    ci = float(1.96 * products.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return PersistenceVerdict(
+        value=est,
+        persists=est > 1.0,
+        method="monte-carlo",
+        ci_halfwidth=ci,
+        truncated_mass=truncated / n,
+    )
 
 
 def return_functional_mc(
@@ -147,49 +200,13 @@ def return_functional_mc(
     product and are counted in ``truncated_mass``.  The CI is the 95%
     normal-approximation halfwidth.
     """
-    cfg = cfg or WalkConfig(start_patch=home)
+    cfg = cfg or WalkConfig()
     if not 0 <= home < g.K:
         raise ValidationError(f"home patch {home} out of range")
     if not validate_graph(g).irreducible:
         raise ValidationError("persistence criterion needs an irreducible graph")
-    cum = np.cumsum(g.D, axis=1)
-    cum[:, -1] = 1.0
-    cum_rows = [row.tolist() for row in cum]
-    means = g.m.tolist()
-    m_home = means[home]
-    n = cfg.n_trials
-    vals = np.empty(n)
-    truncated = 0
-    for t in range(n):
-        rng = _trial_rng(cfg.seed, t)
-        pos = home
-        prod = 1.0
-        done = False
-        steps = 0
-        while steps < cfg.max_steps:
-            batch = rng.random(64)
-            for u in batch:
-                pos = bisect.bisect_right(cum_rows[pos], u)
-                steps += 1
-                if pos == home:
-                    done = True
-                    break
-                prod *= means[pos]
-                if steps >= cfg.max_steps:
-                    break
-            if done:
-                break
-        if not done:
-            truncated += 1
-        vals[t] = m_home * prod
-    est = float(vals.mean())
-    ci = float(1.96 * vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return PersistenceVerdict(
-        value=est,
-        persists=est > 1.0,
-        method="monte-carlo",
-        ci_halfwidth=ci,
-        truncated_mass=truncated / n,
+    return _mc_verdict(
+        *_excursions(g.D, g.m[None, :], home, cfg.n_trials, cfg.seed, cfg.max_steps)
     )
 
 
@@ -238,7 +255,7 @@ def sample_excursion(
         raise ValidationError(f"home patch {home} out of range")
     if not validate_graph(g).irreducible:
         raise ValidationError("excursion sampling needs an irreducible graph")
-    rng = _trial_rng(seed, 0)
+    rng = np.random.default_rng([seed, 0])
     cum = np.cumsum(g.D, axis=1)
     cum[:, -1] = 1.0
     cum_rows = [row.tolist() for row in cum]

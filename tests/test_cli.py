@@ -159,6 +159,22 @@ def test_randenv_command(tmp_path):
     assert rep["cross_checks"]["bound_below_gamma_plus_ci"] is True
 
 
+def test_randenv_vanishing_population_reports_minus_inf(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "graph": {"m": [1.0, 1.0], "D": [[0.5, 0.5], [0.5, 0.5]]},
+        "env": {"states": ["e1", "e2"], "means": [[1.5, 0.4], [0.0, 0.0]],
+                "schedule": {"markov": {"alpha": 0.5, "beta": 0.5}}},
+        "randenv": {"n_steps": 20000},
+        "seed": 4,
+    })
+    code, out = run(tmp_path, ["randenv", "--config", cfg])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["persists"] is False
+    assert rep["lyapunov"]["gamma"] == "-inf"
+    assert rep["lyapunov"]["ci"] == 0.0
+
+
 def test_pipeline_command(tmp_path):
     cfg = write_cfg(tmp_path, {
         "pipeline": {"n": 1, "p": 0.4, "L": 0.5, "s": 0.2, "l": 0.3,

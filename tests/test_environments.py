@@ -22,6 +22,7 @@ from sourcesink import (
     state_mean_matrix,
     two_patch_periodic_criterion,
 )
+from sourcesink.environments import LYAPUNOV_BATCHES, LYAPUNOV_BURN_IN, _markov_env_path
 from conftest import random_fully_mixing, two_patch
 
 
@@ -240,6 +241,92 @@ def test_lyapunov_determinism_and_seed_sensitivity():
     c = lyapunov_estimate(g, env, n_steps=50_000, seed=2)
     assert a == b
     assert a.gamma != c.gamma
+
+
+def _propagate_k_reference(mats, w, burn, batch, n_batches, K):
+    """The step-by-step l1-renormalized propagation loop, kept as reference."""
+    rng_k = range(K)
+    x = [1.0 / K] * K
+    log = math.log
+
+    def step(x, a):
+        y = [sum(x[i] * a[i][j] for i in rng_k) for j in rng_k]
+        s = sum(y)
+        return [yj / s for yj in y], s
+
+    for t in range(burn):
+        x, _ = step(x, mats[w[t]])
+    sums = np.empty(n_batches)
+    t = burn
+    for b in range(n_batches):
+        acc = 0.0
+        prod = 1.0
+        cnt = 0
+        for _ in range(batch):
+            x, s = step(x, mats[w[t]])
+            prod *= s
+            cnt += 1
+            t += 1
+            if cnt == 32:
+                acc += log(prod)
+                prod = 1.0
+                cnt = 0
+        acc += log(prod)
+        sums[b] = acc
+    return sums, x
+
+
+@pytest.mark.parametrize("K,zero_means", [(1, False), (2, False), (3, False), (8, False),
+                                          (2, True), (3, True), (8, True)])
+def test_lyapunov_block_products_match_step_loop(K, zero_means):
+    # 10_300 steps give batches of 103: odd and not a power of two
+    n_steps, seed = 10_300, 21
+    rng = np.random.default_rng([K, zero_means])
+    D = rng.dirichlet(np.ones(K), size=K)
+    means = rng.uniform(0.1, 3.0, (2, K))
+    if zero_means:
+        means[1, 1:] = 0.0
+    g = MetapopGraph(m=np.ones(K), D=D)
+    env = EnvironmentModel(states=("e1", "e2"), means=means,
+                           schedule=MarkovSwitching(0.3, 0.6))
+    ly = lyapunov_estimate(g, env, n_steps=n_steps, seed=seed)
+
+    w = _markov_env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN,
+                         np.random.default_rng([seed, 0]))
+    batch = n_steps // LYAPUNOV_BATCHES
+    mats = [state_mean_matrix(g, env, s).tolist() for s in range(2)]
+    sums, _ = _propagate_k_reference(mats, w.tolist(), LYAPUNOV_BURN_IN, batch,
+                                     LYAPUNOV_BATCHES, K)
+    gamma = sums.sum() / (batch * LYAPUNOV_BATCHES)
+    ci = 1.96 * (sums / batch).std(ddof=1) / math.sqrt(LYAPUNOV_BATCHES)
+    assert ly.n_steps == batch * LYAPUNOV_BATCHES
+    assert ly.gamma == pytest.approx(gamma, rel=1e-12)
+    assert ly.ci_halfwidth == pytest.approx(ci, rel=1e-12)
+
+
+def test_lyapunov_vanishing_vector_gives_minus_infinity():
+    # a state whose means are all zero kills the whole population
+    g = two_patch(M=1.0, m=1.0)
+    env = EnvironmentModel(states=("e1", "e2"), means=[[1.5, 0.4], [0.0, 0.0]],
+                           schedule=MarkovSwitching(0.5, 0.5))
+    ly = lyapunov_estimate(g, env, n_steps=20_000, seed=3)
+    assert ly.gamma == -math.inf
+    assert ly.ci_halfwidth == 0.0
+    assert ly.n_steps == 20_000
+
+
+def test_even_return_mc_reports_truncation():
+    # the even-time return can only come at step 2 before the cap of 3
+    p, q = 0.6, 0.3
+    g = two_patch(M=1.0, m=1.0, p=p, q=q)
+    env = alternation(g, [2.0, 0.5], [0.5, 2.0])
+    n = 2500
+    exact = 1.0 - ((1 - p) ** 2 + p * q)
+    res = even_return_functional(g, env, cfg=WalkConfig(max_steps=3, n_trials=n, seed=2),
+                                 method="monte-carlo")
+    for v in res.values():
+        assert v.truncated_mass > 0
+        assert abs(v.truncated_mass - exact) <= 4 * math.sqrt(exact * (1 - exact) / n)
 
 
 def test_lower_bound_worked_example():

@@ -106,6 +106,17 @@ def test_mc_deterministic_given_seed():
     assert a == b
 
 
+def test_mc_truncation_matches_exact_mass_across_chunks():
+    # 2500 trials span two full chunks and a partial one; an excursion is
+    # cut at 4 steps exactly when it leaves home and stays away 3 more steps
+    p, q = 0.6, 0.3
+    g = two_patch(p=p, q=q)
+    n = 2500
+    v = return_functional_mc(g, 0, WalkConfig(max_steps=4, n_trials=n, seed=8))
+    exact = p * (1 - q) ** 3
+    assert abs(v.truncated_mass - exact) <= 4 * math.sqrt(exact * (1 - exact) / n)
+
+
 def test_depleting_rate_two_patch_formula():
     # e = mq / (1 - m(1-q)) = 1/3 for m=0.5, q=0.5
     assert abs(depleting_rate(two_patch()) - 1.0 / 3.0) < 1e-12
