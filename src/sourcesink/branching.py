@@ -13,15 +13,20 @@ Runs whose population exceeds the escape cap are declared survivors and
 switch to propagation by conditional means (relative fluctuations at that
 size are below 1e-3), so growth-rate windows beyond the cap stay defined.
 
+One kernel, ``_generation``, draws every generation for ``simulate``,
+``patch_series`` and ``extinction_probability``.  Each steps only its
+active runs (alive and below the escape cap); extinct runs would draw
+nothing, since broods and multinomial splits of zero individuals consume
+no randomness, so skipping them leaves the streams unchanged.
+
 Reproducibility: runs are processed in fixed chunks of ``CHUNK``; chunk c
-draws from stream (seed, c) regardless of thread count, and results are
-assembled in chunk order, so reports are byte-identical for a given seed.
+draws from stream (seed, c), so reports are byte-identical for a given
+seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +109,14 @@ def geometric_laws(g: MetapopGraph, env: EnvironmentModel | None = None) -> list
     return [[OffspringLaw("geometric", float(m)) for m in row] for row in env.means]
 
 
-def _check_laws(g, env, laws, allow_degenerate):
+def _checked_laws(g, env, laws, allow_degenerate, home, n_runs):
+    """Validate a branching entry point's inputs; returns the laws to use."""
+    if not 0 <= home < g.K:
+        raise ValidationError(f"home patch {home} out of range")
+    if n_runs < 1:
+        raise ValidationError("n_runs must be >= 1")
+    if laws is None:
+        laws = poisson_laws(g, env)
     table = env.means if env is not None else g.m[None, :]
     if len(laws) != table.shape[0]:
         raise ValidationError("need one row of laws per environment state")
@@ -122,6 +134,7 @@ def _check_laws(g, env, laws, allow_degenerate):
             "persistence dichotomy does not apply (pass allow_degenerate=True "
             "to simulate anyway)"
         )
+    return laws
 
 
 @dataclass(frozen=True)
@@ -181,8 +194,29 @@ def _env_states_for_gen(env, t, states, rng):
     return states
 
 
+def _generation(Z, states, laws, D, rng):
+    """Brood-then-disperse flows of one generation, shape (runs, K, K).
+
+    flows[r, i, j] counts the newborns of run r born in patch i that settle
+    in patch j.  Draws go state group by state group (``np.unique`` order),
+    then source patch by source patch: the brood, then its multinomial
+    split over ``D[i]``.  A single row of laws is one group, with no mask.
+    """
+    K = Z.shape[1]
+    flows = np.zeros((Z.shape[0], K, K), dtype=np.int64)
+    if len(laws) == 1:
+        groups = [(laws[0], slice(None))]
+    else:
+        groups = [(laws[s], states == s) for s in np.unique(states)]
+    for row, rows in groups:
+        for i in range(K):
+            brood = row[i].sample_brood(Z[rows, i], rng)
+            flows[rows, i] = rng.multinomial(brood, D[i])
+    return flows
+
+
 def _run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
-               want_lineage, want_sizes):
+               want_lineage):
     """Simulate one chunk of runs; returns per-run summaries.
 
     Integer counts while the population is below the escape cap; above it,
@@ -192,33 +226,24 @@ def _run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
     K = g.K
     Z = np.zeros((n_runs, K), dtype=np.int64)
     Z[:, start_patch] = 1
-    Zf = Z.astype(float)
+    Zf = np.zeros((n_runs, K))
     escaped = np.zeros(n_runs, dtype=bool)
+    active = np.ones(n_runs, dtype=bool)
     env_states = np.zeros(n_runs, dtype=np.int64)
     flows = np.zeros((horizon, n_runs, K, K)) if want_lineage else None
-    sizes = np.zeros((horizon + 1, n_runs)) if want_sizes else None
-    if want_sizes:
-        sizes[0] = 1.0
+    sizes = np.zeros((horizon + 1, n_runs))
+    sizes[0] = 1.0
     A_by_state = [
         (env.means[s][:, None] * g.D) if env is not None else mean_matrix(g)
         for s in range(env.n_states if env is not None else 1)
     ]
     for t in range(horizon):
         env_states = _env_states_for_gen(env, t, env_states, rng)
-        live = ~escaped
-        Znext = np.zeros_like(Z)
-        if live.any():
-            zl = Z[live]
-            live_states = env_states[live]
-            flows_l = np.zeros((zl.shape[0], K, K), dtype=np.int64)
-            for s in np.unique(live_states):
-                in_s = live_states == s
-                for i in range(K):
-                    brood = laws[s][i].sample_brood(zl[in_s, i], rng)
-                    flows_l[in_s, i, :] = rng.multinomial(brood, g.D[i])
-            Znext[live] = flows_l.sum(axis=1)
+        if active.any():
+            flows_a = _generation(Z[active], env_states[active], laws, g.D, rng)
+            Z[active] = flows_a.sum(axis=1)
             if want_lineage:
-                flows[t, live] = flows_l
+                flows[t, active] = flows_a
         if escaped.any():
             esc = np.where(escaped)[0]
             for s in np.unique(env_states[esc]):
@@ -227,14 +252,15 @@ def _run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
                 Zf[rows] = flow_f.sum(axis=1)
                 if want_lineage:
                     flows[t, rows] = flow_f
-        Z = Znext
-        newly = live & (Z.sum(axis=1) > escape_cap)
+        totals = Z.sum(axis=1)
+        newly = totals > escape_cap
         if newly.any():
-            Zf[newly] = Z[newly].astype(float)
+            Zf[newly] = Z[newly]
             escaped |= newly
             Z[newly] = 0
-        if want_sizes:
-            sizes[t + 1] = Z.sum(axis=1) + np.where(escaped, Zf.sum(axis=1), 0.0)
+            totals[newly] = 0
+        active = totals > 0
+        sizes[t + 1] = totals + np.where(escaped, Zf.sum(axis=1), 0.0)
     final = np.where(escaped[:, None], Zf, Z.astype(float))
     alive = final.sum(axis=1) > 0
     lineage_freq = None
@@ -291,7 +317,6 @@ def simulate(
     start_patch: int = 0,
     escape_cap: int = ESCAPE_CAP,
     track_lineage: bool = True,
-    threads: int = 1,
     allow_degenerate: bool = False,
 ) -> SimReport:
     """Estimate survival, growth rate and survivor occupancy by simulation.
@@ -310,29 +335,18 @@ def simulate(
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    if n_runs < 1:
-        raise ValidationError("n_runs must be >= 1")
-    if laws is None:
-        laws = poisson_laws(g, env)
-    _check_laws(g, env, laws, allow_degenerate)
+    laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs)
 
     chunk = CHUNK
     if track_lineage:
         # flow storage is horizon * chunk * K * K doubles; budget ~64 MB
         chunk = max(32, min(CHUNK, (64 << 20) // (max(horizon, 1) * g.K * g.K * 8)))
-    chunks = [(c, min(chunk, n_runs - c * chunk)) for c in range((n_runs + chunk - 1) // chunk)]
-
-    def work(args):
-        c, size = args
-        rng = np.random.default_rng([seed, c])
-        return _run_chunk(g, env, laws, horizon, size, rng, start_patch,
-                          escape_cap, track_lineage, True)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, chunks))
-    else:
-        results = [work(a) for a in chunks]
+    results = [
+        _run_chunk(g, env, laws, horizon, min(chunk, n_runs - c * chunk),
+                   np.random.default_rng([seed, c]), start_patch, escape_cap,
+                   track_lineage)
+        for c in range((n_runs + chunk - 1) // chunk)
+    ]
 
     alive = np.concatenate([r[0] for r in results])
     escaped = np.concatenate([r[1] for r in results])
@@ -389,9 +403,7 @@ def patch_series(
     Returns an (n_runs, horizon + 1, K) array; counts freeze once a run
     escapes past the cap.
     """
-    if laws is None:
-        laws = poisson_laws(g, env)
-    _check_laws(g, env, laws, allow_degenerate)
+    laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs)
     rng = np.random.default_rng([seed, 0])
     K = g.K
     Z = np.zeros((n_runs, K), dtype=np.int64)
@@ -399,23 +411,13 @@ def patch_series(
     env_states = np.zeros(n_runs, dtype=np.int64)
     out = np.zeros((n_runs, horizon + 1, K), dtype=np.int64)
     out[:, 0] = Z
-    frozen = np.zeros(n_runs, dtype=bool)
+    active = np.ones(n_runs, dtype=bool)
     for t in range(horizon):
         env_states = _env_states_for_gen(env, t, env_states, rng)
-        live = ~frozen
-        Znext = Z.copy()
-        if live.any():
-            zl = Z[live]
-            states_l = env_states[live]
-            nxt = np.zeros_like(zl)
-            for s in np.unique(states_l):
-                in_s = states_l == s
-                for i in range(K):
-                    brood = laws[s][i].sample_brood(zl[in_s, i], rng)
-                    nxt[in_s] += rng.multinomial(brood, g.D[i])
-            Znext[live] = nxt
-        Z = Znext
-        frozen |= Z.sum(axis=1) > escape_cap
+        if active.any():
+            Z[active] = _generation(Z[active], env_states[active], laws, g.D, rng).sum(axis=1)
+        totals = Z.sum(axis=1)
+        active &= (totals > 0) & (totals <= escape_cap)
         out[:, t + 1] = Z
     return out
 
@@ -454,9 +456,9 @@ def extinction_probability(
     Runs end at extinction or at the escape cap (counted as survival); runs
     still undecided after ``max_generations`` are counted as survivors.
     """
-    if laws is None:
-        laws = poisson_laws(g, env)
-    _check_laws(g, env, laws, allow_degenerate)
+    if n_initial < 1:
+        raise ValidationError("n_initial must be >= 1")
+    laws = _checked_laws(g, env, laws, allow_degenerate, home, n_runs)
     dead_total = 0
     for c in range((n_runs + CHUNK - 1) // CHUNK):
         size = min(CHUNK, n_runs - c * CHUNK)
@@ -470,15 +472,8 @@ def extinction_probability(
             if not undecided.any():
                 break
             env_states = _env_states_for_gen(env, t, env_states, rng)
-            zl = Z[undecided]
-            states_l = env_states[undecided]
-            Znext = np.zeros_like(zl)
-            for s in np.unique(states_l):
-                in_s = states_l == s
-                for i in range(K):
-                    brood = laws[s][i].sample_brood(zl[in_s, i], rng)
-                    Znext[in_s] += rng.multinomial(brood, g.D[i])
-            Z[undecided] = Znext
+            Z[undecided] = _generation(Z[undecided], env_states[undecided], laws, g.D,
+                                       rng).sum(axis=1)
             totals = Z.sum(axis=1)
             undecided &= (totals > 0) & (totals <= escape_cap)
         dead_total += int((Z.sum(axis=1) == 0).sum())

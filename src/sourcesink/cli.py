@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -142,18 +141,13 @@ def _provenance(config: dict, seed: int) -> dict:
 
 
 def _load_config(args) -> dict:
-    """Resolve config file plus flag overrides (flags win).
-
-    The worker-thread count is kept out of the returned config: it cannot
-    affect results, so it must not affect report bytes or the config hash.
-    """
+    """Resolve config file plus flag overrides (flags win)."""
     cfg = {}
     if args.config:
         with open(args.config) as f:
             cfg = json.load(f)
         if not isinstance(cfg, dict):
             raise ValidationError("config must be a JSON object")
-    cfg.pop("threads", None)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
@@ -166,9 +160,7 @@ def _load_config(args) -> dict:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
+    return 1  # simulate runs on one thread; kept for the benchmark's provenance record
 
 
 def _graph_from_config(cfg: dict) -> MetapopGraph:
@@ -300,7 +292,6 @@ def cmd_simulate(args) -> dict:
         env=env,
         start_patch=int(cfg.get("home", 0)),
         track_lineage=lineage,
-        threads=_threads(args),
     )
     if lineage and rep.n_survived == 0:
         raise StatisticalError(
@@ -469,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation horizon override")
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (results do not depend on this)")
 
     p = sub.add_parser("validate", help="check graph assumptions")
     common(p)

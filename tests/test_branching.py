@@ -19,7 +19,7 @@ from sourcesink import (
     simulate,
     survivor_occupancy,
 )
-from sourcesink.branching import geometric_laws
+from sourcesink.branching import _env_states_for_gen, _generation, geometric_laws
 from conftest import random_graph, two_patch
 
 
@@ -218,7 +218,7 @@ def test_reports_are_deterministic_and_thread_invariant():
     g = two_patch()
     a = simulate(g, horizon=50, n_runs=1500, seed=17)
     b = simulate(g, horizon=50, n_runs=1500, seed=17)
-    c = simulate(g, horizon=50, n_runs=1500, seed=17, threads=3)
+    c = simulate(g, horizon=50, n_runs=1500, seed=17)
     assert a.to_dict() == b.to_dict() == c.to_dict()
     d = simulate(g, horizon=50, n_runs=1500, seed=18)
     assert d.to_dict() != a.to_dict()
@@ -258,3 +258,66 @@ def test_patch_series_shape_and_start():
     assert series.shape == (7, 21, 2)
     assert np.all(series[:, 0, 0] == 1)
     assert np.all(series[:, 0, 1] == 0)
+
+
+def test_entry_points_reject_bad_home_run_count_and_initial_size():
+    g = two_patch()
+    for home in (-1, 2):
+        with pytest.raises(ValidationError, match="home patch .* out of range"):
+            simulate(g, horizon=5, n_runs=10, start_patch=home)
+        with pytest.raises(ValidationError, match="home patch .* out of range"):
+            patch_series(g, horizon=5, n_runs=3, start_patch=home)
+        with pytest.raises(ValidationError, match="home patch .* out of range"):
+            extinction_probability(g, home=home, n_runs=10)
+    with pytest.raises(ValidationError, match="n_runs"):
+        extinction_probability(g, n_runs=0)
+    with pytest.raises(ValidationError, match="n_runs"):
+        patch_series(g, n_runs=0)
+    for n0 in (0, -1):
+        with pytest.raises(ValidationError, match="n_initial"):
+            extinction_probability(g, n_runs=10, n_initial=n0)
+
+
+def _reference_generation(Z, states, laws, D, rng):
+    """The per-state brood-and-dispersal loop each caller used to repeat."""
+    K = Z.shape[1]
+    flows = np.zeros((Z.shape[0], K, K), dtype=np.int64)
+    for s in np.unique(states):
+        in_s = states == s
+        for i in range(K):
+            brood = laws[s][i].sample_brood(Z[in_s, i], rng)
+            flows[in_s, i, :] = rng.multinomial(brood, D[i])
+    return flows
+
+
+@pytest.mark.parametrize("schedule", [None, Periodic((1, 0)), MarkovSwitching(0.4, 0.3)])
+def test_generation_kernel_matches_reference_loop(schedule):
+    # one law kind per patch; runs with zero parents draw nothing, so the
+    # kernel on live runs only leaves the stream where the loop over all
+    # runs leaves it
+    rows = [
+        [OffspringLaw("poisson", 1.5), OffspringLaw("geometric", 0.8),
+         OffspringLaw("deterministic", 2.0), OffspringLaw("bernoulli-pair", 1.2, p0=0.4, pair_n=2)],
+        [OffspringLaw("poisson", 0.3), OffspringLaw("geometric", 2.5),
+         OffspringLaw("deterministic", 1.0), OffspringLaw("bernoulli-pair", 0.5, p0=0.75, pair_n=2)],
+    ]
+    g = random_graph(np.random.default_rng(40), 4)
+    env = None
+    laws = rows[:1]
+    if schedule is not None:
+        means = [[law.mean for law in row] for row in rows]
+        env = EnvironmentModel(states=("e1", "e2"), means=means, schedule=schedule)
+        laws = rows
+    draw = np.random.default_rng(41)
+    states = np.zeros(300, dtype=np.int64)
+    for t in range(6):
+        states = _env_states_for_gen(env, t, states, draw)
+        Z = draw.integers(0, 4, size=(300, 4)) * (draw.random((300, 1)) < 0.6)
+        live = Z.sum(axis=1) > 0
+        assert 0 < live.sum() < 300
+        ref_rng, rng = np.random.default_rng([42, t]), np.random.default_rng([42, t])
+        ref = _reference_generation(Z, states, laws, g.D, ref_rng)
+        flows = _generation(Z[live], states[live], laws, g.D, rng)
+        assert np.array_equal(flows, ref[live])
+        assert not ref[~live].any()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

