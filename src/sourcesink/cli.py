@@ -241,7 +241,12 @@ def cmd_analyze(args) -> dict:
         "return_functional": verdict.to_dict(),
         "variational": {
             "twisted": {"log_rho": tw.log_growth, "phi": tw.occupancy},
-            "simplex": {"log_rho": mg.log_growth, "phi": mg.occupancy},
+            "simplex": {
+                "log_rho": mg.log_growth,
+                "phi": mg.occupancy,
+                "iterations": mg.iterations,
+                "gap": mg.gap,
+            },
         },
         "verdict": {
             "persists": verdict.persists,

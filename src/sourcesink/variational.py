@@ -11,9 +11,10 @@ Two independent solvers are provided and kept deliberately separate so
 they can cross-check each other:
 
 * ``max_rate_gap``: direct maximization of R - I over the simplex by
-  entropic mirror ascent, with the concave inner supremum behind I(f)
-  solved through its stationarity condition (Newton in log-coordinates
-  with a damped fixed-point fallback);
+  damped Newton steps in occupancy space, with the concave inner
+  supremum behind I(f) solved through its stationarity condition (Newton
+  in log-coordinates) and the Hessian of I from implicit differentiation
+  of that inner optimum;
 * ``argmax_occupancy``: closed-form route through two twisted chains
   (column-rescaled and doubly-rescaled transition matrices) whose Perron
   vectors give the inner maximizer and the occupancy directly.
@@ -37,16 +38,24 @@ from .graph import (
 
 INNER_RES_TOL = 1e-11
 INNER_MAX_ITER = 200_000
-OUTER_STEP = 0.1
-OUTER_MAX_ITER = 10**4
 # Concavity gives the certificate J(f*) - J(f) <= max(grad) - grad . f; the
-# ascent stops when that duality gap bounds the value error this tightly.
-# The gap inherits the inner solver's gradient noise (~1e-8 on unfriendly
-# instances), so tolerances far below that are not reachable; the realized
-# value error sits quadratically below the certificate.
+# outer solver stops when that duality gap bounds the value error this
+# tightly.  The realized value error sits far below the certificate.
 OUTER_GAP_TOL = 1e-7
-# a machine-precision objective plateau is accepted with this weaker bound
-OUTER_GAP_PLATEAU = 1e-5
+# The Newton decrement d^T hess I d is about twice the remaining value
+# error; 1e-16 pins the argmax even where the gap is tiny from the start.
+# Near the simplex boundary it weighs tiny coordinates by 1/f, so a Newton
+# step d below _STEP_TOL (the argmax error it predicts) pins it as well.
+_DECREMENT_TOL = 1e-16
+_STEP_TOL = 1e-12
+# Below this decrement a full step's gain is too near float noise in J for
+# backtracking to judge; Newton is then deep in its quadratic region.
+_POLISH_DECREMENT = 1e-12
+# gains of J below this, relative to 1 + |J|, are float noise
+_J_NOISE = 1e-15
+# at most 10 steps on the benchmark graphs and 23 on 200 random test
+# graphs; the cap ends the slow crawl to a maximizer at the simplex boundary
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,7 @@ class VariationalResult:
     occupancy: np.ndarray
     method: str
     iterations: int = 0
+    gap: float | None = None  # certified value error bound (simplex route)
 
 
 def payoff(g: MetapopGraph, f) -> float:
@@ -120,15 +130,23 @@ def _clamp(xi: np.ndarray) -> np.ndarray:
 _RES_ACCEPT = 1e-8
 
 
+def _inner_hessian(Dss, fs, v, vD, denom):
+    """Hessian of the inner objective fs . (xi - log(v Dss)) in xi = log v."""
+    H = (v[:, None] * v[None, :]) * (Dss @ ((fs / (vD * vD))[:, None] * Dss.T))
+    H[np.diag_indices(v.size)] -= v * denom
+    return H
+
+
 def _inner_solve(Dss, fs, v0, res_tol, max_iter, bound):
     """Solve the inner supremum on the support of f.
 
     Newton in log-coordinates (the objective is concave there and the
     dimension is tiny), warmed up by a few damped fixed-point sweeps of
     the stationarity condition; falls back to the plain damped fixed
-    point, then gradient ascent, when a Newton step misbehaves.  Returns
-    (cost, v, iterations, converged); cost = +inf when the objective
-    climbs past ``bound`` (no circulation on the support can carry f).
+    point when a Newton step misbehaves.  Returns (cost, v, iterations,
+    converged); cost = +inf when the objective climbs past ``bound`` (no
+    circulation on the support can carry f), and converged is False when
+    the fallback stalls with a residual above ``_RES_ACCEPT``.
     """
     s = fs.size
     if s == 1:
@@ -136,7 +154,6 @@ def _inner_solve(Dss, fs, v0, res_tol, max_iter, bound):
         cost = math.inf if d == 0.0 else -math.log(d)
         return cost, np.ones(1), 0, True
     v = np.full(s, 1.0 / s) if v0 is None else v0 / v0.sum()
-    DssT = Dss.T.copy()
 
     def objective(v):
         return float(fs @ (np.log(v) - np.log(v @ Dss)))
@@ -165,8 +182,7 @@ def _inner_solve(Dss, fs, v0, res_tol, max_iter, bound):
         if rel <= res_tol:
             return obj, v, it, True
         grad = fs - v * denom
-        H = (v[:, None] * v[None, :]) * (Dss @ ((fs / (vD * vD))[:, None] * DssT))
-        H[np.diag_indices(s)] -= v * denom
+        H = _inner_hessian(Dss, fs, v, vD, denom)
         try:
             # the all-ones direction is the gauge null space; pin the last coord
             dxi = np.append(np.linalg.solve(H[:-1, :-1], -grad[:-1]), 0.0)
@@ -213,42 +229,8 @@ def _inner_solve(Dss, fs, v0, res_tol, max_iter, bound):
             stall = stall + 1 if obj <= obj_prev + 1e-15 else 0
             obj_prev = obj
             if stall >= 4:
-                if rel <= _RES_ACCEPT:
-                    return obj, v, it, True
-                break  # oscillating or flat: hand over to gradient ascent
-    return _inner_ascent(Dss, fs, v, res_tol, min(max_iter, 4000), bound)
-
-
-def _inner_ascent(Dss, fs, v, res_tol, max_iter, bound):
-    """Backtracking gradient ascent in log-coordinates (last-resort path)."""
-    xi = _clamp(np.log(v))
-    v = np.exp(xi)
-    step = 1.0
-    obj = float(fs @ (xi - np.log(v @ Dss)))
-    rel = math.inf
-    for it in range(1, max_iter + 1):
-        vD = v @ Dss
-        denom = Dss @ (fs / vD)
-        rel = float(np.abs(v * denom / fs - 1.0).max())
-        if rel <= res_tol:
-            return obj, v, it, True
-        grad = fs - v * denom
-        moved = False
-        while step > 1e-18:
-            xi_new = _clamp(xi + step * grad)
-            v_new = np.exp(xi_new)
-            obj_new = float(fs @ (xi_new - np.log(v_new @ Dss)))
-            if obj_new > obj:
-                xi, v, obj = xi_new, v_new, obj_new
-                step *= 1.5
-                moved = True
-                break
-            step *= 0.5
-        if obj > bound:
-            return math.inf, v, it, True
-        if not moved:
-            break
-    return obj, v, max_iter, rel <= _RES_ACCEPT
+                break  # oscillating or flat
+    return objective(v), v, it, rel <= _RES_ACCEPT
 
 
 class _RateSolver:
@@ -355,84 +337,100 @@ def _occupancy_set_is_full_dimensional(D: np.ndarray) -> bool:
     return int(stacked - np.linalg.matrix_rank(balance)) == k
 
 
-def max_rate_gap(
-    g: MetapopGraph,
-    step: float = OUTER_STEP,
-    max_iter: int = OUTER_MAX_ITER,
-    gap_tol: float = OUTER_GAP_TOL,
-) -> VariationalResult:
-    """Maximize R - I over the simplex by entropic mirror ascent.
+def _rate_hessian(D: np.ndarray, f: np.ndarray, v: np.ndarray, vD: np.ndarray) -> np.ndarray:
+    """Hessian -C H^-1 C^T of I at an interior f, by implicit differentiation.
 
-    Starts at the stationary law (always feasible, always interior) and
-    keeps iterates interior by construction; the step grows on success and
-    backtracks on any objective decrease.  Stops once the concavity
-    duality gap certifies the value to ``gap_tol``; the occupancy argmax
-    is then accurate to roughly sqrt(gap/curvature), so use the
-    twisted-chain route when tight occupancies matter.
+    H is the inner Hessian in xi = log v at the optimum and C[i, k] =
+    d(xi_i - log (vD)_i)/d xi_k = delta_ik - v_k D_ki / (vD)_i.  The last
+    coordinate is pinned, as in the inner Newton step: the all-ones
+    direction is the gauge null space of both H and C.
+    """
+    k = f.size
+    C = np.eye(k) - D.T * v[None, :] / vD[:, None]
+    H = _inner_hessian(D, f, v, vD, D @ (f / vD))
+    Cp = C[:, :-1]
+    return -Cp @ np.linalg.solve(H[:-1, :-1], Cp.T)
+
+
+def max_rate_gap(g: MetapopGraph, gap_tol: float = OUTER_GAP_TOL) -> VariationalResult:
+    """Maximize R - I over the simplex by damped Newton steps.
+
+    Starts at the stationary law (always feasible, always interior).  Each
+    step solves [hess I, 1; 1^T, 0] [d; mu] = [grad J; 0] for J = R - I
+    (``_rate_hessian``), caps the step at 0.99 of the way to the simplex
+    boundary and backtracks on J; once the Newton decrement d^T hess I d
+    is too small for J to resolve, it takes full steps.  It stops when
+    the concavity duality gap max(grad J) - f . grad J is within
+    ``gap_tol`` and the decrement or the step is below its tolerance, or
+    at a float plateau with the gap certified.  The gap alone is not
+    enough: on weakly coupled graphs it is below ``gap_tol`` at the
+    stationary start, far from the maximizer.  The occupancy matches the
+    twisted-chain route to float conditioning (1e-7 even at coupling
+    1e-10).  Raises ``ConvergenceError`` with the final gap as residual
+    when Newton stalls uncertified, as when the maximizer lies within
+    float resolution of the simplex boundary.
     """
     _require_primitive_positive(g)
     if not _occupancy_set_is_full_dimensional(g.D):
         raise ValidationError(
             "the realizable occupancy set of this dispersal matrix is "
             "lower-dimensional (some frequencies are tied in lockstep); "
-            "the simplex ascent cannot move on it -- use argmax_occupancy"
+            "the simplex Newton solver cannot move on it -- use argmax_occupancy"
         )
+    k = g.K
     logm = np.log(g.m)
-    u = stationary_distribution(g)
     solver = _RateSolver(g)
 
     def evaluate(f, v_warm):
         cost, v, _ = solver.evaluate(f, v0=v_warm)
+        return float(f @ logm) - cost, v
+
+    f = stationary_distribution(g)
+    obj, v = evaluate(f, None)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, k] = kkt[k, :k] = 1.0
+    gap = decrement = math.inf
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         vD = v @ g.D
         grad = logm - (np.log(v) - np.log(vD))
-        return float(f @ logm) - cost, grad, v
-
-    last_gap = math.inf
-    for attempt in range(3):
-        f = u.copy()
-        eta = step / (10.0**attempt)
+        gap = float(grad.max() - f @ grad)
         try:
-            obj, grad, v_warm = evaluate(f, None)
-        except ConvergenceError:
-            continue
-        total = 0
-        plateau = 0
-        for it in range(1, max_iter + 1):
-            total = it
-            gap = float(grad.max() - f @ grad)
-            if gap <= gap_tol or (plateau >= 30 and gap <= OUTER_GAP_PLATEAU):
-                return VariationalResult(obj, f, "simplex-optimize", total)
-            accepted = False
-            for _ in range(50):
-                z = eta * grad
-                # cap the per-step tilt so trial points cannot be driven
-                # into numerically hopeless corners of the simplex
-                z = np.maximum(z - z.max(), -40.0)
-                f_new = f * np.exp(z)
-                f_new /= f_new.sum()
-                try:
-                    obj_new, grad_new, v_new = evaluate(f_new, v_warm)
-                except ConvergenceError:
-                    eta *= 0.5
-                    continue
-                if math.isinf(obj_new):
-                    # bumped the feasibility wall (I = +inf): shrink the step
-                    eta *= 0.5
-                    continue
-                if obj_new >= obj - 1e-15:
-                    plateau = plateau + 1 if obj_new <= obj + 1e-15 else 0
-                    f, obj, grad, v_warm = f_new, obj_new, grad_new, v_new
-                    eta = min(eta * 1.3, 5.0)
-                    accepted = True
-                    break
-                eta *= 0.5
-            if not accepted:
-                break  # no admissible step left at this scale: restart smaller
-        last_gap = float(grad.max() - f @ grad)
-        if last_gap <= OUTER_GAP_PLATEAU:
-            return VariationalResult(obj, f, "simplex-optimize", total)
+            hess = _rate_hessian(g.D, f, v, vD)
+            kkt[:k, :k] = hess
+            d = np.linalg.solve(kkt, np.append(grad, 0.0))[:k]
+        except np.linalg.LinAlgError:
+            break
+        decrement = float(d @ hess @ d)
+        pinned = decrement <= _DECREMENT_TOL or np.abs(d).max() <= _STEP_TOL
+        if gap <= gap_tol and pinned:
+            return VariationalResult(obj, f, "simplex-optimize", it, gap)
+        if not math.isfinite(decrement):
+            break
+        neg = d < 0.0
+        t = min(1.0, 0.99 * float((f[neg] / -d[neg]).min())) if neg.any() else 1.0
+        polish = decrement <= _POLISH_DECREMENT
+        t_min = t if polish else 1e-12
+        noise = _J_NOISE * (1.0 + abs(obj))
+        while t >= t_min:
+            f_new = f + t * d
+            f_new /= f_new.sum()
+            try:
+                obj_new, v_new = evaluate(f_new, v)
+            except ConvergenceError:
+                obj_new = -math.inf
+            if math.isfinite(obj_new) and (
+                polish or obj_new > obj + max(0.25 * t * decrement, noise)
+            ):
+                break
+            t *= 0.5
+        else:
+            # float plateau: no step raises J any more
+            if gap <= gap_tol:
+                return VariationalResult(obj, f, "simplex-optimize", it, gap)
+            break
+        f, obj, v = f_new, obj_new, v_new
     raise ConvergenceError(
-        "simplex ascent did not certify its maximum", residual=last_gap
+        f"simplex Newton solver stalled at Newton decrement {decrement:.3g}", residual=gap
     )
 
 

@@ -2,7 +2,7 @@
 
 Random graphs are drawn with positive self-loop mass on every patch: that
 guarantees aperiodicity and, more importantly, keeps the set of realizable
-occupancy frequencies full-dimensional, which the simplex ascent needs
+occupancy frequencies full-dimensional, which the simplex Newton solver needs
 (degenerate supports are exercised separately).
 """
 

@@ -57,6 +57,19 @@ def test_analyze_cross_checks(tmp_path):
     assert abs(rep["cross_checks"]["log_rho_minus_simplex_max"]) < 1e-6
     assert abs(rep["cross_checks"]["log_rho_minus_twisted_max"]) < 1e-8
     assert rep["cross_checks"]["spectral_vs_return_sign_agree"] is True
+    simplex = rep["variational"]["simplex"]
+    assert simplex["iterations"] >= 1 and 0.0 <= simplex["gap"] <= 1e-7
+
+
+def test_analyze_weakly_coupled_answers_fast(tmp_path):
+    eps = 1e-5
+    graph = {"m": [2.0, 2.0, 0.5],
+             "D": [[1 - 2 * eps, eps, eps], [eps, 1 - eps, 0.0], [0.3, 0.3, 0.4]]}
+    cfg = write_cfg(tmp_path, {"graph": graph, "seed": 3})
+    code, out = run(tmp_path, ["analyze", "--config", cfg])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert abs(rep["cross_checks"]["log_rho_minus_simplex_max"]) <= 1e-9
 
 
 def test_analyze_unit_means_reports_extinction(tmp_path):

@@ -205,6 +205,19 @@ def test_edge_chain_respects_simplex_method():
     assert res.method == "simplex-optimize"
 
 
+def test_edge_chain_simplex_method_on_weakly_coupled_graph():
+    eps = 1e-6
+    D = [[1 - 2 * eps, eps, eps], [eps, 1 - eps, 0.0], [0.3, 0.3, 0.4]]
+    g = MetapopGraph(m=[1.0, 1.0, 1.0], D=D)
+    env = EnvironmentModel(states=("e1", "e2"), means=[[2.0, 1.5, 0.5], [1.0, 1.8, 0.4]],
+                           schedule=Periodic((0, 1)))
+    res = periodic_growth_and_occupancy(g, env, method="simplex-optimize")
+    tw = periodic_growth_and_occupancy(g, env)
+    assert abs(res.log_growth - tw.log_growth) <= 1e-10
+    assert np.abs(res.occupancy_edges - tw.occupancy_edges).max() <= 1e-6
+    assert res.method == "simplex-optimize"
+
+
 def test_lyapunov_constant_environment_recovers_log_rho():
     g = two_patch()
     env = EnvironmentModel(states=("e1", "e2"), means=[[2.0, 0.5], [2.0, 0.5]],

@@ -17,7 +17,7 @@ from sourcesink import (
     rate_grid_2patch,
     stationary_distribution,
 )
-from sourcesink.variational import _occupancy_set_is_full_dimensional
+from sourcesink.variational import _occupancy_set_is_full_dimensional, _rate_hessian
 from conftest import (
     random_fully_mixing,
     random_graph,
@@ -135,6 +135,48 @@ def test_rate_function_nonnegative():
     for _ in range(20):
         f = rng.dirichlet(np.ones(4) * 0.8)
         assert rate_function(g, f).cost >= 0.0
+
+
+def _grad_rate(g, f):
+    v = rate_function(g, f).v_star
+    return np.log(v) - np.log(v @ g.D)
+
+
+def test_rate_hessian_matches_finite_differences_of_gradient():
+    # hess I = -C H^-1 C^T against central differences of grad I along the
+    # tangent directions e_j - f, at interior points away from the boundary
+    rng = np.random.default_rng(13)
+    h = 1e-4
+    for _ in range(10):
+        K = int(rng.integers(2, 9))
+        g = random_graph(rng, K)
+        f = 0.5 * rng.dirichlet(np.ones(K)) + 0.5 / K
+        v = rate_function(g, f).v_star
+        hess = _rate_hessian(g.D, f, v, v @ g.D)
+        W = np.eye(K) - f[None, :]
+        fd = np.column_stack(
+            [(_grad_rate(g, f + h * w) - _grad_rate(g, f - h * w)) / (2 * h) for w in W]
+        )
+        assert np.abs(fd - hess @ W.T).max() <= 1e-5 * np.abs(hess).max()
+
+
+def coupled_sources(eps):
+    # two equal sources joined by dispersal eps, fed by a sink
+    D = [[1 - 2 * eps, eps, eps], [eps, 1 - eps, 0.0], [0.3, 0.3, 0.4]]
+    return MetapopGraph(m=[2.0, 2.0, 0.5], D=D)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+def test_max_rate_gap_weakly_coupled_matches_twisted_route(eps):
+    # J is nearly flat along the weak coupling: the duality gap alone is
+    # below its tolerance at the stationary start, 0.1 away from the argmax
+    g = coupled_sources(eps)
+    res = max_rate_gap(g)
+    tw = argmax_occupancy(g)
+    assert abs(res.log_growth - tw.log_growth) <= 1e-10
+    assert np.abs(res.occupancy - tw.occupancy).max() <= 1e-6
+    assert res.iterations <= 30
+    assert res.gap <= 1e-7
 
 
 def test_max_rate_gap_two_patch_benchmark():
