@@ -11,10 +11,10 @@ Two independent solvers are provided and kept deliberately separate so
 they can cross-check each other:
 
 * ``max_rate_gap``: direct maximization of R - I over the simplex by
-  damped Newton steps in occupancy space, with the concave inner
-  supremum behind I(f) solved through its stationarity condition (Newton
-  in log-coordinates) and the Hessian of I from implicit differentiation
-  of that inner optimum;
+  damped Newton steps in occupancy space.  Each cost I(f) is a concave
+  inner supremum, solved by one regularized Newton loop in
+  log-coordinates (``_inner_solve``); the Hessian of I comes from
+  implicit differentiation of that inner optimum;
 * ``argmax_occupancy``: closed-form route through two twisted chains
   (column-rescaled and doubly-rescaled transition matrices) whose Perron
   vectors give the inner maximizer and the occupancy directly.
@@ -31,13 +31,13 @@ from .errors import ConvergenceError, ValidationError
 from .graph import (
     MetapopGraph,
     _perron,
+    _reachable,
     as_frequencies,
     stationary_distribution,
     validate_graph,
 )
 
 INNER_RES_TOL = 1e-11
-INNER_MAX_ITER = 200_000
 # Concavity gives the certificate J(f*) - J(f) <= max(grad) - grad . f; the
 # outer solver stops when that duality gap bounds the value error this
 # tightly.  The realized value error sits far below the certificate.
@@ -48,13 +48,15 @@ OUTER_GAP_TOL = 1e-7
 # step d below _STEP_TOL (the argmax error it predicts) pins it as well.
 _DECREMENT_TOL = 1e-16
 _STEP_TOL = 1e-12
-# Below this decrement a full step's gain is too near float noise in J for
-# backtracking to judge; Newton is then deep in its quadratic region.
+# Below this decrement a full step's gain is too near float noise in J (or
+# in the inner objective) for backtracking to judge; Newton is then deep in
+# its quadratic region.  Both Newton loops then take full steps.
 _POLISH_DECREMENT = 1e-12
 # gains of J below this, relative to 1 + |J|, are float noise
 _J_NOISE = 1e-15
-# at most 10 steps on the benchmark graphs and 23 on 200 random test
-# graphs; the cap ends the slow crawl to a maximizer at the simplex boundary
+# Step cap of both Newton loops.  The outer one takes at most 10 steps on
+# the benchmark graphs and 23 on 200 random test graphs, and the cap ends
+# its slow crawl to a maximizer at the simplex boundary.
 _NEWTON_MAX_ITER = 100
 
 
@@ -123,13 +125,6 @@ def _clamp(xi: np.ndarray) -> np.ndarray:
     return np.maximum(xi, -_XI_RANGE)
 
 
-# Stationarity is measured relatively, per supported coordinate:
-# max_j |v_j * (D (f/vD))_j / f_j - 1|.  A machine-precision plateau with
-# relative residual below _RES_ACCEPT is accepted as converged (the cost
-# value is quadratically insensitive to it).
-_RES_ACCEPT = 1e-8
-
-
 def _inner_hessian(Dss, fs, v, vD, denom):
     """Hessian of the inner objective fs . (xi - log(v Dss)) in xi = log v."""
     H = (v[:, None] * v[None, :]) * (Dss @ ((fs / (vD * vD))[:, None] * Dss.T))
@@ -137,100 +132,65 @@ def _inner_hessian(Dss, fs, v, vD, denom):
     return H
 
 
-def _inner_solve(Dss, fs, v0, res_tol, max_iter, bound):
+def _inner_solve(Dss, fs, v0, bound):
     """Solve the inner supremum on the support of f.
 
-    Newton in log-coordinates (the objective is concave there and the
-    dimension is tiny), warmed up by a few damped fixed-point sweeps of
-    the stationarity condition; falls back to the plain damped fixed
-    point when a Newton step misbehaves.  Returns (cost, v, iterations,
-    converged); cost = +inf when the objective climbs past ``bound`` (no
-    circulation on the support can carry f), and converged is False when
-    the fallback stalls with a residual above ``_RES_ACCEPT``.
+    Regularized Newton ascent of the concave objective fs . (xi - log(v Dss))
+    in xi = log v, started from v0 or else from v = fs (the exact maximizer
+    at the stationary law).  With g the gradient and H the Hessian, each
+    step solves (lam I - H) d = g with lam = max g^2 (Mishchenko, SIAM J.
+    Optim. 33, 2023): defined where H is singular, as on lockstep supports,
+    and plain Newton as g -> 0.  The gauge direction (all ones) is removed
+    by pinning the heaviest coordinate.  Steps backtrack on the objective
+    (Armijo 0.25) until the decrement g . d drops below float resolution,
+    after which full steps are taken.  Stops once the relative residual
+    max_j |v_j (Dss (fs / v Dss))_j / fs_j - 1| is within ``INNER_RES_TOL``
+    and returns (cost, v, steps taken); the cost is +inf once the objective
+    climbs past ``bound`` (no circulation on the support can carry f).
+    Raises ``ConvergenceError`` with that residual when the step cap is
+    reached or no step raises the objective.
     """
     s = fs.size
     if s == 1:
         d = Dss[0, 0]
         cost = math.inf if d == 0.0 else -math.log(d)
-        return cost, np.ones(1), 0, True
-    v = np.full(s, 1.0 / s) if v0 is None else v0 / v0.sum()
+        return cost, np.ones(1), 0
+    xi = _clamp(np.log(fs if v0 is None else v0))
+    free = np.arange(s) != int(np.argmax(fs))
+    eye = np.eye(s - 1)
 
-    def objective(v):
-        return float(fs @ (np.log(v) - np.log(v @ Dss)))
+    def objective(xi):
+        return float(fs @ (xi - np.log(np.exp(xi) @ Dss)))
 
-    def rel_residual(v, denom):
-        return float(np.abs(v * denom / fs - 1.0).max())
-
-    # a few damped sweeps pull v into Newton's basin
-    for it in range(1, 9):
-        vD = v @ Dss
-        denom = Dss @ (fs / vD)
-        if rel_residual(v, denom) <= res_tol:
-            return objective(v), v, it, True
-        v = np.exp(_clamp(0.5 * (np.log(v) + np.log(fs / denom))))
-        v /= v.sum()
-
-    xi = _clamp(np.log(v))
-    obj = objective(np.exp(xi))
-    for it in range(9, 9 + 80):
+    obj = objective(xi)
+    for it in range(_NEWTON_MAX_ITER + 1):
         v = np.exp(xi)
-        if obj > bound:
-            return math.inf, v, it, True
         vD = v @ Dss
         denom = Dss @ (fs / vD)
-        rel = rel_residual(v, denom)
-        if rel <= res_tol:
-            return obj, v, it, True
-        grad = fs - v * denom
-        H = _inner_hessian(Dss, fs, v, vD, denom)
-        try:
-            # the all-ones direction is the gauge null space; pin the last coord
-            dxi = np.append(np.linalg.solve(H[:-1, :-1], -grad[:-1]), 0.0)
-        except np.linalg.LinAlgError:
+        rel = float(np.abs(v * denom / fs - 1.0).max())
+        if rel <= INNER_RES_TOL:
+            return obj, v, it
+        if it == _NEWTON_MAX_ITER:
             break
-        if not np.all(np.isfinite(dxi)):
-            break
-        t = min(1.0, 200.0 / max(1.0, float(np.abs(dxi).max())))
-        improved = False
-        for _ in range(40):
-            xi_new = _clamp(xi + t * dxi)
-            obj_new = objective(np.exp(xi_new))
-            if math.isfinite(obj_new) and obj_new >= obj:
-                improved = obj_new > obj or t == 1.0
-                xi, obj = xi_new, obj_new
+        g = (fs - v * denom)[free]
+        H = _inner_hessian(Dss, fs, v, vD, denom)[np.ix_(free, free)]
+        d = np.zeros(s)
+        d[free] = np.linalg.solve(float(np.abs(g).max()) ** 2 * eye - H, g)
+        decrement = float(g @ d[free])
+        polish = decrement <= _POLISH_DECREMENT
+        t = 1.0
+        while t >= 1e-12:
+            xi_new = _clamp(xi + t * d)
+            obj_new = objective(xi_new)
+            if math.isfinite(obj_new) and (polish or obj_new >= obj + 0.25 * t * decrement):
                 break
             t *= 0.5
-        if not improved:
-            # float plateau: accept if stationarity is essentially reached
-            if rel <= _RES_ACCEPT:
-                return obj, np.exp(xi), it, True
+        else:
             break
-
-    # fixed-point fallback for the rare cases Newton cannot finish; a trial
-    # point the fallback cannot crack either is reported unconverged fast,
-    # so callers can back off instead of burning the full budget on it
-    v = np.exp(_clamp(xi))
-    v /= v.sum()
-    obj_prev = -math.inf
-    stall = 0
-    budget = min(max_iter, 4000)
-    for it in range(1, budget + 1):
-        vD = v @ Dss
-        denom = Dss @ (fs / vD)
-        rel = rel_residual(v, denom)
-        if rel <= res_tol:
-            return objective(v), v, it, True
-        v = np.exp(_clamp(0.5 * (np.log(v) + np.log(fs / denom))))
-        v /= v.sum()
-        if it % 64 == 0:
-            obj = objective(v)
-            if obj > bound:
-                return math.inf, v, it, True
-            stall = stall + 1 if obj <= obj_prev + 1e-15 else 0
-            obj_prev = obj
-            if stall >= 4:
-                break  # oscillating or flat
-    return objective(v), v, it, rel <= _RES_ACCEPT
+        xi, obj = xi_new, obj_new
+        if obj > bound:
+            return math.inf, np.exp(xi), it + 1
+    raise ConvergenceError("inner rate-function solve did not converge", residual=rel)
 
 
 class _RateSolver:
@@ -242,8 +202,7 @@ class _RateSolver:
         pos = g.D[g.D > 0]
         self.bound = math.log(1.0 / float(pos.min())) + 5.0
 
-    def evaluate(self, f: np.ndarray, v0=None, res_tol=INNER_RES_TOL,
-                 max_iter=INNER_MAX_ITER):
+    def evaluate(self, f: np.ndarray, v0=None):
         sup = np.where(f > 0)[0]
         Dss = self.D[np.ix_(sup, sup)]
         fs = f[sup]
@@ -251,14 +210,7 @@ class _RateSolver:
             # a supported patch with no inflow from the support: unrealizable
             return math.inf, _embed(np.ones(sup.size), sup, f.size), 0
         v0s = None if v0 is None else np.asarray(v0, dtype=float)[sup]
-        cost, vs, iters, converged = _inner_solve(
-            Dss, fs, v0s, res_tol, max_iter, self.bound
-        )
-        if not converged:
-            raise ConvergenceError(
-                "inner rate-function solve did not converge",
-                residual=float(np.abs(fs / vs - Dss @ (fs / (vs @ Dss))).max()),
-            )
+        cost, vs, iters = _inner_solve(Dss, fs, v0s, self.bound)
         if -1e-12 < cost < 0.0:
             cost = 0.0
         return cost, _embed(vs, sup, f.size), iters
@@ -270,25 +222,20 @@ def _embed(vs: np.ndarray, sup: np.ndarray, k: int) -> np.ndarray:
     return v
 
 
-def rate_function(
-    g: MetapopGraph,
-    f,
-    v0: np.ndarray | None = None,
-    res_tol: float = INNER_RES_TOL,
-    max_iter: int = INNER_MAX_ITER,
-) -> RateEvaluation:
+def rate_function(g: MetapopGraph, f, v0: np.ndarray | None = None) -> RateEvaluation:
     """Cost I(f) of an occupancy scheme, with the attaining inner vector.
 
-    The inner concave supremum is solved on the support of f until the
-    stationarity residual falls below ``res_tol``.  I(f) = +inf when no
-    walk can realize f (a supported patch unreachable from the support,
-    or no circulation on the support with marginal f).
+    The inner concave supremum is solved on the support of f, from ``v0``
+    when given, until its relative stationarity residual falls below
+    ``INNER_RES_TOL``.  I(f) = +inf when no walk can realize f (a supported
+    patch unreachable from the support, or no circulation on the support
+    with marginal f).
     """
     if not validate_graph(g).irreducible:
         raise ValidationError("rate function needs an irreducible dispersal matrix")
     f = as_frequencies(f, g.K)
     solver = _RateSolver(g)
-    cost, v, iters = solver.evaluate(f, v0=v0, res_tol=res_tol, max_iter=max_iter)
+    cost, v, iters = solver.evaluate(f, v0=v0)
     sup = np.where(v > 0)[0]
     v_gauged = v.copy()
     if math.isfinite(cost):
@@ -322,19 +269,21 @@ def _occupancy_set_is_full_dimensional(D: np.ndarray) -> bool:
     has rank < K, some frequencies are tied by exact linear relations
     (e.g. a patch fed only by an out-degree-one patch visits in lockstep
     with it) and the feasible set is a lower-dimensional slice.
+
+    That rank is rank([balance; marginal]) - rank(balance).  For an
+    irreducible D, rank(balance) = K - 1, and the stacked rows span the
+    out- and in-incidence rows, whose rank is 2K - c, where c counts the
+    components of the bipartite graph with one link from tail i to head
+    K + j per edge i -> j.  So the set is full-dimensional iff that graph
+    is connected.
     """
     k = D.shape[0]
+    adj: list[list[int]] = [[] for _ in range(2 * k)]
     tail, head = np.nonzero(D > 0)
-    cols = np.arange(tail.size)
-    balance = np.zeros((k, tail.size))
-    balance[tail, cols] += 1.0
-    balance[head, cols] -= 1.0
-    marginal = np.zeros((k, tail.size))
-    marginal[tail, cols] = 1.0
-    # rank of marginal on the null space of balance (the circulations) is
-    # rank([balance; marginal]) - rank(balance); no null-space basis needed
-    stacked = np.linalg.matrix_rank(np.vstack([balance, marginal]))
-    return int(stacked - np.linalg.matrix_rank(balance)) == k
+    for i, j in zip(tail.tolist(), head.tolist()):
+        adj[i].append(k + j)
+        adj[k + j].append(i)
+    return len(_reachable(adj, 0)) == 2 * k
 
 
 def _rate_hessian(D: np.ndarray, f: np.ndarray, v: np.ndarray, vD: np.ndarray) -> np.ndarray:
@@ -342,8 +291,8 @@ def _rate_hessian(D: np.ndarray, f: np.ndarray, v: np.ndarray, vD: np.ndarray) -
 
     H is the inner Hessian in xi = log v at the optimum and C[i, k] =
     d(xi_i - log (vD)_i)/d xi_k = delta_ik - v_k D_ki / (vD)_i.  The last
-    coordinate is pinned, as in the inner Newton step: the all-ones
-    direction is the gauge null space of both H and C.
+    coordinate is pinned: the all-ones direction is the gauge null space of
+    both H and C.
     """
     k = f.size
     C = np.eye(k) - D.T * v[None, :] / vD[:, None]
@@ -352,7 +301,7 @@ def _rate_hessian(D: np.ndarray, f: np.ndarray, v: np.ndarray, vD: np.ndarray) -
     return -Cp @ np.linalg.solve(H[:-1, :-1], Cp.T)
 
 
-def max_rate_gap(g: MetapopGraph, gap_tol: float = OUTER_GAP_TOL) -> VariationalResult:
+def max_rate_gap(g: MetapopGraph) -> VariationalResult:
     """Maximize R - I over the simplex by damped Newton steps.
 
     Starts at the stationary law (always feasible, always interior).  Each
@@ -361,9 +310,9 @@ def max_rate_gap(g: MetapopGraph, gap_tol: float = OUTER_GAP_TOL) -> Variational
     boundary and backtracks on J; once the Newton decrement d^T hess I d
     is too small for J to resolve, it takes full steps.  It stops when
     the concavity duality gap max(grad J) - f . grad J is within
-    ``gap_tol`` and the decrement or the step is below its tolerance, or
+    ``OUTER_GAP_TOL`` and the decrement or the step is below its tolerance, or
     at a float plateau with the gap certified.  The gap alone is not
-    enough: on weakly coupled graphs it is below ``gap_tol`` at the
+    enough: on weakly coupled graphs it is below ``OUTER_GAP_TOL`` at the
     stationary start, far from the maximizer.  The occupancy matches the
     twisted-chain route to float conditioning (1e-7 even at coupling
     1e-10).  Raises ``ConvergenceError`` with the final gap as residual
@@ -402,7 +351,7 @@ def max_rate_gap(g: MetapopGraph, gap_tol: float = OUTER_GAP_TOL) -> Variational
             break
         decrement = float(d @ hess @ d)
         pinned = decrement <= _DECREMENT_TOL or np.abs(d).max() <= _STEP_TOL
-        if gap <= gap_tol and pinned:
+        if gap <= OUTER_GAP_TOL and pinned:
             return VariationalResult(obj, f, "simplex-optimize", it, gap)
         if not math.isfinite(decrement):
             break
@@ -425,7 +374,7 @@ def max_rate_gap(g: MetapopGraph, gap_tol: float = OUTER_GAP_TOL) -> Variational
             t *= 0.5
         else:
             # float plateau: no step raises J any more
-            if gap <= gap_tol:
+            if gap <= OUTER_GAP_TOL:
                 return VariationalResult(obj, f, "simplex-optimize", it, gap)
             break
         f, obj, v = f_new, obj_new, v_new

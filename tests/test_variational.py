@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sourcesink import (
+    ConvergenceError,
     MetapopGraph,
     ValidationError,
     argmax_occupancy,
@@ -16,7 +17,9 @@ from sourcesink import (
     rate_function,
     rate_grid_2patch,
     stationary_distribution,
+    validate_graph,
 )
+from sourcesink import variational
 from sourcesink.variational import _occupancy_set_is_full_dimensional, _rate_hessian
 from conftest import (
     random_fully_mixing,
@@ -106,6 +109,34 @@ def test_rate_function_infinite_off_lockstep_slice():
     assert math.isinf(ev2.cost)
 
 
+@pytest.mark.parametrize("f", [(0.4, 0.3, 0.3), (0.6, 0.2, 0.2)])
+def test_rate_function_on_lockstep_slice_matches_closed_form(f):
+    # on the slice f_1 = f_2 the inner Hessian is singular beyond the gauge
+    # (v_1 cancels from the objective); the walk's only choice is at patch
+    # 0, so I(f) is the KL cost of the split n00 + n01 = f_0 against (1/2, 1/2)
+    D = [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    g = MetapopGraph(m=[1.0, 1.0, 1.0], D=D)
+    ev = rate_function(g, f)
+    n01 = f[1]
+    n00 = f[0] - n01
+    expect = n00 * math.log(n00 / (f[0] / 2)) + n01 * math.log(n01 / (f[0] / 2))
+    assert abs(ev.cost - expect) <= 1e-12
+    assert ev.iterations <= 20
+
+
+def test_inner_solve_failure_reports_the_stopping_residual(monkeypatch):
+    # with no steps allowed the solve stops at its start v = f; the residual
+    # it raises with is the relative one the stopping rule compares
+    monkeypatch.setattr(variational, "_NEWTON_MAX_ITER", 0)
+    g = two_patch(p=0.3, q=0.6)
+    f = np.array([0.8, 0.2])
+    with pytest.raises(ConvergenceError) as err:
+        rate_function(g, f)
+    expect = float(np.abs(g.D @ (f / (f @ g.D)) - 1.0).max())
+    assert expect > variational.INNER_RES_TOL
+    assert err.value.residual == pytest.approx(expect, rel=1e-12)
+
+
 def test_rate_function_stationarity_residual():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -164,6 +195,16 @@ def coupled_sources(eps):
     # two equal sources joined by dispersal eps, fed by a sink
     D = [[1 - 2 * eps, eps, eps], [eps, 1 - eps, 0.0], [0.3, 0.3, 0.4]]
     return MetapopGraph(m=[2.0, 2.0, 0.5], D=D)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10])
+def test_rate_function_stationary_start_is_exact_when_weakly_coupled(eps):
+    # the inner solve starts from v = f, the exact maximizer at the
+    # stationary law, however weak the coupling
+    g = coupled_sources(eps)
+    ev = rate_function(g, stationary_distribution(g))
+    assert 0.0 <= ev.cost <= 1e-10
+    assert ev.iterations <= 5
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
@@ -285,6 +326,18 @@ def _null_space_full_dimensional(D):
     return rank == k
 
 
+def _sparse_irreducible(rng, K):
+    # no forced self-loops, so lockstep ties occur by chance
+    while True:
+        D = np.where(rng.random((K, K)) < 0.3, rng.random((K, K)), 0.0)
+        s = D.sum(axis=1)
+        if np.any(s == 0):
+            continue
+        D = D / s[:, None]
+        if validate_graph(MetapopGraph(m=np.ones(K), D=D)).irreducible:
+            return D
+
+
 def test_full_dimension_rank_identity_matches_null_space_basis():
     rng = np.random.default_rng(12)
     graphs = [random_graph(rng, int(rng.integers(2, 13))).D for _ in range(20)]
@@ -297,6 +350,11 @@ def test_full_dimension_rank_identity_matches_null_space_basis():
         assert _occupancy_set_is_full_dimensional(D) == _null_space_full_dimensional(D)
     assert all(_occupancy_set_is_full_dimensional(D) for D in graphs[:20])
     assert not any(_occupancy_set_is_full_dimensional(D) for D in graphs[20:])
+    sparse_rng = np.random.default_rng(14)
+    sparse = [_sparse_irreducible(sparse_rng, int(sparse_rng.integers(3, 9))) for _ in range(60)]
+    full = [_occupancy_set_is_full_dimensional(D) for D in sparse]
+    assert full == [_null_space_full_dimensional(D) for D in sparse]
+    assert 2 < full.count(False) < len(sparse)
 
 
 def test_rejects_zero_means():
