@@ -261,7 +261,7 @@ def cmd_analyze(args) -> dict:
             "spectral_vs_return_sign_agree": (sd.rho > 1.0) == verdict.persists,
         },
     }
-    if args.trials:
+    if args.trials is not None:
         mc = return_functional_mc(g, home, _walk_config(cfg))
         out["return_functional_mc"] = mc.to_dict()
         out["cross_checks"]["exact_minus_mc"] = verdict.value - mc.value

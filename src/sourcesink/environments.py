@@ -182,8 +182,6 @@ def two_patch_periodic_criterion(
 
 
 def _phase_matrices(g: MetapopGraph, env: EnvironmentModel) -> dict[str, np.ndarray]:
-    if not isinstance(env.schedule, Periodic) or len(env.schedule.order) != 2:
-        raise ValidationError("even-return analysis needs a two-state alternation")
     a, b = env.schedule.order
     Aa = state_mean_matrix(g, env, a)
     Ab = state_mean_matrix(g, env, b)

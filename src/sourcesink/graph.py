@@ -11,12 +11,18 @@ the structural checks used as preconditions elsewhere (irreducibility,
 aperiodicity, positive means), the stationary law of the single random
 walker on the graph, and the dense Perron kernel that the spectral and
 variational modules share.
+
+Every question about the support graph goes through one breadth-first
+search, ``_levels``, which expands a whole frontier per numpy step over a
+boolean support matrix.  ``_structure`` builds the communicating classes
+from forward and backward level sets and reads each class's period off
+the forward levels as gcd(level[u] + 1 - level[v]) over the class's edges
+(Denardo 1977; Seneta 2006, section 1.3).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,65 +125,46 @@ def as_frequencies(f, k: int | None = None) -> np.ndarray:
     return np.clip(f, 0.0, None) / s
 
 
-def _successors(D: np.ndarray) -> list[list[int]]:
-    return [list(np.where(row > 0)[0]) for row in D]
+def _levels(S: np.ndarray, root: int) -> np.ndarray:
+    """Breadth-first distance from ``root`` over the boolean support ``S``.
 
-
-def _reachable(adj: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def _strongly_connected_components(D: np.ndarray) -> list[list[int]]:
-    k = D.shape[0]
-    adj = _successors(D)
-    radj = [list(np.where(D[:, j] > 0)[0]) for j in range(k)]
-    comps = []
-    assigned = [False] * k
-    for s in range(k):
-        if assigned[s]:
-            continue
-        fwd = _reachable(adj, s)
-        bwd = _reachable(radj, s)
-        comp = sorted(fwd & bwd)
-        for v in comp:
-            assigned[v] = True
-        comps.append(comp)
-    return comps
-
-
-def _component_period(D: np.ndarray, comp: list[int]) -> int:
-    """Period of one communicating class, by BFS level sets.
-
-    gcd of (level[u] + 1 - level[v]) over in-class edges u -> v; exact
-    integer arithmetic, no numerics.
+    Each level is one vectorised step: the unvisited columns reached from
+    any row of the current frontier.  Entries that ``root`` does not reach
+    stay -1.
     """
-    inside = set(comp)
-    root = comp[0]
-    level = {root: 0}
-    frontier = [root]
-    adj = _successors(D)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in inside and v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in comp:
-        for v in adj[u]:
-            if v in inside:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g else 0
+    level = np.full(S.shape[0], -1)
+    level[root] = 0
+    frontier = np.array([root])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        frontier = np.flatnonzero(S[frontier].any(axis=0) & (level < 0))
+        level[frontier] = depth
+    return level
+
+
+def _structure(S: np.ndarray) -> tuple[bool, int]:
+    """Irreducibility and period of the support ``S``, from level sets.
+
+    Each communicating class is the set reached both forward and backward
+    from its first unassigned vertex.  A shortest path between two vertices
+    of one class stays in that class, so the forward levels from the root
+    are the in-class levels, and the class period is the gcd of
+    level[u] + 1 - level[v] over its edges u -> v (exact integers).  The
+    period returned is the gcd over all classes; a class without a cycle
+    contributes nothing, and a graph without any cycle reports 1.
+    """
+    root_of = np.full(S.shape[0], -1)
+    level = np.zeros(S.shape[0], dtype=int)
+    while (root_of < 0).any():
+        root = int(np.argmax(root_of < 0))
+        fwd = _levels(S, root)
+        inside = (fwd >= 0) & (_levels(S.T, root) >= 0)
+        root_of[inside] = root
+        level[inside] = fwd[inside]
+    u, v = np.nonzero(S & (root_of[:, None] == root_of[None, :]))
+    period = int(np.gcd.reduce(level[u] + 1 - level[v]))
+    return bool((root_of == 0).all()), period or 1
 
 
 def validate_graph(g: MetapopGraph) -> AssumptionReport:
@@ -185,20 +172,12 @@ def validate_graph(g: MetapopGraph) -> AssumptionReport:
 
     Irreducibility is reachability on edges with positive weight; the
     period is the gcd of return-cycle lengths within each communicating
-    class (classes without a cycle contribute nothing).
+    class, read off breadth-first level sets (``_structure``).
     """
-    comps = _strongly_connected_components(g.D)
-    irreducible = len(comps) == 1 and len(comps[0]) == g.K
-    period = 0
-    for comp in comps:
-        p = _component_period(g.D, comp)
-        if p:
-            period = math.gcd(period, p)
-    period = period or 1
-    aperiodic = irreducible and period == 1
+    irreducible, period = _structure(g.D > 0)
     return AssumptionReport(
         irreducible=irreducible,
-        aperiodic=aperiodic,
+        aperiodic=irreducible and period == 1,
         positive_means=bool(np.all(g.m > 0)),
         period=period,
     )

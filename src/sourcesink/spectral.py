@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, _perron, validate_graph
+from .graph import MetapopGraph, _perron, _structure
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,14 @@ def growth_rate(A: np.ndarray) -> SpectralData:
     carries the usual meaning.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError("mean matrix must be square")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValidationError("mean matrix must be square and non-empty")
     if np.any(A < 0) or not np.all(np.isfinite(A)):
         raise ValidationError("mean matrix entries must be finite and >= 0")
-    k = A.shape[0]
-    row_mass = A.sum(axis=1)
-    if np.any(row_mass == 0):
+    if np.any(A.sum(axis=1) == 0):
         raise ValidationError("mean matrix has a zero row (a patch with zero mean)")
-    support = MetapopGraph(m=np.ones(k), D=A / row_mass[:, None])
-    report = validate_graph(support)
-    if not report.irreducible:
+    irreducible, period = _structure(A > 0)
+    if not irreducible:
         raise ValidationError("mean matrix support is not irreducible")
     rho, right = _perron(A)
     _, left = _perron(A.T)
@@ -85,7 +82,7 @@ def growth_rate(A: np.ndarray) -> SpectralData:
         left=left,
         right=right,
         residual=residual,
-        periodic_warning=not report.aperiodic,
+        periodic_warning=period != 1,
     )
 
 

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 from .graph import (
     MetapopGraph,
+    _levels,
     _perron,
-    _reachable,
     as_frequencies,
     stationary_distribution,
     validate_graph,
@@ -275,15 +275,12 @@ def _occupancy_set_is_full_dimensional(D: np.ndarray) -> bool:
     out- and in-incidence rows, whose rank is 2K - c, where c counts the
     components of the bipartite graph with one link from tail i to head
     K + j per edge i -> j.  So the set is full-dimensional iff that graph
-    is connected.
+    is connected, which one breadth-first search over its 2K x 2K
+    adjacency [[0, S], [S^T, 0]] decides.
     """
-    k = D.shape[0]
-    adj: list[list[int]] = [[] for _ in range(2 * k)]
-    tail, head = np.nonzero(D > 0)
-    for i, j in zip(tail.tolist(), head.tolist()):
-        adj[i].append(k + j)
-        adj[k + j].append(i)
-    return len(_reachable(adj, 0)) == 2 * k
+    S = D > 0
+    Z = np.zeros_like(S)
+    return bool((_levels(np.block([[Z, S], [S.T, Z]]), 0) >= 0).all())
 
 
 def _rate_hessian(D: np.ndarray, f: np.ndarray, v: np.ndarray, vD: np.ndarray) -> np.ndarray:

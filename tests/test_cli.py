@@ -251,3 +251,17 @@ def test_non_convergence_exits_3_and_prints_residual(tmp_path, monkeypatch, caps
     code = main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")])
     assert code == 3
     assert "numerical non-convergence: x (residual 0.001)" in capsys.readouterr().err
+
+
+def test_trials_zero_exits_2_like_negative_trials(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"graph": GRAPH})
+    for command, trials, message in (
+        ("analyze", 0, "n_trials must be >= 1"),
+        ("analyze", -1, "n_trials must be >= 1"),
+        ("simulate", 0, "n_runs must be >= 1"),
+    ):
+        out = tmp_path / f"{command}{trials}.json"
+        code = main([command, "--config", cfg, "--trials", str(trials), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -1,14 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from sourcesink import (
+    EnvironmentModel,
     MetapopGraph,
+    PipelineSpec,
     ValidationError,
     as_frequencies,
+    collapse,
+    growth_rate,
     load_graph,
+    mean_matrix,
+    pipeline_to_motif,
     stationary_distribution,
     validate_graph,
 )
+from sourcesink.environments import Periodic, edge_chain
 from conftest import random_graph, two_patch
 
 
@@ -62,6 +71,178 @@ def test_period_divides_every_cycle_length():
         walk(0, 0)
         for length in lengths:
             assert length % rep.period == 0
+
+
+# Reference structure checks: adjacency-list walkers, one Python loop per
+# vertex and edge, kept to check the level-set implementation against.
+
+
+def _ref_successors(D):
+    return [list(np.where(row > 0)[0]) for row in D]
+
+
+def _ref_reachable(adj, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _ref_components(D):
+    k = D.shape[0]
+    adj = _ref_successors(D)
+    radj = [list(np.where(D[:, j] > 0)[0]) for j in range(k)]
+    comps = []
+    assigned = [False] * k
+    for s in range(k):
+        if assigned[s]:
+            continue
+        comp = sorted(_ref_reachable(adj, s) & _ref_reachable(radj, s))
+        for v in comp:
+            assigned[v] = True
+        comps.append(comp)
+    return comps
+
+
+def _ref_component_period(D, comp):
+    inside = set(comp)
+    level = {comp[0]: 0}
+    frontier = [comp[0]]
+    adj = _ref_successors(D)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v in inside and v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    g = 0
+    for u in comp:
+        for v in adj[u]:
+            if v in inside:
+                g = math.gcd(g, level[u] + 1 - level[v])
+    return abs(g) if g else 0
+
+
+def _ref_structure(D):
+    """(irreducible, aperiodic, period) by the reference walkers."""
+    comps = _ref_components(D)
+    irreducible = len(comps) == 1 and len(comps[0]) == D.shape[0]
+    period = 0
+    for comp in comps:
+        period = math.gcd(period, _ref_component_period(D, comp))
+    period = period or 1
+    return irreducible, irreducible and period == 1, period
+
+
+def _weighted(rng, S):
+    """A graph on support S (every row non-empty) with random weights."""
+    D = np.where(S, rng.uniform(0.1, 1.0, S.shape), 0.0)
+    return MetapopGraph(m=rng.uniform(0.5, 2.0, S.shape[0]), D=D / D.sum(axis=1)[:, None])
+
+
+def _fill_empty_rows(rng, S, allowed):
+    for i in np.where(~S.any(axis=1))[0]:
+        S[i, rng.choice(np.where(allowed[i])[0])] = True
+    return S
+
+
+def _sparse_support(rng):
+    K = int(rng.integers(1, 13))
+    S = rng.random((K, K)) < rng.uniform(0.05, 0.5)
+    return _fill_empty_rows(rng, S, np.ones((K, K), dtype=bool))
+
+
+def _block_cyclic_support(rng):
+    """Edges only from block c to block c + 1 (mod p), p = 2..4; a third
+    of the graphs get one extra edge anywhere, which may cut the period."""
+    p = int(rng.integers(2, 5))
+    K = int(rng.integers(p, 13))
+    block = rng.permutation(np.arange(K) % p)
+    allowed = block[None, :] == (block[:, None] + 1) % p
+    S = _fill_empty_rows(rng, allowed & (rng.random((K, K)) < 0.4), allowed)
+    if rng.random() < 1 / 3:
+        S[rng.integers(K), rng.integers(K)] = True
+    return S
+
+
+def _reducible_support(rng):
+    """Two to five classes in a random order, edges between classes only
+    forward.  Each class is a ring of 1-4 vertices with a few chords; a
+    singleton that is not last may have no self-loop, a class without a
+    cycle."""
+    sizes = rng.integers(1, 5, size=int(rng.integers(2, 6)))
+    K = int(sizes.sum())
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    S = np.zeros((K, K), dtype=bool)
+    later = np.zeros((K, K), dtype=bool)
+    for c, size in enumerate(sizes):
+        idx = np.arange(start[c], start[c + 1])
+        later[idx, start[c + 1]:] = True
+        if size == 1 and c < len(sizes) - 1 and rng.random() < 0.5:
+            continue
+        S[idx, np.roll(idx, -1)] = True
+        S[np.ix_(idx, idx)] |= rng.random((size, size)) < 0.15
+    S |= later & (rng.random((K, K)) < 0.2)
+    S = _fill_empty_rows(rng, S, later)
+    perm = rng.permutation(K)
+    return S[np.ix_(perm, perm)]
+
+
+def _large_graphs():
+    rng = np.random.default_rng(24)
+    g = random_graph(rng, 24)
+    env = EnvironmentModel(
+        states=("e1", "e2"), means=rng.uniform(0.3, 2.5, (2, 24)), schedule=Periodic((0, 1))
+    )
+    graphs = [edge_chain(g, env)[0]]
+    for n, s in ((250, 0.2), (250, 0.0), (249, 0.0)):
+        spec = PipelineSpec(n=n, p=1.0 if s == 0.0 else 0.5, L=0.5, s=s,
+                            l=(1 - s) / 2, m=0.5, M=2.0)
+        graphs.append(collapse(pipeline_to_motif(spec)))
+    return graphs
+
+
+def test_structure_matches_reference_walkers():
+    rng = np.random.default_rng(8)
+    graphs = [
+        _weighted(rng, make(rng))
+        for make in (_sparse_support, _block_cyclic_support, _reducible_support)
+        for _ in range(700)
+    ] + _large_graphs()
+    periods = {}
+    for g in graphs:
+        rep = validate_graph(g)
+        expected = _ref_structure(g.D)
+        assert (rep.irreducible, rep.aperiodic, rep.period) == expected
+        periods.setdefault(rep.irreducible, set()).add(rep.period)
+        if g.K > 12:
+            continue
+        if rep.irreducible:
+            sd = growth_rate(mean_matrix(g))
+            assert sd.periodic_warning == (not rep.aperiodic)
+        else:
+            with pytest.raises(ValidationError, match="not irreducible"):
+                growth_rate(mean_matrix(g))
+    # every kind was drawn: periods 1-4, irreducible and reducible
+    assert periods[True] >= {1, 2, 3, 4} and periods[False] >= {1, 2, 3, 4}
+
+
+def test_large_supports_structure():
+    chain, ring, odd_ring, even_ring = _large_graphs()
+    assert chain.K > 300
+    assert validate_graph(chain).aperiodic
+    assert validate_graph(ring).aperiodic
+    # a ring of 251 patches without self-loops: cycles of length 2 and 251
+    assert validate_graph(odd_ring).period == 1
+    # of 250 patches: every cycle has even length
+    assert validate_graph(even_ring).period == 2
 
 
 def test_malformed_row_is_rejected_with_row_index():

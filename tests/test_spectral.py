@@ -108,6 +108,12 @@ def test_reducible_support_rejected():
         growth_rate(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+def test_malformed_mean_matrix_rejected():
+    for A in (np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(ValidationError, match="square and non-empty"):
+            growth_rate(A)
+
+
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-5, 1e-8, 1e-12])
 def test_weakly_coupled_sources_match_dense_eigensolve(eps):
     # two equal-mean sources coupled with weight eps: the Perron gap of A and
