@@ -167,18 +167,24 @@ def _structure(S: np.ndarray) -> tuple[bool, int]:
     return bool((root_of == 0).all()), period or 1
 
 
-def validate_graph(g: MetapopGraph) -> AssumptionReport:
+def validate_graph(g: MetapopGraph | np.ndarray) -> AssumptionReport:
     """Check the standing structural assumptions of the analysis.
 
     Irreducibility is reachability on edges with positive weight; the
     period is the gcd of return-cycle lengths within each communicating
-    class, read off breadth-first level sets (``_structure``).
+    class, read off breadth-first level sets (``_structure``).  ``g`` may
+    also be a non-negative mean matrix A = m * D, as ``growth_rate`` passes
+    it: its support is A > 0 and its patch means are its row sums.
     """
-    irreducible, period = _structure(g.D > 0)
+    if isinstance(g, MetapopGraph):
+        support, means = g.D > 0, g.m
+    else:
+        support, means = g > 0, g.sum(axis=1)
+    irreducible, period = _structure(support)
     return AssumptionReport(
         irreducible=irreducible,
         aperiodic=irreducible and period == 1,
-        positive_means=bool(np.all(g.m > 0)),
+        positive_means=bool(np.all(means > 0)),
         period=period,
     )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, _perron, _structure
+from .graph import MetapopGraph, _perron, validate_graph
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ def growth_rate(A: np.ndarray) -> SpectralData:
         raise ValidationError("mean matrix entries must be finite and >= 0")
     if np.any(A.sum(axis=1) == 0):
         raise ValidationError("mean matrix has a zero row (a patch with zero mean)")
-    irreducible, period = _structure(A > 0)
-    if not irreducible:
+    report = validate_graph(A)
+    if not report.irreducible:
         raise ValidationError("mean matrix support is not irreducible")
     rho, right = _perron(A)
     _, left = _perron(A.T)
@@ -82,7 +82,7 @@ def growth_rate(A: np.ndarray) -> SpectralData:
         left=left,
         right=right,
         residual=residual,
-        periodic_warning=period != 1,
+        periodic_warning=not report.aperiodic,
     )
 
 

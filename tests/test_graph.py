@@ -221,6 +221,7 @@ def test_structure_matches_reference_walkers():
         rep = validate_graph(g)
         expected = _ref_structure(g.D)
         assert (rep.irreducible, rep.aperiodic, rep.period) == expected
+        assert validate_graph(mean_matrix(g)) == rep
         periods.setdefault(rep.irreducible, set()).add(rep.period)
         if g.K > 12:
             continue
