@@ -66,19 +66,34 @@ def _fmt_float(x: float) -> str:
 
 
 def dumps_report(obj, indent: int = 0) -> str:
-    """Canonical JSON with 17-significant-digit floats (round-trip exact)."""
+    """Canonical JSON with 17-significant-digit floats (round-trip exact).
+
+    Keys are JSON-escaped strings.  A list of scalars is written on one
+    line; one whose items are all Python floats, or all Python ints, is
+    formatted by a single ``%`` operation over the whole row, unless the
+    row holds nan or ±inf, which take the per-item path and stay quoted
+    (``"nan"``, ``"inf"``, ``"-inf"``).  Both paths give the same bytes.
+    An array is written as its ``tolist()``.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f'{pad}  "{k}": {dumps_report(v, indent + 1)}' for k, v in obj.items()
+            f"{pad}  {json.dumps(str(k))}: {dumps_report(v, indent + 1)}"
+            for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
             return "[]"
+        kinds = set(map(type, seq))
+        if kinds == {float} or kinds == {int}:
+            spec = "%.17g" if float in kinds else "%d"
+            row = ", ".join([spec] * len(seq)) % tuple(seq)
+            if "n" not in row:  # no nan, inf or -inf
+                return "[" + row + "]"
         flat = all(isinstance(x, (int, float, bool, str, type(None))) for x in seq)
         if flat:
             return "[" + ", ".join(dumps_report(x) for x in seq) + "]"
@@ -112,6 +127,8 @@ def _emit(report: dict, args) -> None:
 
 
 def _flatten(prefix: str, obj, rows: list) -> None:
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)

@@ -1,6 +1,8 @@
 import json
 import math
 
+import numpy as np
+
 from sourcesink import cli
 from sourcesink.cli import dumps_report, main
 from sourcesink.errors import ConvergenceError
@@ -18,6 +20,108 @@ def run(tmp_path, args, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
     return code, out
+
+
+def _reference_dumps(obj, indent=0):
+    """The one-call-per-item serializer that ``dumps_report`` must match."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  "{k}": {_reference_dumps(v, indent + 1)}' for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(x, (int, float, bool, str, type(None))) for x in seq)
+        if flat:
+            return "[" + ", ".join(_reference_dumps(x) for x in seq) + "]"
+        items = [f"{pad}  {_reference_dumps(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return '"nan"'
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        return format(x, ".17g")
+    if isinstance(obj, np.ndarray):
+        return _reference_dumps(obj.tolist(), indent)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def test_dumps_report_matches_reference_serializer(tmp_path, monkeypatch):
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda rep, args: (reports.append(rep), emit(rep, args)))
+    rng = np.random.default_rng(7)
+    K = 6
+    D = rng.dirichlet(np.ones(K), size=K) + 0.1 * np.eye(K)
+    graph = {"m": rng.uniform(0.3, 2.5, K).tolist(),
+             "D": (D / D.sum(axis=1, keepdims=True)).tolist()}
+    env2 = {"states": ["e1", "e2"], "means": [[4.0, 0.9, 0.5], [0.2, 0.9, 1.1]],
+            "schedule": {"periodic": ["e1", "e2"]}}
+    small = {"m": [1.0, 1.0], "D": [[0.5, 0.5], [0.5, 0.5]]}
+    runs = [
+        ("analyze", {"graph": graph, "seed": 3}, ["--trials", "200"]),
+        ("pipeline", {"pipeline": {"n": 250, "p": 0.5, "L": 0.5, "s": 0.0, "l": 0.5,
+                                   "m": 0.5, "M": 2.0}}, []),
+        ("periodic", {"graph": {"m": [1.0] * 3, "D": [[0.4, 0.3, 0.3]] * 3},
+                      "env": env2}, []),
+        ("simulate", {"graph": GRAPH, "seed": 5,
+                      "simulate": {"horizon": 20, "n_runs": 200}}, []),
+        ("randenv", {"graph": small, "seed": 4, "randenv": {"n_steps": 2000},
+                     "env": {"states": ["e1", "e2"], "means": [[10.0, 0.9], [0.05, 0.8]],
+                             "schedule": {"markov": {"alpha": 0.5, "beta": 0.5}}}}, []),
+    ]
+    for i, (command, config, extra) in enumerate(runs):
+        cfg = write_cfg(tmp_path, config, f"cfg{i}.json")
+        code, out = run(tmp_path, [command, "--config", cfg] + extra, f"out{i}.json")
+        assert code == 0, command
+        assert out.read_text() == _reference_dumps(reports[i]) + "\n", command
+    assert len(reports) == len(runs)
+
+    nonfinite = [math.nan, math.inf, -math.inf]
+    edge = {
+        "floats": [0.1, -0.0, 5e-324, 2.2250738585072014e-308, 1e17, 2.0**60, 1.7976931348623157e308],
+        "nonfinite": nonfinite,
+        "finite_then_nan": [1.5, math.nan],
+        "ints": [0, -1, 10**17, 2**60, -(2**63)],
+        "numpy_scalars": [np.float64(0.25), np.int64(3), np.bool_(True), np.float64(math.nan)],
+        "np_float_row": [np.float64(0.1), 0.2],
+        "np_int_row": [np.int64(1), 2],
+        "np_bool": np.bool_(False),
+        "bools_in_floats": [True, 0.5, False],
+        "bools_in_ints": [1, True],
+        "ints_and_floats": [1, 2.5],
+        "strings_and_none": ["a", None, 1.0],
+        "empty": [[], {}, ()],
+        "ragged": [[1.0, 2.0], [3.0], [], [[4.0, math.inf]], 5.0],
+        "tuple_row": (0.5, 1.5),
+        "vector": np.linspace(-1.0, 1.0, 7),
+        "matrix": np.array([[1.0 / 3.0, math.nan], [-math.inf, 1e-300]]),
+        "int_matrix": np.arange(6).reshape(2, 3),
+        "bool_array": np.array([True, False]),
+        "scalar": 1e-7,
+        "nested": {"inner": {"deep": [0.1, 0.2, 0.3]}},
+    }
+    assert cli.dumps_report(edge) == _reference_dumps(edge)
+    for row in (nonfinite, [1e300 * 1e10], [0.0, -math.inf, 0.0]):
+        assert cli.dumps_report(row) == _reference_dumps(row)
+
+    plain = {"a": 1, 2: [0.5], "under_score": {}, "CamelCase.dot-dash 9": "x"}
+    assert cli.dumps_report(plain) == _reference_dumps(plain)
 
 
 def test_dumps_report_float_formatting():
@@ -235,6 +339,42 @@ def test_csv_format_output(tmp_path):
     text = out.read_text()
     assert text.startswith("key,value\n")
     assert "assumptions.irreducible,True" in text
+
+
+def test_periodic_report_keys_are_escaped(tmp_path):
+    states = ['wet "A"', "dry\\B"]
+    cfg = write_cfg(tmp_path, {
+        "graph": {"m": [1.0, 1.0], "D": [[0.5, 0.5], [0.5, 0.5]]},
+        "env": {"states": states, "means": [[4.0, 0.9], [0.2, 0.9]],
+                "schedule": {"periodic": states}},
+    })
+    code, out = run(tmp_path, ["periodic", "--config", cfg])
+    assert code == 0
+    with open(out) as f:
+        rep = json.load(f)
+    assert set(rep["even_return"]) == set(states)
+    assert rep["config"]["env"]["states"] == states
+
+
+def test_csv_format_writes_one_row_per_array_entry(tmp_path):
+    rng = np.random.default_rng(2)
+    K = 12
+    D = rng.dirichlet(np.ones(K), size=K) + 0.2 * np.eye(K)
+    graph = {"m": rng.uniform(0.3, 2.5, K).tolist(),
+             "D": (D / D.sum(axis=1, keepdims=True)).tolist()}
+    cfg = write_cfg(tmp_path, {"graph": graph, "seed": 1})
+    code, out = run(tmp_path, ["analyze", "--config", cfg, "--format", "csv"], "out.csv")
+    assert code == 0
+    code, js = run(tmp_path, ["analyze", "--config", cfg], "out.json")
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert all(len(line.split(",")) == 2 for line in lines), lines
+    rows = dict(line.split(",") for line in lines[1:])
+    left = json.loads(js.read_text())["spectral"]["left"]
+    assert len(left) == K
+    for i, x in enumerate(left):
+        assert float(rows[f"spectral.left[{i}]"]) == x
+    assert "config.graph.D[11][11]" in rows
 
 
 def test_missing_model_is_validation_error(tmp_path):
