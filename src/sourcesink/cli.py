@@ -69,10 +69,10 @@ def dumps_report(obj, indent: int = 0) -> str:
     """Canonical JSON with 17-significant-digit floats (round-trip exact).
 
     Keys are JSON-escaped strings.  A list of scalars is written on one
-    line; one whose items are all Python floats, or all Python ints, is
-    formatted by a single ``%`` operation over the whole row, unless the
-    row holds nan or ±inf, which take the per-item path and stay quoted
-    (``"nan"``, ``"inf"``, ``"-inf"``).  Both paths give the same bytes.
+    line; one whose items are all Python floats is formatted by a single
+    ``%`` operation over the whole row, unless the row holds nan or ±inf,
+    which take the per-item path and stay quoted (``"nan"``, ``"inf"``,
+    ``"-inf"``).  Both paths give the same bytes.
     An array is written as its ``tolist()``.
     """
     pad = "  " * indent
@@ -88,10 +88,8 @@ def dumps_report(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        kinds = set(map(type, seq))
-        if kinds == {float} or kinds == {int}:
-            spec = "%.17g" if float in kinds else "%d"
-            row = ", ".join([spec] * len(seq)) % tuple(seq)
+        if set(map(type, seq)) == {float}:
+            row = ", ".join(["%.17g"] * len(seq)) % tuple(seq)
             if "n" not in row:  # no nan, inf or -inf
                 return "[" + row + "]"
         flat = all(isinstance(x, (int, float, bool, str, type(None))) for x in seq)

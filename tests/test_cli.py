@@ -342,7 +342,7 @@ def test_csv_format_output(tmp_path):
 
 
 def test_periodic_report_keys_are_escaped(tmp_path):
-    states = ['wet "A"', "dry\\B"]
+    states = ['wet "A"', "dry\\B \u00e9t\u00e9"]
     cfg = write_cfg(tmp_path, {
         "graph": {"m": [1.0, 1.0], "D": [[0.5, 0.5], [0.5, 0.5]]},
         "env": {"states": states, "means": [[4.0, 0.9], [0.2, 0.9]],
@@ -354,6 +354,8 @@ def test_periodic_report_keys_are_escaped(tmp_path):
         rep = json.load(f)
     assert set(rep["even_return"]) == set(states)
     assert rep["config"]["env"]["states"] == states
+    # Non-ASCII keys are \u-escaped, like string values.
+    assert '"dry\\\\B \\u00e9t\\u00e9": {' in out.read_text()
 
 
 def test_csv_format_writes_one_row_per_array_entry(tmp_path):
