@@ -13,25 +13,29 @@ Runs whose population exceeds the escape cap are declared survivors and
 switch to propagation by conditional means (relative fluctuations at that
 size are below 1e-3), so growth-rate windows beyond the cap stay defined.
 
-One kernel, ``_generation``, draws every generation for ``simulate``,
-``patch_series`` and ``extinction_probability``.  Each steps only its
-active runs (alive and below the escape cap); extinct runs would draw
-nothing, since broods and multinomial splits of zero individuals consume
-no randomness, so skipping them leaves the streams unchanged.
+One driver, ``_steps``, runs the generation loop of every entry point:
+it draws each run's environment state, then steps the live runs (alive,
+at most the escape cap) through the one kernel ``_generation``.  Extinct
+runs would draw nothing, since broods and multinomial splits of zero
+individuals consume no randomness, so skipping them leaves the streams
+unchanged.
 
-Reproducibility: runs are processed in fixed chunks of ``CHUNK``; chunk c
-draws from stream (seed, c), so reports are byte-identical for a given
-seed.
+Reproducibility: ``patch_series`` draws from the one stream (seed, 0);
+``simulate`` and ``extinction_probability`` take runs in chunks of
+``CHUNK``, chunk c drawing from stream (seed, c), except that with lineage
+``simulate``'s chunk shrinks with horizon * K^2 to bound its flow storage.
+Reports are byte-identical for a given seed and arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
-from .environments import EnvironmentModel, Periodic
+from .environments import EnvironmentModel, Periodic, state_mean_matrix
 from .errors import StatisticalError, ValidationError
 from .graph import MetapopGraph
 from .spectral import mean_matrix
@@ -215,6 +219,27 @@ def _generation(Z, states, laws, D, rng):
     return flows
 
 
+def _steps(Z, env, laws, D, rng, escape_cap):
+    """Advance the counts ``Z`` in place, one generation per iteration.
+
+    Yields ``(states, live, flows)``: every run's environment state, the
+    runs stepped (all at first, then those alive with at most
+    ``escape_cap`` individuals) and their flows, None if no run was live.
+    A run that dies out or passes the cap keeps its last counts.
+    """
+    states = np.zeros(Z.shape[0], dtype=np.int64)
+    live = np.ones(Z.shape[0], dtype=bool)
+    for t in count():
+        states = _env_states_for_gen(env, t, states, rng)
+        flows = None
+        if live.any():
+            flows = _generation(Z[live], states[live], laws, D, rng)
+            Z[live] = flows.sum(axis=1)
+        yield states, live, flows
+        totals = Z.sum(axis=1)
+        live = (totals > 0) & (totals <= escape_cap)
+
+
 def _run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
                want_lineage):
     """Simulate one chunk of runs; returns per-run summaries.
@@ -228,40 +253,29 @@ def _run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
     Z[:, start_patch] = 1
     Zf = np.zeros((n_runs, K))
     escaped = np.zeros(n_runs, dtype=bool)
-    active = np.ones(n_runs, dtype=bool)
-    env_states = np.zeros(n_runs, dtype=np.int64)
     flows = np.zeros((horizon, n_runs, K, K)) if want_lineage else None
     sizes = np.zeros((horizon + 1, n_runs))
     sizes[0] = 1.0
-    A_by_state = [
-        (env.means[s][:, None] * g.D) if env is not None else mean_matrix(g)
-        for s in range(env.n_states if env is not None else 1)
-    ]
-    for t in range(horizon):
-        env_states = _env_states_for_gen(env, t, env_states, rng)
-        if active.any():
-            flows_a = _generation(Z[active], env_states[active], laws, g.D, rng)
-            Z[active] = flows_a.sum(axis=1)
-            if want_lineage:
-                flows[t, active] = flows_a
+    if env is None:
+        A = mean_matrix(g)[None]
+    else:
+        A = np.stack([state_mean_matrix(g, env, s) for s in range(env.n_states)])
+    steps = _steps(Z, env, laws, g.D, rng, escape_cap)
+    for t, (states, live, born) in zip(range(horizon), steps):
+        if want_lineage and born is not None:
+            flows[t, live] = born
         if escaped.any():
-            esc = np.where(escaped)[0]
-            for s in np.unique(env_states[esc]):
-                rows = esc[env_states[esc] == s]
-                flow_f = Zf[rows][:, :, None] * A_by_state[s][None, :, :]
-                Zf[rows] = flow_f.sum(axis=1)
-                if want_lineage:
-                    flows[t, rows] = flow_f
+            esc = np.flatnonzero(escaped)
+            flow_f = Zf[esc][:, :, None] * A[states[esc]]
+            Zf[esc] = flow_f.sum(axis=1)
+            if want_lineage:
+                flows[t, esc] = flow_f
         totals = Z.sum(axis=1)
-        newly = totals > escape_cap
-        if newly.any():
-            Zf[newly] = Z[newly]
-            escaped |= newly
-            Z[newly] = 0
-            totals[newly] = 0
-        active = totals > 0
-        sizes[t + 1] = totals + np.where(escaped, Zf.sum(axis=1), 0.0)
-    final = np.where(escaped[:, None], Zf, Z.astype(float))
+        newly = (totals > escape_cap) & ~escaped
+        Zf[newly] = Z[newly]
+        escaped |= newly
+        sizes[t + 1] = np.where(escaped, Zf.sum(axis=1), totals)
+    final = np.where(escaped[:, None], Zf, Z)
     alive = final.sum(axis=1) > 0
     lineage_freq = None
     if want_lineage:
@@ -404,21 +418,13 @@ def patch_series(
     escapes past the cap.
     """
     laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs)
-    rng = np.random.default_rng([seed, 0])
-    K = g.K
-    Z = np.zeros((n_runs, K), dtype=np.int64)
+    Z = np.zeros((n_runs, g.K), dtype=np.int64)
     Z[:, start_patch] = 1
-    env_states = np.zeros(n_runs, dtype=np.int64)
-    out = np.zeros((n_runs, horizon + 1, K), dtype=np.int64)
+    out = np.zeros((n_runs, horizon + 1, g.K), dtype=np.int64)
     out[:, 0] = Z
-    active = np.ones(n_runs, dtype=bool)
-    for t in range(horizon):
-        env_states = _env_states_for_gen(env, t, env_states, rng)
-        if active.any():
-            Z[active] = _generation(Z[active], env_states[active], laws, g.D, rng).sum(axis=1)
-        totals = Z.sum(axis=1)
-        active &= (totals > 0) & (totals <= escape_cap)
-        out[:, t + 1] = Z
+    steps = _steps(Z, env, laws, g.D, np.random.default_rng([seed, 0]), escape_cap)
+    for t, _ in zip(range(1, horizon + 1), steps):
+        out[:, t] = Z
     return out
 
 
@@ -461,21 +467,12 @@ def extinction_probability(
     laws = _checked_laws(g, env, laws, allow_degenerate, home, n_runs)
     dead_total = 0
     for c in range((n_runs + CHUNK - 1) // CHUNK):
-        size = min(CHUNK, n_runs - c * CHUNK)
-        rng = np.random.default_rng([seed, c])
-        K = g.K
-        Z = np.zeros((size, K), dtype=np.int64)
+        Z = np.zeros((min(CHUNK, n_runs - c * CHUNK), g.K), dtype=np.int64)
         Z[:, home] = n_initial
-        env_states = np.zeros(size, dtype=np.int64)
-        undecided = np.ones(size, dtype=bool)
-        for t in range(max_generations):
-            if not undecided.any():
+        steps = _steps(Z, env, laws, g.D, np.random.default_rng([seed, c]), escape_cap)
+        for _, live, _ in islice(steps, max_generations):
+            if not live.any():
                 break
-            env_states = _env_states_for_gen(env, t, env_states, rng)
-            Z[undecided] = _generation(Z[undecided], env_states[undecided], laws, g.D,
-                                       rng).sum(axis=1)
-            totals = Z.sum(axis=1)
-            undecided &= (totals > 0) & (totals <= escape_cap)
         dead_total += int((Z.sum(axis=1) == 0).sum())
     q_hat = dead_total / n_runs
     ci = 1.96 * math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / n_runs)

@@ -12,7 +12,11 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -133,17 +137,19 @@ def _flatten(prefix: str, obj, rows: list) -> None:
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _flatten(f"{prefix}[{i}]", v, rows)
+    elif isinstance(obj, float):
+        rows.append((prefix, _fmt_float(obj).strip('"')))
     else:
-        if isinstance(obj, float):
-            rows.append((prefix, _fmt_float(obj).strip('"')))
-        else:
-            rows.append((prefix, json.dumps(obj) if isinstance(obj, str) else str(obj)))
+        rows.append((prefix, str(obj)))
 
 
 def _report_csv(report: dict) -> str:
-    rows: list = []
+    """Flattened ``key,value`` rows; only fields that need it are quoted."""
+    rows: list = [("key", "value")]
     _flatten("", report, rows)
-    return "key,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _provenance(config: dict, seed: int) -> dict:
@@ -215,12 +221,7 @@ def cmd_validate(args) -> dict:
         "provenance": _provenance(cfg, cfg["seed"]),
         "config": cfg,
         "graph": g.to_dict(),
-        "assumptions": {
-            "irreducible": report.irreducible,
-            "aperiodic": report.aperiodic,
-            "positive_means": report.positive_means,
-            "period": report.period,
-        },
+        "assumptions": dataclasses.asdict(report),
     }
 
 
@@ -240,12 +241,7 @@ def cmd_analyze(args) -> dict:
         "command": "analyze",
         "provenance": _provenance(cfg, cfg["seed"]),
         "config": cfg,
-        "assumptions": {
-            "irreducible": report.irreducible,
-            "aperiodic": report.aperiodic,
-            "positive_means": report.positive_means,
-            "period": report.period,
-        },
+        "assumptions": dataclasses.asdict(report),
         "spectral": {
             "rho": sd.rho,
             "left": sd.left,
@@ -462,7 +458,9 @@ def cmd_pipeline(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="sourcesink",
         description="Persistence, growth and lineage occupancy of "
@@ -483,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check graph assumptions")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="fixed-environment cross-method analysis")
     common(p)
@@ -491,32 +488,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV of the two-patch rate landscape (f1, R, I, R-I)")
     p.add_argument("--excursions-out", default=None,
                    help="CSV dump of one seeded excursion (step, patch)")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="multitype branching simulation")
     common(p)
     p.add_argument("--series-out", default=None,
                    help="CSV of per-run patch-count time series")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("periodic", help="periodic-environment analysis")
     common(p)
-    p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("randenv", help="Markov random-environment analysis")
     common(p)
-    p.set_defaults(func=cmd_randenv)
 
     p = sub.add_parser("pipeline", help="sink-pipeline closed forms")
     common(p)
-    p.set_defaults(func=cmd_pipeline)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        # looked up per call, so a rebound ``cmd_*`` is the one that runs
+        report = globals()[f"cmd_{args.command}"](args)
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -19,7 +19,14 @@ from sourcesink import (
     simulate,
     survivor_occupancy,
 )
-from sourcesink.branching import _env_states_for_gen, _generation, geometric_laws
+from sourcesink.branching import (
+    _backward_lineages,
+    _env_states_for_gen,
+    _generation,
+    _run_chunk,
+    geometric_laws,
+)
+from sourcesink.walks import CHUNK
 from conftest import random_graph, two_patch
 
 
@@ -321,3 +328,143 @@ def test_generation_kernel_matches_reference_loop(schedule):
         assert np.array_equal(flows, ref[live])
         assert not ref[~live].any()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _reference_run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
+                         want_lineage):
+    """``_run_chunk`` as it was before the generation driver: its own loop."""
+    K = g.K
+    Z = np.zeros((n_runs, K), dtype=np.int64)
+    Z[:, start_patch] = 1
+    Zf = np.zeros((n_runs, K))
+    escaped = np.zeros(n_runs, dtype=bool)
+    active = np.ones(n_runs, dtype=bool)
+    env_states = np.zeros(n_runs, dtype=np.int64)
+    flows = np.zeros((horizon, n_runs, K, K)) if want_lineage else None
+    sizes = np.zeros((horizon + 1, n_runs))
+    sizes[0] = 1.0
+    A_by_state = [
+        (env.means[s][:, None] * g.D) if env is not None else mean_matrix(g)
+        for s in range(env.n_states if env is not None else 1)
+    ]
+    for t in range(horizon):
+        env_states = _env_states_for_gen(env, t, env_states, rng)
+        if active.any():
+            flows_a = _generation(Z[active], env_states[active], laws, g.D, rng)
+            Z[active] = flows_a.sum(axis=1)
+            if want_lineage:
+                flows[t, active] = flows_a
+        if escaped.any():
+            esc = np.where(escaped)[0]
+            for s in np.unique(env_states[esc]):
+                rows = esc[env_states[esc] == s]
+                flow_f = Zf[rows][:, :, None] * A_by_state[s][None, :, :]
+                Zf[rows] = flow_f.sum(axis=1)
+                if want_lineage:
+                    flows[t, rows] = flow_f
+        totals = Z.sum(axis=1)
+        newly = totals > escape_cap
+        if newly.any():
+            Zf[newly] = Z[newly]
+            escaped |= newly
+            Z[newly] = 0
+            totals[newly] = 0
+        active = totals > 0
+        sizes[t + 1] = totals + np.where(escaped, Zf.sum(axis=1), 0.0)
+    final = np.where(escaped[:, None], Zf, Z.astype(float))
+    alive = final.sum(axis=1) > 0
+    lineage_freq = None
+    if want_lineage:
+        lineage_freq = _backward_lineages(flows, final, alive, horizon, K, rng)
+    return alive, escaped, sizes, lineage_freq
+
+
+def _reference_patch_series(g, env, laws, horizon, n_runs, seed, start_patch, escape_cap):
+    """``patch_series``'s own loop before the generation driver."""
+    rng = np.random.default_rng([seed, 0])
+    K = g.K
+    Z = np.zeros((n_runs, K), dtype=np.int64)
+    Z[:, start_patch] = 1
+    env_states = np.zeros(n_runs, dtype=np.int64)
+    out = np.zeros((n_runs, horizon + 1, K), dtype=np.int64)
+    out[:, 0] = Z
+    active = np.ones(n_runs, dtype=bool)
+    for t in range(horizon):
+        env_states = _env_states_for_gen(env, t, env_states, rng)
+        if active.any():
+            Z[active] = _generation(Z[active], env_states[active], laws, g.D, rng).sum(axis=1)
+        totals = Z.sum(axis=1)
+        active &= (totals > 0) & (totals <= escape_cap)
+        out[:, t + 1] = Z
+    return out
+
+
+def _reference_extinctions(g, env, laws, home, n_runs, seed, n_initial, max_generations,
+                           escape_cap):
+    """``extinction_probability``'s own chunk loop before the generation driver."""
+    dead_total = 0
+    for c in range((n_runs + CHUNK - 1) // CHUNK):
+        size = min(CHUNK, n_runs - c * CHUNK)
+        rng = np.random.default_rng([seed, c])
+        K = g.K
+        Z = np.zeros((size, K), dtype=np.int64)
+        Z[:, home] = n_initial
+        env_states = np.zeros(size, dtype=np.int64)
+        undecided = np.ones(size, dtype=bool)
+        for t in range(max_generations):
+            if not undecided.any():
+                break
+            env_states = _env_states_for_gen(env, t, env_states, rng)
+            Z[undecided] = _generation(Z[undecided], env_states[undecided], laws, g.D,
+                                       rng).sum(axis=1)
+            totals = Z.sum(axis=1)
+            undecided &= (totals > 0) & (totals <= escape_cap)
+        dead_total += int((Z.sum(axis=1) == 0).sum())
+    q_hat = dead_total / n_runs
+    return q_hat, 1.96 * math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / n_runs)
+
+
+@pytest.mark.parametrize("schedule", [None, Periodic((1, 0)), MarkovSwitching(0.4, 0.3)])
+@pytest.mark.parametrize("dies_early", [False, True])
+def test_driver_matches_reference_loops(schedule, dies_early):
+    # mixed laws; with the small escape cap runs escape mid-run, and long
+    # before the horizon no run is live while escaped runs still follow
+    # their environment
+    rows = [
+        [OffspringLaw("poisson", 1.5), OffspringLaw("geometric", 0.8),
+         OffspringLaw("deterministic", 2.0), OffspringLaw("bernoulli-pair", 1.2, p0=0.4, pair_n=2)],
+        [OffspringLaw("poisson", 0.3), OffspringLaw("geometric", 2.5),
+         OffspringLaw("deterministic", 1.0), OffspringLaw("bernoulli-pair", 0.5, p0=0.75, pair_n=2)],
+    ]
+    if dies_early:
+        rows = [[OffspringLaw("poisson", m) for m in row] for row in ([0.3, 0.2, 0.1, 0.4],
+                                                                       [0.1, 0.5, 0.2, 0.3])]
+    D = random_graph(np.random.default_rng(43), 4).D
+    if schedule is None:
+        g, env, laws = MetapopGraph(m=[law.mean for law in rows[0]], D=D), None, rows[:1]
+    else:
+        g, laws = MetapopGraph(m=np.ones(4), D=D), rows
+        means = [[law.mean for law in row] for row in rows]
+        env = EnvironmentModel(states=("e1", "e2"), means=means, schedule=schedule)
+    horizon, cap = 60, 200
+    for lineage in (True, False):
+        ref_rng, rng = np.random.default_rng(44), np.random.default_rng(44)
+        ref = _reference_run_chunk(g, env, laws, horizon, 300, ref_rng, 1, cap, lineage)
+        got = _run_chunk(g, env, laws, horizon, 300, rng, 1, cap, lineage)
+        for a, b in zip(got, ref):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        alive, escaped = ref[0], ref[1]
+        if dies_early:
+            assert not alive.any() and not ref[2][-1].any()
+        else:
+            assert 0 < escaped.sum() < 300 and (~alive).any()
+    series = patch_series(g, laws, horizon=40, n_runs=30, seed=45, env=env, start_patch=1,
+                          escape_cap=cap)
+    assert np.array_equal(series, _reference_patch_series(g, env, laws, 40, 30, 45, 1, cap))
+    for n_initial in (1, 2):
+        got = extinction_probability(g, laws, home=2, n_runs=CHUNK + 300, seed=46,
+                                     n_initial=n_initial, max_generations=50,
+                                     escape_cap=cap, env=env)
+        assert got == _reference_extinctions(g, env, laws, 2, CHUNK + 300, 46, n_initial,
+                                             50, cap)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -356,6 +357,36 @@ def test_periodic_report_keys_are_escaped(tmp_path):
     assert rep["config"]["env"]["states"] == states
     # Non-ASCII keys are \u-escaped, like string values.
     assert '"dry\\\\B \\u00e9t\\u00e9": {' in out.read_text()
+
+
+def test_csv_quotes_keys_and_values_only_where_needed(tmp_path):
+    states = ["wet,A", 'dry "B"']
+    cfg = write_cfg(tmp_path, {
+        "graph": {"m": [1.0, 1.0], "D": [[0.5, 0.5], [0.5, 0.5]]},
+        "env": {"states": states, "means": [[4.0, 0.9], [0.2, 0.9]],
+                "schedule": {"periodic": states}},
+    })
+    code, out = run(tmp_path, ["periodic", "--config", cfg, "--format", "csv"], "out.csv")
+    assert code == 0
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))
+    assert all(len(row) == 2 for row in rows), [r for r in rows if len(r) != 2]
+    values = dict(rows[1:])
+    for i, name in enumerate(states):
+        assert values[f"config.env.states[{i}]"] == name
+    assert "even_return.wet,A.R" in values
+    assert rows[0] == ["key", "value"]
+
+
+def test_main_builds_its_parser_once_and_looks_up_the_command_per_call(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, {"graph": GRAPH})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "a.json")]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args) or {"x": 1})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "b.json")]) == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "b.json").read_text()) == {"x": 1}
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_csv_format_writes_one_row_per_array_entry(tmp_path):
