@@ -113,12 +113,14 @@ def geometric_laws(g: MetapopGraph, env: EnvironmentModel | None = None) -> list
     return [[OffspringLaw("geometric", float(m)) for m in row] for row in env.means]
 
 
-def _checked_laws(g, env, laws, allow_degenerate, home, n_runs):
+def _checked_laws(g, env, laws, allow_degenerate, home, n_runs, escape_cap):
     """Validate a branching entry point's inputs; returns the laws to use."""
     if not 0 <= home < g.K:
         raise ValidationError(f"home patch {home} out of range")
     if n_runs < 1:
         raise ValidationError("n_runs must be >= 1")
+    if escape_cap < 1:
+        raise ValidationError("escape_cap must be >= 1")
     if laws is None:
         laws = poisson_laws(g, env)
     table = env.means if env is not None else g.m[None, :]
@@ -223,21 +225,20 @@ def _steps(Z, env, laws, D, rng, escape_cap):
     """Advance the counts ``Z`` in place, one generation per iteration.
 
     Yields ``(states, live, flows)``: every run's environment state, the
-    runs stepped (all at first, then those alive with at most
-    ``escape_cap`` individuals) and their flows, None if no run was live.
+    runs stepped (those alive with at most ``escape_cap`` individuals,
+    starting counts included) and their flows, None if no run was live.
     A run that dies out or passes the cap keeps its last counts.
     """
     states = np.zeros(Z.shape[0], dtype=np.int64)
-    live = np.ones(Z.shape[0], dtype=bool)
     for t in count():
+        totals = Z.sum(axis=1)
+        live = (totals > 0) & (totals <= escape_cap)
         states = _env_states_for_gen(env, t, states, rng)
         flows = None
         if live.any():
             flows = _generation(Z[live], states[live], laws, D, rng)
             Z[live] = flows.sum(axis=1)
         yield states, live, flows
-        totals = Z.sum(axis=1)
-        live = (totals > 0) & (totals <= escape_cap)
 
 
 def _run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
@@ -349,7 +350,7 @@ def simulate(
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs)
+    laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs, escape_cap)
 
     chunk = CHUNK
     if track_lineage:
@@ -417,7 +418,7 @@ def patch_series(
     Returns an (n_runs, horizon + 1, K) array; counts freeze once a run
     escapes past the cap.
     """
-    laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs)
+    laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs, escape_cap)
     Z = np.zeros((n_runs, g.K), dtype=np.int64)
     Z[:, start_patch] = 1
     out = np.zeros((n_runs, horizon + 1, g.K), dtype=np.int64)
@@ -464,7 +465,7 @@ def extinction_probability(
     """
     if n_initial < 1:
         raise ValidationError("n_initial must be >= 1")
-    laws = _checked_laws(g, env, laws, allow_degenerate, home, n_runs)
+    laws = _checked_laws(g, env, laws, allow_degenerate, home, n_runs, escape_cap)
     dead_total = 0
     for c in range((n_runs + CHUNK - 1) // CHUNK):
         Z = np.zeros((min(CHUNK, n_runs - c * CHUNK), g.K), dtype=np.int64)

@@ -9,8 +9,9 @@ reference patch is needed.
 This module owns input validation (stochastic rows, non-negative means),
 the structural checks used as preconditions elsewhere (irreducibility,
 aperiodicity, positive means), the stationary law of the single random
-walker on the graph, and the dense Perron kernel that the spectral and
-variational modules share.
+walker on the graph, and the Perron kernel that the spectral and
+variational modules share: a dense eigen-solve when the Perron root is
+unknown, one LU solve when it is known.
 
 Every question about the support graph goes through one breadth-first
 search, ``_levels``, which expands a whole frontier per numpy step over a
@@ -189,30 +190,46 @@ def validate_graph(g: MetapopGraph | np.ndarray) -> AssumptionReport:
     )
 
 
-def _perron(A: np.ndarray) -> tuple[float, np.ndarray]:
+def _perron(A: np.ndarray, root: float | None = None) -> tuple[float, np.ndarray]:
     """Perron root and right Perron vector (sum 1) of an irreducible
-    non-negative matrix, from one dense eigen-solve.
+    non-negative matrix.
 
-    Every other eigenvalue of such a matrix has modulus at most the
-    spectral radius, and equals it only off the positive real axis, so the
-    eigenvalue with the largest real part is the Perron root.  The Perron
-    vector has entries of one sign; ``abs`` fixes that sign and clears
-    rounding-level negatives of near-zero entries.
+    With ``root`` unknown this is one dense eigen-solve.  Every other
+    eigenvalue of such a matrix has modulus at most the spectral radius,
+    and equals it only off the positive real axis, so the eigenvalue with
+    the largest real part is the Perron root.  The Perron vector has
+    entries of one sign; ``abs`` fixes that sign and clears rounding-level
+    negatives of near-zero entries.
+
+    With the Perron ``root`` known (1 for a stochastic chain), the vector
+    is one LU solve: the null vector of root*I - A with its last equation
+    replaced by sum = 1.  The Perron root of an irreducible matrix is
+    simple and its left vector is positive, so the last equation is
+    redundant and the bordered system is nonsingular.
     """
-    w, V = np.linalg.eig(A)
-    i = int(np.argmax(w.real))
-    x = np.abs(V[:, i].real)
-    return float(w[i].real), x / x.sum()
+    if root is None:
+        w, V = np.linalg.eig(A)
+        i = int(np.argmax(w.real))
+        root, x = float(w[i].real), V[:, i].real
+    else:
+        M = root * np.eye(A.shape[0]) - A
+        M[-1] = 1.0
+        b = np.zeros(A.shape[0])
+        b[-1] = 1.0
+        x = np.linalg.solve(M, b)
+    x = np.abs(x)
+    return root, x / x.sum()
 
 
 def stationary_distribution(g: MetapopGraph) -> np.ndarray:
     """Stationary law u of the random walker: uD = u, u > 0.
 
-    The right Perron vector of D^T, whose Perron root is 1.  A direct
-    eigen-solve has no iteration to stall, so periodic and nearly
-    decomposable chains are answered like any other.
+    The right Perron vector of D^T, whose Perron root is 1, so one LU
+    solve (``_perron`` with a known root).  A direct solve has no
+    iteration to stall, so periodic and nearly decomposable chains are
+    answered like any other.
     """
     report = validate_graph(g)
     if not report.irreducible:
         raise ValidationError("stationary distribution needs an irreducible graph")
-    return _perron(g.D.T)[1]
+    return _perron(g.D.T, 1.0)[1]

@@ -4,7 +4,7 @@ A transitive infinite graph looks the same from every copy of a finite
 motif, so per-class patch counts form an ordinary finite metapopulation:
 ``collapse`` produces that graph and every finite-graph tool then applies.
 The persistence criterion generalizes by stopping the walker when it
-re-enters any patch of the source type, not necessarily the one it left.
+re-enters any patch of a source type, not necessarily the one it left.
 
 For a source feeding a pipeline of identical sinks, the sink sojourn
 factor has a closed form in the two roots of the quadratic
@@ -95,47 +95,43 @@ def collapse(motif: Motif) -> MetapopGraph:
     )
 
 
-def _source_type(motif: Motif) -> int:
-    """The distinguished habitat type the return criterion stops on.
+def _home_patches(motif: Motif) -> list[int]:
+    """The patches the return criterion stops on.
 
-    At most one type may be a source (mean > 1); with no source the
-    best-mean type plays the role (the criterion then certifies the
+    Every patch of every source type (mean > 1); with no source type, the
+    patches of the best-mean type (the criterion then certifies the
     extinction side).
     """
     means = motif.means_by_type
-    used = sorted(set(motif.types))
-    sources = [t for t in used if means[t] > 1.0]
-    if len(sources) > 1:
-        raise ValidationError(
-            "more than one habitat type is a source; the type-return "
-            "criterion needs a single source type"
-        )
-    if sources:
-        return sources[0]
-    return max(used, key=lambda t: means[t])
+    homes = [i for i, t in enumerate(motif.types) if means[t] > 1.0]
+    if homes:
+        return homes
+    best = max(sorted(set(motif.types)), key=lambda t: means[t])
+    return [i for i, t in enumerate(motif.types) if t == best]
 
 
 def type_return_functional(motif: Motif) -> PersistenceVerdict:
-    """Persistence of the infinite graph via returns to the source type.
+    """Persistence of the infinite graph via returns to the source types.
 
-    The walker starts in a source-type patch and is stopped on entering
-    any source-type patch.  With several source-type patches in the motif
-    the stopped walks form a mean matrix over those patches, and the
-    criterion threshold applies to its dominant eigenvalue (for a single
-    source patch this is the plain scalar criterion).
+    The walker starts in a source patch and is stopped on entering any
+    source patch (``_home_patches``).  The stopped walks form a mean matrix
+    R over those home patches, and the criterion threshold applies to its
+    dominant eigenvalue (for a single home patch, R's one entry).  This
+    holds for any home set H whose away block has rho(A_AA) < 1:
+    rho(A) > 1 exactly when rho(R) > 1, since I - R, with
+    R = A_HH + A_HA (I - A_AA)^-1 A_AH, is the Schur complement of I - A_AA
+    in I - A (Berman & Plemmons 1994, ch. 6).  When rho(A_AA) >= 1, R is
+    infinite and so is the verdict, since then rho(A) > 1.
     """
     g = collapse(motif)
     if not validate_graph(g).irreducible:
         raise ValidationError("collapsed motif must be irreducible")
-    src = _source_type(motif)
-    homes = [i for i, t in enumerate(motif.types) if t == src]
-    R = return_value_matrix(mean_matrix(g), homes)
+    R = return_value_matrix(mean_matrix(g), _home_patches(motif))
     if np.isinf(R).any():
         return PersistenceVerdict(
             value=math.inf, persists=True, method="exact-linear-system"
         )
-    value = float(R[0, 0]) if len(homes) == 1 else perron_value(R)
-    return _verdict_from_value(value, "exact-linear-system")
+    return _verdict_from_value(perron_value(R), "exact-linear-system")
 
 
 @dataclass(frozen=True)

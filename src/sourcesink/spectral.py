@@ -8,9 +8,12 @@ the asymptotic spatial profile is the left Perron vector, and the lineage
 occupancy of a random survivor is the normalized entrywise product of the
 left and right Perron vectors.
 
-Every Perron pair comes from one dense eigen-solve (``graph._perron``), so
-nearly decomposable and periodic supports are answered as directly as any
-other; there is no iteration, tolerance or iteration cap to tune.
+The Perron root of a mean matrix is unknown, so each Perron pair comes
+from one dense eigen-solve (``graph._perron``); nearly decomposable and
+periodic supports are answered as directly as any other, and there is no
+iteration, tolerance or iteration cap to tune.  Questions whose root is
+known (stationary laws) or that only ask which side of 1 a spectral radius
+lies on (excursion divergence, in ``walks``) take one LU solve instead.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ def mean_matrix(g: MetapopGraph) -> np.ndarray:
 def perron_value(A: np.ndarray) -> float:
     """Spectral radius of a non-negative matrix (value only, no raise).
 
-    Used for threshold decisions where A may be reducible or defective and
-    the eigenvector need not exist in a usable form.  The spectral radius
+    Used where A may be reducible or defective and the eigenvector need
+    not exist in a usable form, such as the type-return matrix of a motif.  The spectral radius
     of a non-negative matrix is itself an eigenvalue, so it is the largest
     real part among all eigenvalues; an empty matrix gives 0.
     """

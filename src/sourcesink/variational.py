@@ -386,14 +386,16 @@ def argmax_occupancy(g: MetapopGraph) -> VariationalResult:
     The left Perron vector of the column-rescaled chain D'[j, i] =
     D[j, i] * m[i] is the inner maximizer at the optimum; the doubly
     rescaled chain D''[j, i] = v[j] D[j, i] / (vD)[i] is column-stochastic
-    and its fixed probability vector is the optimal occupancy.
+    and its fixed probability vector is the optimal occupancy.  D' has an
+    unknown Perron root and takes one eigen-solve; D'' has root 1 and takes
+    one LU solve.
     """
     _require_primitive_positive(g)
     Dp = g.D * g.m[None, :]
     _, v = _perron(Dp.T)
     vD = v @ g.D
     Dpp = (v[:, None] * g.D) / vD[None, :]
-    _, phi = _perron(Dpp)
+    _, phi = _perron(Dpp, 1.0)
     cost = float(phi @ (np.log(v) - np.log(vD)))
     gain = float(phi @ np.log(g.m))
     return VariationalResult(gain - cost, phi, "twisted-eigen")

@@ -3,9 +3,18 @@
 The criterion: start one walker in a reference patch, multiply the patch
 means it sees strictly between leaving home and first returning, and take
 expectations.  The population persists with positive probability exactly
-when mean(home) * E[product] exceeds 1.  The expectation solves a small
-linear system; when the sub-matrix of the mean matrix away from home has
-spectral radius >= 1 the expectation diverges and persistence is immediate.
+when mean(home) * E[product] exceeds 1.  The expectation solves the linear
+system (I - B) G = rhs, B the non-negative sub-matrix of the mean matrix
+away from home; when B has spectral radius >= 1 the expectation diverges
+and persistence is immediate.
+
+One LU factorization gives the expectation and decides divergence
+(``_resolvent``).  It also solves (I - B) x = 1, and I - B is a
+nonsingular M-matrix, i.e. rho(B) < 1, exactly when x > 0 (then
+Bx = x - 1 < x; Berman & Plemmons 1994, ch. 6).
+Since max x = ||(I - B)^-1||_inf >= 1 / (1 - rho(B)), a block within
+``CRITICAL_RADIUS_TOL`` of criticality shows as max x >= 1 /
+``CRITICAL_RADIUS_TOL`` and counts as divergent.
 
 Also here: the two-habitat decomposition of the same quantity through the
 sink depleting rate e = E[m^S] (S = sojourn time in sinks between source
@@ -23,9 +32,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import MetapopGraph, validate_graph
-from .spectral import mean_matrix, perron_value
+from .spectral import mean_matrix
 
-CRITICAL_RADIUS_TOL = 1e-12  # rho(B) >= 1 - this counts as divergent
+# (I - B)^-1 1 reaching 1 / this counts as divergent; it always does once
+# rho(B) >= 1 - this
+CRITICAL_RADIUS_TOL = 1e-12
 CRITICAL_BAND = 1e-9         # |R - 1| inside this band is flagged
 CHUNK = 1024                 # Monte Carlo trials per random stream
 
@@ -93,6 +104,25 @@ def _verdict_from_value(value: float, method: str, **kw) -> PersistenceVerdict:
     )
 
 
+def _resolvent(B: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """G = (I - B)^-1 rhs for a non-negative block B, or None if it diverges.
+
+    One factorization solves (I - B) [x | G] = [1 | rhs].  The answer is
+    None when the solve fails, when it is not finite, when x has an entry
+    <= 0 (rho(B) >= 1) or when max x >= 1 / ``CRITICAL_RADIUS_TOL``, which
+    every block with rho(B) >= 1 - ``CRITICAL_RADIUS_TOL`` reaches.
+    """
+    n = B.shape[0]
+    try:
+        X = np.linalg.solve(np.eye(n) - B, np.column_stack([np.ones(n), rhs]))
+    except np.linalg.LinAlgError:
+        return None
+    x = X[:, 0]
+    if not np.all(np.isfinite(X)) or x.min() <= 0 or x.max() >= 1.0 / CRITICAL_RADIUS_TOL:
+        return None
+    return X[:, 1:]
+
+
 def return_value_matrix(A: np.ndarray, homes: list[int]) -> np.ndarray:
     """First-return mean matrix over a set of home patches.
 
@@ -100,7 +130,7 @@ def return_value_matrix(A: np.ndarray, homes: list[int]) -> np.ndarray:
     leave home patch P and first re-enter the home set at Q (weighted by
     path probability, mean factors included for every patch strictly
     before the return).  All entries are +inf when the away sub-matrix is
-    (numerically) supercritical.
+    (numerically) critical or supercritical (``_resolvent``).
     """
     A = np.asarray(A, dtype=float)
     k = A.shape[0]
@@ -108,16 +138,8 @@ def return_value_matrix(A: np.ndarray, homes: list[int]) -> np.ndarray:
     away = [i for i in range(k) if i not in homes]
     if not away:
         return A[np.ix_(homes, homes)].copy()
-    B = A[np.ix_(away, away)]
-    if perron_value(B) >= 1.0 - CRITICAL_RADIUS_TOL:
-        return np.full((len(homes), len(homes)), math.inf)
-    rhs = A[np.ix_(away, homes)]
-    try:
-        G = np.linalg.solve(np.eye(len(away)) - B, rhs)
-    except np.linalg.LinAlgError:
-        return np.full((len(homes), len(homes)), math.inf)
-    if np.any(G < -1e-9) or not np.all(np.isfinite(G)):
-        # solver produced a non-physical solution: the system is critical
+    G = _resolvent(A[np.ix_(away, away)], A[np.ix_(away, homes)])
+    if G is None:
         return np.full((len(homes), len(homes)), math.inf)
     return A[np.ix_(homes, homes)] + A[np.ix_(homes, away)] @ G
 
@@ -230,11 +252,10 @@ def depleting_rate(g: MetapopGraph, rtol: float = 1e-12) -> float:
     p = float(g.D[0, 1:].sum())
     if p == 0.0:
         raise ValidationError("source never disperses; depleting rate undefined")
-    Dss = g.D[1:, 1:]
-    if m > 0 and perron_value(m * Dss) >= 1.0 - CRITICAL_RADIUS_TOL:
+    a = _resolvent(m * g.D[1:, 1:], m * g.D[1:, :1])
+    if a is None:
         return math.inf
-    a = np.linalg.solve(np.eye(g.K - 1) - m * Dss, m * g.D[1:, 0])
-    return float(g.D[0, 1:] @ a / p)
+    return float(g.D[0, 1:] @ a[:, 0] / p)
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,15 @@ def test_extinction_probability_subcritical_is_one():
     assert q == 1.0
 
 
+def test_runs_starting_past_the_escape_cap_count_as_escaped():
+    # every run starts above the cap, so none is stepped and none dies out,
+    # though from these means all of them would
+    g = MetapopGraph(m=[0.5, 0.5], D=np.full((2, 2), 0.5))
+    assert extinction_probability(g, n_runs=2000, seed=1, n_initial=5, escape_cap=2) == (0.0, 0.0)
+    with pytest.raises(ValidationError, match="escape_cap"):
+        simulate(g, horizon=5, n_runs=10, escape_cap=0)
+
+
 def test_extinction_power_law_in_initial_size():
     # independent initial lines: q_k = q_1^k
     g = two_patch(M=1.6, m=0.4)

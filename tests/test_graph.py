@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,6 +292,36 @@ def test_stationary_fixed_point_residual():
         assert np.abs(u @ g.D - u).max() <= 1e-10
         assert u.min() > 0
         assert abs(u.sum() - 1.0) < 1e-12
+
+
+def _exact_stationary(D):
+    """Stationary law of the float matrix D with rows renormalized exactly,
+    by Gauss-Jordan elimination in rationals on u(I - D) = 0, sum u = 1."""
+    k = D.shape[0]
+    P = [[Fraction(x) for x in row] for row in D.tolist()]
+    P = [[x / sum(row) for x in row] for row in P]
+    M = [[int(i == j) - P[j][i] for j in range(k)] + [Fraction(0)] for i in range(k)]
+    M[-1] = [Fraction(1)] * (k + 1)
+    for c in range(k):
+        r = next(r for r in range(c, k) if M[r][c] != 0)
+        M[c], M[r] = M[r], M[c]
+        M[c] = [x / M[c][c] for x in M[c]]
+        for r in range(k):
+            if r != c and M[r][c] != 0:
+                M[r] = [a - M[r][c] * b for a, b in zip(M[r], M[c])]
+    return np.array([float(row[-1]) for row in M])
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
+def test_stationary_matches_exact_rational_solve_when_weakly_coupled(eps):
+    # two sources coupled with weight eps and a sink: the chain's spectral
+    # gap is of order eps, which bounds the attainable relative accuracy
+    D = np.array([[1 - 2 * eps, eps, eps], [eps, 1 - eps, 0.0], [0.3, 0.3, 0.4]])
+    for order in itertools.permutations(range(3)):
+        g = MetapopGraph(m=[2.0, 2.0, 0.5], D=D[np.ix_(order, order)])
+        exact = _exact_stationary(g.D)
+        u = stationary_distribution(g)
+        assert np.abs(u / exact - 1.0).max() <= 1e-15 / eps, order
 
 
 def test_stationary_requires_irreducible():

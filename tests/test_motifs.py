@@ -17,6 +17,8 @@ from sourcesink import (
     return_functional_exact,
     type_return_functional,
 )
+from sourcesink.walks import CRITICAL_BAND
+from conftest import random_graph
 
 
 def chessboard_motif():
@@ -111,11 +113,44 @@ def test_type_return_multiple_source_patches_uses_matrix_form():
     assert v.persists == (rho > 1.0)
 
 
-def test_type_return_rejects_two_source_types():
+def test_type_return_answers_with_two_source_types():
+    # every patch of either source type is home
     motif = Motif(types=(0, 1, 2), means_by_type=[2.0, 1.5, 0.4],
                   D=np.full((3, 3), 1 / 3))
-    with pytest.raises(ValidationError):
-        type_return_functional(motif)
+    v = type_return_functional(motif)
+    rho = growth_rate(mean_matrix(collapse(motif))).rho
+    assert abs(rho - 1.3) < 1e-12
+    assert v.persists and math.isfinite(v.value) and v.value > 1.0
+
+
+def test_type_return_two_source_types_can_go_extinct():
+    # both types are sources, yet the motif dies out: the home-set value
+    # over the two source patches and rho both sit below 1
+    motif = Motif(types=(0, 1, 2), means_by_type=[1.3, 1.1, 0.4],
+                  D=[[0.2, 0.4, 0.4], [0.4, 0.3, 0.3], [0.4, 0.2, 0.4]])
+    v = type_return_functional(motif)
+    rho = growth_rate(mean_matrix(collapse(motif))).rho
+    assert round(v.value, 3) == 0.895 and round(rho, 3) == 0.910
+    assert not v.persists
+
+
+def test_type_return_sign_matches_spectral_with_several_source_types():
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(240):
+        n_src, n_sink = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        means = np.concatenate([rng.uniform(1.001, 1.6, n_src), rng.uniform(0.05, 0.95, n_sink)])
+        extra = rng.integers(0, means.size, int(rng.integers(0, 3)))
+        types = tuple(rng.permutation(np.concatenate([np.arange(means.size), extra])))
+        motif = Motif(types=types, means_by_type=means, D=random_graph(rng, len(types)).D)
+        v = type_return_functional(motif)
+        rho = growth_rate(mean_matrix(collapse(motif))).rho
+        if abs(math.log(rho)) <= CRITICAL_BAND or v.near_critical:
+            continue
+        assert v.persists == (rho > 1.0), (motif, v, rho)
+        verdicts.append(v.persists)
+    assert len(verdicts) >= 200
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_pipeline_roots_and_identities():

@@ -235,6 +235,22 @@ def test_max_rate_gap_unit_means():
     assert np.abs(res.occupancy - u).max() < 1e-3
 
 
+def test_argmax_occupancy_makes_one_eigen_solve(monkeypatch):
+    # D' has an unknown Perron root; D'' is column-stochastic, root 1
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(A):
+        calls.append(A.shape)
+        return eig(A)
+
+    g = random_graph(np.random.default_rng(31), 6)
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    res = argmax_occupancy(g)
+    assert calls == [(6, 6)]
+    assert abs(res.log_growth - math.log(growth_rate(mean_matrix(g)).rho)) <= 1e-12
+
+
 def test_argmax_occupancy_constant_means():
     rng = np.random.default_rng(7)
     g = random_graph(rng, 4, m_range=(0.6, 0.6))

@@ -14,7 +14,9 @@ from sourcesink import (
     return_functional_exact,
     return_functional_mc,
     sample_excursion,
+    stationary_distribution,
 )
+from sourcesink.walks import CRITICAL_RADIUS_TOL, _verdict_from_value, return_value_matrix
 from conftest import random_graph, random_two_habitat, two_patch
 
 
@@ -182,3 +184,69 @@ def test_excursion_interior_avoids_home():
         exc = sample_excursion(g, home=2, seed=seed)
         assert exc.path[0] == 2 and exc.path[-1] == 2
         assert all(p != 2 for p in exc.path[1:-1])
+
+
+def _reference_return_value_matrix(A, homes):
+    """The route with a dense eigenvalue pre-check that the one-factorization
+    divergence test replaced."""
+    k = A.shape[0]
+    homes = sorted(set(homes))
+    away = [i for i in range(k) if i not in homes]
+    if not away:
+        return A[np.ix_(homes, homes)].copy()
+    B = A[np.ix_(away, away)]
+    if float(np.linalg.eigvals(B).real.max(initial=0.0)) >= 1.0 - CRITICAL_RADIUS_TOL:
+        return np.full((len(homes), len(homes)), math.inf)
+    rhs = A[np.ix_(away, homes)]
+    try:
+        G = np.linalg.solve(np.eye(len(away)) - B, rhs)
+    except np.linalg.LinAlgError:
+        return np.full((len(homes), len(homes)), math.inf)
+    if np.any(G < -1e-9) or not np.all(np.isfinite(G)):
+        return np.full((len(homes), len(homes)), math.inf)
+    return A[np.ix_(homes, homes)] + A[np.ix_(homes, away)] @ G
+
+
+def test_factorization_divergence_test_matches_eigenvalue_precheck_near_criticality():
+    # away blocks scaled to rho(B) = 1 - 10^U(-14, -1): the verdicts agree,
+    # and so do the values wherever both are finite
+    rng = np.random.default_rng(21)
+    n_finite = 0
+    for _ in range(400):
+        K = int(rng.integers(2, 9))
+        A = mean_matrix(random_graph(rng, K))
+        home = int(rng.integers(K))
+        away = [i for i in range(K) if i != home]
+        rho_B = float(np.linalg.eigvals(A[np.ix_(away, away)]).real.max())
+        A[away] *= (1.0 - 10.0 ** rng.uniform(-14, -1)) / rho_B
+        got = return_value_matrix(A, [home])[0, 0]
+        ref = _reference_return_value_matrix(A, [home])[0, 0]
+        assert _verdict_from_value(got, "x").persists == _verdict_from_value(ref, "x").persists
+        if math.isfinite(got) and math.isfinite(ref):
+            assert abs(got - ref) <= 1e-12 * ref
+            n_finite += 1
+    assert n_finite >= 200
+
+
+def test_exactly_stochastic_away_block_diverges():
+    # dyadic rows summing exactly to 1: rho(B) = 1 exactly
+    rng = np.random.default_rng(22)
+    for _ in range(160):
+        n = int(rng.integers(1, 12))
+        A = np.empty((n + 1, n + 1))
+        A[1:, 1:] = rng.multinomial(1024, np.full(n, 1.0 / n), size=n) / 1024
+        A[0] = rng.uniform(0.1, 2.0, n + 1)
+        A[1:, 0] = rng.uniform(0.0, 1.0, n)
+        assert np.all(np.isinf(return_value_matrix(A, [0])))
+
+
+def test_known_root_solves_make_no_eigen_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solve on a known-root or divergence question")
+
+    g = random_two_habitat(np.random.default_rng(23), 5)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert np.all(stationary_distribution(g) > 0)
+    assert math.isfinite(return_functional_exact(g).value)
+    assert math.isfinite(depleting_rate(g))
