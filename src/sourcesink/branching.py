@@ -99,18 +99,20 @@ class OffspringLaw:
         return out
 
 
+def _laws(kind: str, g: MetapopGraph, env: EnvironmentModel | None) -> list[list[OffspringLaw]]:
+    """Laws of one ``kind`` with each patch's mean, per environment state."""
+    table = [g.m] if env is None else env.means
+    return [[OffspringLaw(kind, float(m)) for m in row] for row in table]
+
+
 def poisson_laws(g: MetapopGraph, env: EnvironmentModel | None = None) -> list[list[OffspringLaw]]:
     """Default laws: Poisson with each patch's mean, per environment state."""
-    if env is None:
-        return [[OffspringLaw("poisson", float(m)) for m in g.m]]
-    return [[OffspringLaw("poisson", float(m)) for m in row] for row in env.means]
+    return _laws("poisson", g, env)
 
 
 def geometric_laws(g: MetapopGraph, env: EnvironmentModel | None = None) -> list[list[OffspringLaw]]:
     """Geometric offspring with each patch's mean."""
-    if env is None:
-        return [[OffspringLaw("geometric", float(m)) for m in g.m]]
-    return [[OffspringLaw("geometric", float(m)) for m in row] for row in env.means]
+    return _laws("geometric", g, env)
 
 
 def _checked_laws(g, env, laws, allow_degenerate, home, n_runs, escape_cap):

@@ -5,8 +5,12 @@ flag overrides, flags win), emits a machine-readable report that embeds
 the resolved config, its hash and the seed, and uses fixed float
 formatting so identical inputs give byte-identical outputs.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
-4 statistical failure.
+``main`` is the one front door: it resolves the config, calls
+``cmd_<name>(cfg, args)`` for the report body, writes the
+``command``/``provenance``/``config`` header before that body and maps
+errors to exit codes: 0 success, 2 validation error (including an
+unreadable or malformed config or model file), 3 numerical
+non-convergence, 4 statistical failure.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from . import __version__
 from .branching import patch_series, poisson_laws, geometric_laws, simulate
 from .environments import (
+    EnvironmentModel,
     MarkovSwitching,
     Periodic,
     even_return_functional,
@@ -37,7 +42,7 @@ from .environments import (
     two_patch_periodic_criterion,
 )
 from .errors import ConvergenceError, StatisticalError, ValidationError
-from .graph import MetapopGraph, load_graph, stationary_distribution, validate_graph
+from .graph import MetapopGraph, _json_object, load_graph, stationary_distribution, validate_graph
 from .motifs import (
     collapse,
     load_motif,
@@ -152,23 +157,18 @@ def _report_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _provenance(config: dict, seed: int) -> dict:
+def _provenance(config: dict) -> dict:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return {
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "seed": seed,
+        "seed": config["seed"],
         "version": __version__,
     }
 
 
 def _load_config(args) -> dict:
     """Resolve config file plus flag overrides (flags win)."""
-    cfg = {}
-    if args.config:
-        with open(args.config) as f:
-            cfg = json.load(f)
-        if not isinstance(cfg, dict):
-            raise ValidationError("config must be a JSON object")
+    cfg = _json_object(args.config, "config") if args.config else {}
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
@@ -212,21 +212,35 @@ def _laws_from_config(cfg, g, env):
     raise ValidationError(f"unknown law family {name!r} (use poisson or geometric)")
 
 
-def cmd_validate(args) -> dict:
-    cfg = _load_config(args)
+def _env_from_config(cfg: dict, schedule_type: type, what: str) -> EnvironmentModel:
+    """The config's environment, which ``what`` analysis needs on a ``schedule_type``."""
+    if "env" not in cfg:
+        raise ValidationError(f'{what} analysis needs an "env" block')
+    env = load_environment(cfg["env"])
+    if not isinstance(env.schedule, schedule_type):
+        kind = "periodic" if schedule_type is Periodic else "markov"
+        raise ValidationError(f"{what} analysis needs a {kind} schedule")
+    return env
+
+
+def _write_csv(path: str, header: str, lines) -> None:
+    """A sidecar CSV: the header, then one already formatted line per row."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for line in lines:
+            f.write(line + "\n")
+
+
+def cmd_validate(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
     report = validate_graph(g)
     return {
-        "command": "validate",
-        "provenance": _provenance(cfg, cfg["seed"]),
-        "config": cfg,
         "graph": g.to_dict(),
         "assumptions": dataclasses.asdict(report),
     }
 
 
-def cmd_analyze(args) -> dict:
-    cfg = _load_config(args)
+def cmd_analyze(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
     home = int(cfg.get("home", 0))
     report = validate_graph(g)
@@ -238,9 +252,6 @@ def cmd_analyze(args) -> dict:
     mg = max_rate_gap(g)
     log_rho = math.log(sd.rho)
     out = {
-        "command": "analyze",
-        "provenance": _provenance(cfg, cfg["seed"]),
-        "config": cfg,
         "assumptions": dataclasses.asdict(report),
         "spectral": {
             "rho": sd.rho,
@@ -279,81 +290,44 @@ def cmd_analyze(args) -> dict:
     if args.grid_out:
         if g.K != 2:
             raise ValidationError("--grid-out needs a two-patch graph")
-        with open(args.grid_out, "w") as f:
-            f.write("f1,R,I,R_minus_I\n")
-            for f1, R, I, RI in rate_grid_2patch(g):
-                f.write(f"{f1:.17g},{R:.17g},{I:.17g},{RI:.17g}\n")
+        _write_csv(args.grid_out, "f1,R,I,R_minus_I",
+                   (f"{f1:.17g},{R:.17g},{I:.17g},{RI:.17g}"
+                    for f1, R, I, RI in rate_grid_2patch(g)))
     if args.excursions_out:
-        exc = sample_excursion(g, home, seed=cfg["seed"])
-        with open(args.excursions_out, "w") as f:
-            f.write("step,patch\n")
-            for step, patch in enumerate(exc.path):
-                f.write(f"{step},{patch}\n")
+        path = sample_excursion(g, home, seed=cfg["seed"]).path
+        _write_csv(args.excursions_out, "step,patch", (f"{s},{p}" for s, p in enumerate(path)))
     return out
 
 
-def cmd_simulate(args) -> dict:
-    cfg = _load_config(args)
+def cmd_simulate(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
     env = load_environment(cfg["env"]) if "env" in cfg else None
     sim = cfg.get("simulate", {})
-    laws = _laws_from_config(cfg, g, env)
+    # the run settings ``simulate`` and ``patch_series`` share
+    run = dict(laws=_laws_from_config(cfg, g, env), horizon=int(sim.get("horizon", 200)),
+               seed=int(cfg["seed"]), env=env, start_patch=int(cfg.get("home", 0)))
     lineage = bool(sim.get("lineage", True))
-    rep = simulate(
-        g,
-        laws=laws,
-        horizon=int(sim.get("horizon", 200)),
-        n_runs=int(sim.get("n_runs", 10**4)),
-        seed=int(cfg["seed"]),
-        env=env,
-        start_patch=int(cfg.get("home", 0)),
-        track_lineage=lineage,
-    )
+    rep = simulate(g, n_runs=int(sim.get("n_runs", 10**4)), track_lineage=lineage, **run)
     if lineage and rep.n_survived == 0:
         raise StatisticalError(
             "no run survived to the horizon, so survivor statistics are "
             'undefined; increase n_runs or set "simulate": {"lineage": false}'
         )
-    out = {
-        "command": "simulate",
-        "provenance": _provenance(cfg, cfg["seed"]),
-        "config": cfg,
-        "report": rep.to_dict(),
-    }
     if args.series_out:
-        series = patch_series(
-            g,
-            laws=laws,
-            horizon=int(sim.get("horizon", 200)),
-            n_runs=min(int(sim.get("n_runs", 10)), 100),
-            seed=int(cfg["seed"]),
-            env=env,
-            start_patch=int(cfg.get("home", 0)),
-        )
-        with open(args.series_out, "w") as f:
-            f.write("run,n," + ",".join(f"Z_{i}" for i in range(g.K)) + "\n")
-            for r in range(series.shape[0]):
-                for t in range(series.shape[1]):
-                    row = ",".join(str(int(x)) for x in series[r, t])
-                    f.write(f"{r},{t},{row}\n")
-    return out
+        series = patch_series(g, n_runs=min(int(sim.get("n_runs", 10)), 100), **run)
+        _write_csv(args.series_out, "run,n," + ",".join(f"Z_{i}" for i in range(g.K)),
+                   (f"{r},{t}," + ",".join(str(int(x)) for x in series[r, t])
+                    for r, t in np.ndindex(series.shape[:2])))
+    return {"report": rep.to_dict()}
 
 
-def cmd_periodic(args) -> dict:
-    cfg = _load_config(args)
+def cmd_periodic(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
-    if "env" not in cfg:
-        raise ValidationError('periodic analysis needs an "env" block')
-    env = load_environment(cfg["env"])
-    if not isinstance(env.schedule, Periodic):
-        raise ValidationError("periodic analysis needs a periodic schedule")
+    env = _env_from_config(cfg, Periodic, "periodic")
     A2 = periodic_mean_matrix(g, env)
     sd = growth_rate(A2)
     period = len(env.schedule.order)
     out = {
-        "command": "periodic",
-        "provenance": _provenance(cfg, cfg["seed"]),
-        "config": cfg,
         "product_matrix_rho": sd.rho,
         "log_rho_per_step": math.log(sd.rho) / period,
         "persists": sd.rho > 1.0,
@@ -393,20 +367,12 @@ def cmd_periodic(args) -> dict:
     return out
 
 
-def cmd_randenv(args) -> dict:
-    cfg = _load_config(args)
+def cmd_randenv(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
-    if "env" not in cfg:
-        raise ValidationError('random-environment analysis needs an "env" block')
-    env = load_environment(cfg["env"])
-    if not isinstance(env.schedule, MarkovSwitching):
-        raise ValidationError("random-environment analysis needs a markov schedule")
+    env = _env_from_config(cfg, MarkovSwitching, "random-environment")
     n_steps = int(cfg.get("randenv", {}).get("n_steps", 10**6))
     ly = lyapunov_estimate(g, env, n_steps=n_steps, seed=int(cfg["seed"]))
     out = {
-        "command": "randenv",
-        "provenance": _provenance(cfg, cfg["seed"]),
-        "config": cfg,
         "lyapunov": ly.to_dict(),
         "persists": ly.gamma > 0.0,
     }
@@ -426,8 +392,7 @@ def cmd_randenv(args) -> dict:
     return out
 
 
-def cmd_pipeline(args) -> dict:
-    cfg = _load_config(args)
+def cmd_pipeline(cfg: dict, args) -> dict:
     if "pipeline" not in cfg:
         raise ValidationError('pipeline analysis needs a "pipeline" block')
     spec = load_pipeline(cfg["pipeline"])
@@ -438,9 +403,6 @@ def cmd_pipeline(args) -> dict:
     verdict = type_return_functional(motif)
     criterion = spec.M * (1.0 - spec.p) + rates.e * spec.M * spec.p
     return {
-        "command": "pipeline",
-        "provenance": _provenance(cfg, cfg["seed"]),
-        "config": cfg,
         "lambda": rates.lam,
         "mu": rates.mu,
         "e": rates.e,
@@ -508,8 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        cfg = _load_config(args)
         # looked up per call, so a rebound ``cmd_*`` is the one that runs
-        report = globals()[f"cmd_{args.command}"](args)
+        body = globals()[f"cmd_{args.command}"](cfg, args)
+        report = {"command": args.command, "provenance": _provenance(cfg),
+                  "config": cfg, **body}
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

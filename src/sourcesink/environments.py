@@ -11,7 +11,6 @@ closed-form lower bound available for the two-patch case.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, validate_graph
+from .graph import MetapopGraph, _as_array, _json_object, validate_graph
 from .spectral import growth_rate
 from .variational import argmax_occupancy, max_rate_gap
 from .walks import (
@@ -77,7 +76,7 @@ class EnvironmentModel:
     schedule: Periodic | MarkovSwitching
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
+        means = _as_array(self.means, "environment means")
         if means.ndim != 2 or means.shape[0] != len(self.states):
             raise ValidationError("means must be one row of patch means per state")
         if np.any(means < 0) or not np.all(np.isfinite(means)):
@@ -112,12 +111,7 @@ class EnvironmentModel:
 
 def load_environment(source: str | Path | dict) -> EnvironmentModel:
     """Build an environment model from a JSON file path or parsed dict."""
-    if isinstance(source, (str, Path)):
-        with open(source) as f:
-            source = json.load(f)
-    for key in ("states", "means", "schedule"):
-        if key not in source:
-            raise ValidationError(f'environment JSON needs key "{key}"')
+    source = _json_object(source, "environment", ("states", "means", "schedule"))
     states = tuple(source["states"])
     sched = source["schedule"]
     if "periodic" in sched:

@@ -34,6 +34,36 @@ from .errors import ValidationError
 ROW_SUM_TOL = 1e-12
 
 
+def _json_object(source: str | Path | dict, what: str, keys=()) -> dict:
+    """A JSON object, read from a file path or passed already parsed.
+
+    An unreadable file, invalid JSON, a value that is not an object and a
+    missing one of ``keys`` are each a ``ValidationError`` naming ``what``.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source) as f:
+                source = json.load(f)
+        except OSError as e:
+            raise ValidationError(f"cannot read {what} file: {e}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ValidationError(f"{what} file {str(source)!r} is not valid JSON: {e}") from None
+    if not isinstance(source, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in source:
+            raise ValidationError(f'{what} JSON needs key "{key}"')
+    return source
+
+
+def _as_array(value, what: str, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``; ragged or non-numeric input is a ValidationError."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{what} must be a regular array of numbers: {e}") from None
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -54,8 +84,8 @@ class MetapopGraph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float).reshape(-1)
-        D = np.asarray(self.D, dtype=float)
+        m = _as_array(self.m, "habitat means").reshape(-1)
+        D = _as_array(self.D, "dispersal matrix")
         if m.size < 1:
             raise ValidationError("need at least one patch")
         if D.shape != (m.size, m.size):
@@ -104,11 +134,7 @@ class AssumptionReport:
 
 def load_graph(source: str | Path | dict) -> MetapopGraph:
     """Build a graph from a JSON file path or an already-parsed dict."""
-    if isinstance(source, (str, Path)):
-        with open(source) as f:
-            source = json.load(f)
-    if not isinstance(source, dict) or "m" not in source or "D" not in source:
-        raise ValidationError('graph JSON needs keys "m" and "D"')
+    source = _json_object(source, "graph", ("m", "D"))
     labels = tuple(source["labels"]) if "labels" in source else None
     return MetapopGraph(m=source["m"], D=source["D"], labels=labels)
 

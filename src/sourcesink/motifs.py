@@ -14,7 +14,6 @@ the root ratio factored out so nothing overflows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,11 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, validate_graph
+from .graph import MetapopGraph, _as_array, _json_object, validate_graph
 from .spectral import mean_matrix, perron_value
 from .walks import PersistenceVerdict, _verdict_from_value, return_value_matrix
 
 PROB_TOL = 1e-12
+# the pipeline's JSON keys and the type each is read as
+PIPELINE_FIELDS = {"n": int, "p": float, "L": float, "s": float, "l": float,
+                   "m": float, "M": float}
 
 
 @dataclass(frozen=True)
@@ -44,15 +46,16 @@ class Motif:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        means = np.asarray(self.means_by_type, dtype=float)
+        means = _as_array(self.means_by_type, "means_by_type")
         if means.ndim != 1 or means.size == 0:
             raise ValidationError("means_by_type must be a non-empty vector")
-        if any(not 0 <= t < means.size for t in self.types):
+        types = _as_array(self.types, "patch types", int).reshape(-1)
+        if np.any((types < 0) | (types >= means.size)):
             raise ValidationError("patch type out of range of means_by_type")
         means = means.copy()
         means.flags.writeable = False
         object.__setattr__(self, "means_by_type", means)
-        object.__setattr__(self, "types", tuple(int(t) for t in self.types))
+        object.__setattr__(self, "types", tuple(types.tolist()))
         # validates shape, stochastic rows and entry ranges
         collapsed = MetapopGraph(
             m=[means[t] for t in self.types], D=self.D, labels=self.labels
@@ -73,14 +76,9 @@ class Motif:
 
 def load_motif(source: str | Path | dict) -> Motif:
     """Build a motif from a JSON file path or an already-parsed dict."""
-    if isinstance(source, (str, Path)):
-        with open(source) as f:
-            source = json.load(f)
-    for key in ("types", "means_by_type", "D"):
-        if key not in source:
-            raise ValidationError(f'motif JSON needs key "{key}"')
+    source = _json_object(source, "motif", ("types", "means_by_type", "D"))
     return Motif(
-        types=tuple(source["types"]),
+        types=source["types"],
         means_by_type=source["means_by_type"],
         D=source["D"],
     )
@@ -127,11 +125,8 @@ def type_return_functional(motif: Motif) -> PersistenceVerdict:
     if not validate_graph(g).irreducible:
         raise ValidationError("collapsed motif must be irreducible")
     R = return_value_matrix(mean_matrix(g), _home_patches(motif))
-    if np.isinf(R).any():
-        return PersistenceVerdict(
-            value=math.inf, persists=True, method="exact-linear-system"
-        )
-    return _verdict_from_value(perron_value(R), "exact-linear-system")
+    rho = math.inf if np.isinf(R).any() else perron_value(R)
+    return _verdict_from_value(rho, "exact-linear-system")
 
 
 @dataclass(frozen=True)
@@ -171,26 +166,15 @@ class PipelineSpec:
     def r(self) -> float:
         return max(1.0 - self.s - self.l, 0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "L": self.L, "s": self.s,
-            "l": self.l, "m": self.m, "M": self.M,
-        }
-
 
 def load_pipeline(source: str | Path | dict) -> PipelineSpec:
     """Build a pipeline spec from a JSON file path or parsed dict."""
-    if isinstance(source, (str, Path)):
-        with open(source) as f:
-            source = json.load(f)
+    source = _json_object(source, "pipeline", PIPELINE_FIELDS)
     try:
-        return PipelineSpec(
-            n=int(source["n"]), p=float(source["p"]), L=float(source["L"]),
-            s=float(source["s"]), l=float(source["l"]), m=float(source["m"]),
-            M=float(source["M"]),
-        )
-    except KeyError as e:
-        raise ValidationError(f"pipeline JSON is missing key {e}")
+        fields = {key: kind(source[key]) for key, kind in PIPELINE_FIELDS.items()}
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"pipeline fields must be numbers: {e}") from None
+    return PipelineSpec(**fields)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .spectral import mean_matrix
 CRITICAL_RADIUS_TOL = 1e-12
 CRITICAL_BAND = 1e-9         # |R - 1| inside this band is flagged
 CHUNK = 1024                 # Monte Carlo trials per random stream
+SINK_MEAN_RTOL = 1e-12       # sink means closer than this count as one mean
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ def return_functional_mc(
     )
 
 
-def depleting_rate(g: MetapopGraph, rtol: float = 1e-12) -> float:
+def depleting_rate(g: MetapopGraph) -> float:
     """Sink depleting rate e = E[m^S] for a one-source/one-sink-type graph.
 
     Patch 0 must be the lone distinguished patch and every other patch must
@@ -244,7 +245,7 @@ def depleting_rate(g: MetapopGraph, rtol: float = 1e-12) -> float:
     if g.K < 2:
         raise ValidationError("depleting rate needs at least one sink patch")
     sink_means = g.m[1:]
-    if np.ptp(sink_means) > rtol * max(1.0, abs(float(sink_means[0]))):
+    if np.ptp(sink_means) > SINK_MEAN_RTOL * max(1.0, abs(float(sink_means[0]))):
         raise ValidationError("all sink patches must share a single mean")
     if not validate_graph(g).irreducible:
         raise ValidationError("depleting rate needs an irreducible graph")

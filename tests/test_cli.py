@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import json
 import math
 
 import numpy as np
+import pytest
 
 from sourcesink import cli
 from sourcesink.cli import dumps_report, main
@@ -382,10 +384,10 @@ def test_main_builds_its_parser_once_and_looks_up_the_command_per_call(tmp_path,
     cfg = write_cfg(tmp_path, {"graph": GRAPH})
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "a.json")]) == 0
     calls = []
-    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args) or {"x": 1})
+    monkeypatch.setattr(cli, "cmd_validate", lambda cfg, args: calls.append(args) or {"x": 1})
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "b.json")]) == 0
     assert len(calls) == 1
-    assert json.loads((tmp_path / "b.json").read_text()) == {"x": 1}
+    assert json.loads((tmp_path / "b.json").read_text())["x"] == 1
     assert cli.build_parser() is cli.build_parser()
 
 
@@ -408,6 +410,66 @@ def test_csv_format_writes_one_row_per_array_entry(tmp_path):
     for i, x in enumerate(left):
         assert float(rows[f"spectral.left[{i}]"]) == x
     assert "config.graph.D[11][11]" in rows
+
+
+MARKOV_ENV = {"states": ["e1", "e2"], "means": [[10.0, 0.9], [0.05, 0.8]],
+              "schedule": {"markov": {"alpha": 0.5, "beta": 0.5}}}
+PERIODIC_ENV = {"states": ["e1", "e2"], "means": [[4.0, 0.9], [0.2, 0.9]],
+                "schedule": {"periodic": ["e1", "e2"]}}
+PIPELINE = {"n": 1, "p": 0.4, "L": 0.5, "s": 0.2, "l": 0.3, "m": 0.5, "M": 2.0}
+COMMAND_CONFIGS = {
+    "validate": {"graph": GRAPH},
+    "analyze": {"graph": GRAPH, "seed": 3},
+    "simulate": {"graph": GRAPH, "seed": 5, "simulate": {"horizon": 20, "n_runs": 200}},
+    "periodic": {"graph": GRAPH, "env": PERIODIC_ENV},
+    "randenv": {"graph": GRAPH, "seed": 4, "env": MARKOV_ENV, "randenv": {"n_steps": 2000}},
+    "pipeline": {"pipeline": PIPELINE},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_CONFIGS))
+def test_every_report_opens_with_the_same_header(tmp_path, command):
+    config = COMMAND_CONFIGS[command]
+    code, out = run(tmp_path, [command, "--config", write_cfg(tmp_path, config)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert list(rep)[:3] == ["command", "provenance", "config"]
+    assert rep["command"] == command
+    resolved = {"seed": 0, **config}
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    assert rep["provenance"]["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+    assert rep["provenance"]["seed"] == resolved["seed"]
+
+
+MALFORMED = {
+    "missing config file": ("validate", None),
+    "invalid JSON": ("validate", "{not json"),
+    "config not UTF-8": ("validate", b'{"seed": "\xff"}'),
+    "config not an object": ("validate", "[1, 2]"),
+    "missing graph file": ("validate", {"graph": "nope.json"}),
+    "ragged D": ("validate", {"graph": {"m": [1, 1], "D": [[0.5, 0.5], [1.0]]}}),
+    "non-numeric m": ("analyze", {"graph": {"m": [1, "x"], "D": [[0.5, 0.5], [0.5, 0.5]]}}),
+    "non-numeric types": ("validate", {"motif": {"types": [0, "a"], "means_by_type": [1.5, 0.6],
+                                                 "D": [[0, 1], [1, 0]]}}),
+    "non-numeric env means": ("periodic", {"graph": GRAPH, "env": {
+        **PERIODIC_ENV, "means": [[4.0, "x"], [0.2, 0.9]]}}),
+    "pipeline not an object": ("pipeline", {"pipeline": [1, 2]}),
+    "non-numeric pipeline field": ("pipeline", {"pipeline": {**PIPELINE, "n": "x"}}),
+}
+
+
+@pytest.mark.parametrize("command, config", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_input_exits_2_without_a_report(tmp_path, monkeypatch, capsys, command, config):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    elif config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    out = tmp_path / "out.json"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("validation error: ")
 
 
 def test_missing_model_is_validation_error(tmp_path):
