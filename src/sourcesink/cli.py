@@ -42,7 +42,15 @@ from .environments import (
     two_patch_periodic_criterion,
 )
 from .errors import ConvergenceError, StatisticalError, ValidationError
-from .graph import MetapopGraph, _json_object, load_graph, stationary_distribution, validate_graph
+from .graph import (
+    MetapopGraph,
+    _json_object,
+    _number,
+    _object,
+    load_graph,
+    stationary_distribution,
+    validate_graph,
+)
 from .motifs import (
     collapse,
     load_motif,
@@ -169,6 +177,8 @@ def _provenance(config: dict) -> dict:
 def _load_config(args) -> dict:
     """Resolve config file plus flag overrides (flags win)."""
     cfg = _json_object(args.config, "config") if args.config else {}
+    for block in ("mc", "simulate", "randenv"):
+        _object(cfg.get(block, {}), f'config "{block}"')
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
@@ -177,6 +187,8 @@ def _load_config(args) -> dict:
     if getattr(args, "horizon", None) is not None:
         cfg.setdefault("simulate", {})["horizon"] = args.horizon
     cfg.setdefault("seed", 0)
+    if _number(cfg["seed"], "seed", int) < 0:
+        raise ValidationError(f"seed must be >= 0, not {cfg['seed']}")
     return cfg
 
 
@@ -197,10 +209,14 @@ def _graph_from_config(cfg: dict) -> MetapopGraph:
 def _walk_config(cfg: dict) -> WalkConfig:
     mc = cfg.get("mc", {})
     return WalkConfig(
-        max_steps=int(mc.get("max_steps", 10**7)),
-        n_trials=int(mc.get("n_trials", 10**5)),
+        max_steps=_number(mc.get("max_steps", 10**7), "mc max_steps", int),
+        n_trials=_number(mc.get("n_trials", 10**5), "mc n_trials", int),
         seed=int(cfg["seed"]),
     )
+
+
+def _home(cfg: dict) -> int:
+    return _number(cfg.get("home", 0), "home", int)
 
 
 def _laws_from_config(cfg, g, env):
@@ -242,7 +258,7 @@ def cmd_validate(cfg: dict, args) -> dict:
 
 def cmd_analyze(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
-    home = int(cfg.get("home", 0))
+    home = _home(cfg)
     report = validate_graph(g)
     sd = growth_rate(mean_matrix(g))
     u = stationary_distribution(g)
@@ -304,10 +320,12 @@ def cmd_simulate(cfg: dict, args) -> dict:
     env = load_environment(cfg["env"]) if "env" in cfg else None
     sim = cfg.get("simulate", {})
     # the run settings ``simulate`` and ``patch_series`` share
-    run = dict(laws=_laws_from_config(cfg, g, env), horizon=int(sim.get("horizon", 200)),
-               seed=int(cfg["seed"]), env=env, start_patch=int(cfg.get("home", 0)))
+    run = dict(laws=_laws_from_config(cfg, g, env),
+               horizon=_number(sim.get("horizon", 200), "simulate horizon", int),
+               seed=int(cfg["seed"]), env=env, start_patch=_home(cfg))
+    n_runs = _number(sim.get("n_runs", 10**4), "simulate n_runs", int)
     lineage = bool(sim.get("lineage", True))
-    rep = simulate(g, n_runs=int(sim.get("n_runs", 10**4)), track_lineage=lineage, **run)
+    rep = simulate(g, n_runs=n_runs, track_lineage=lineage, **run)
     if lineage and rep.n_survived == 0:
         raise StatisticalError(
             "no run survived to the horizon, so survivor statistics are "
@@ -332,45 +350,43 @@ def cmd_periodic(cfg: dict, args) -> dict:
         "log_rho_per_step": math.log(sd.rho) / period,
         "persists": sd.rho > 1.0,
     }
-    if period == 2:
-        home = int(cfg.get("home", 0))
-        ev = even_return_functional(g, env, home)
-        out["even_return"] = {phase: v.to_dict() for phase, v in ev.items()}
-        ec = periodic_growth_and_occupancy(g, env)
-        out["edge_chain"] = {
-            "two_log_rho": ec.two_log_growth,
-            "log_rho": ec.log_growth,
-            "occupancy_edges": ec.occupancy_edges,
-            "marginal_even": ec.marginal_even,
-            "marginal_odd": ec.marginal_odd,
-        }
-        out["cross_checks"] = {
-            "edge_chain_vs_product_log_rho": ec.log_growth - ec.log_growth_spectral,
-            "even_return_sign_agree": all(
-                v.persists == (sd.rho > 1.0) for v in ev.values()
-            ),
-        }
-        if g.K == 2:
-            a, b = env.schedule.order
-            crit = two_patch_periodic_criterion(
-                M1=float(env.means[a][0]),
-                M2=float(env.means[b][0]),
-                m1=float(env.means[a][1]),
-                m2=float(env.means[b][1]),
-                p=float(g.D[0, 1]),
-                q=float(g.D[1, 0]),
-            )
-            out["two_patch_criterion"] = crit.to_dict()
-            out["cross_checks"]["closed_form_sign_agree"] = crit.persists == (
-                sd.rho > 1.0
-            )
+    ev = even_return_functional(g, env, _home(cfg))
+    out["even_return"] = {phase: v.to_dict() for phase, v in ev.items()}
+    sign_agree = all(v.persists == (sd.rho > 1.0) for v in ev.values())
+    if period != 2:
+        out["cross_checks"] = {"even_return_sign_agree": sign_agree}
+        return out
+    ec = periodic_growth_and_occupancy(g, env)
+    out["edge_chain"] = {
+        "two_log_rho": ec.two_log_growth,
+        "log_rho": ec.log_growth,
+        "occupancy_edges": ec.occupancy_edges,
+        "marginal_even": ec.marginal_even,
+        "marginal_odd": ec.marginal_odd,
+    }
+    out["cross_checks"] = {
+        "edge_chain_vs_product_log_rho": ec.log_growth - ec.log_growth_spectral,
+        "even_return_sign_agree": sign_agree,
+    }
+    if g.K == 2:
+        a, b = env.schedule.order
+        crit = two_patch_periodic_criterion(
+            M1=float(env.means[a][0]),
+            M2=float(env.means[b][0]),
+            m1=float(env.means[a][1]),
+            m2=float(env.means[b][1]),
+            p=float(g.D[0, 1]),
+            q=float(g.D[1, 0]),
+        )
+        out["two_patch_criterion"] = crit.to_dict()
+        out["cross_checks"]["closed_form_sign_agree"] = crit.persists == (sd.rho > 1.0)
     return out
 
 
 def cmd_randenv(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
     env = _env_from_config(cfg, MarkovSwitching, "random-environment")
-    n_steps = int(cfg.get("randenv", {}).get("n_steps", 10**6))
+    n_steps = _number(cfg.get("randenv", {}).get("n_steps", 10**6), "randenv n_steps", int)
     ly = lyapunov_estimate(g, env, n_steps=n_steps, seed=int(cfg["seed"]))
     out = {
         "lyapunov": ly.to_dict(),

@@ -1,12 +1,15 @@
 """Time-varying habitat quality: periodic schedules and Markov switching.
 
-Periodic two-state environments reduce to the fixed-environment machinery
-through the two-step mean matrix A(e1)A(e2) and through the chain of
-consecutive patch pairs (the edge chain), whose cost/payoff maximum equals
-twice the log growth rate.  Random Markov environments lose those exact
-reductions; there the growth exponent is the top Lyapunov exponent of the
-random product of per-state mean matrices, estimated by simulation, with a
-closed-form lower bound available for the two-patch case.
+A periodic schedule of any period P reduces to the fixed-environment
+machinery through the one-period product of mean matrices: the walker's
+first return home at a multiple of P decides persistence, one verdict per
+starting phase (``walks._phase_verdicts``; a fixed environment is P = 1).
+The two-state alternation also has the chain of consecutive patch pairs
+(the edge chain), whose cost/payoff maximum equals twice the log growth
+rate, and a two-patch closed form.  Random Markov environments lose those
+exact reductions; there the growth exponent is the top Lyapunov exponent of
+the random product of per-state mean matrices, estimated by simulation,
+with a closed-form lower bound available for the two-patch case.
 """
 
 from __future__ import annotations
@@ -18,17 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, _as_array, _json_object, validate_graph
+from .graph import MetapopGraph, _as_array, _json_object, _number, _object, validate_graph
 from .spectral import growth_rate
 from .variational import argmax_occupancy, max_rate_gap
-from .walks import (
-    PersistenceVerdict,
-    WalkConfig,
-    _excursions,
-    _mc_verdict,
-    _verdict_from_value,
-    return_functional,
-)
+from .walks import PersistenceVerdict, WalkConfig, _phase_verdicts, _verdict_from_value
 
 LYAPUNOV_BURN_IN = 1000
 LYAPUNOV_BATCHES = 100
@@ -112,19 +108,23 @@ class EnvironmentModel:
 def load_environment(source: str | Path | dict) -> EnvironmentModel:
     """Build an environment model from a JSON file path or parsed dict."""
     source = _json_object(source, "environment", ("states", "means", "schedule"))
-    states = tuple(source["states"])
-    sched = source["schedule"]
+    states = source["states"]
+    if not isinstance(states, list):
+        raise ValidationError("environment states must be a JSON list")
+    sched = _object(source["schedule"], "environment schedule")
     if "periodic" in sched:
-        index = {s: i for i, s in enumerate(states)}
+        if not isinstance(sched["periodic"], list):
+            raise ValidationError("periodic schedule must be a JSON list of state names")
         try:
+            index = {s: i for i, s in enumerate(states)}
             order = tuple(index[s] for s in sched["periodic"])
-        except KeyError as e:
-            raise ValidationError(f"periodic schedule names unknown state {e}")
+        except (KeyError, TypeError) as e:  # TypeError: a state name that is not hashable
+            raise ValidationError(f"periodic schedule names unknown state {e}") from None
         schedule = Periodic(order)
     elif "markov" in sched:
-        schedule = MarkovSwitching(
-            alpha=float(sched["markov"]["alpha"]), beta=float(sched["markov"]["beta"])
-        )
+        markov = _object(sched["markov"], "markov schedule", ("alpha", "beta"))
+        schedule = MarkovSwitching(_number(markov["alpha"], "markov alpha"),
+                                   _number(markov["beta"], "markov beta"))
     else:
         raise ValidationError('schedule must contain "periodic" or "markov"')
     return EnvironmentModel(states=states, means=source["means"], schedule=schedule)
@@ -175,13 +175,6 @@ def two_patch_periodic_criterion(
     return _verdict_from_value(lhs / rhs, "periodic-closed-form")
 
 
-def _phase_matrices(g: MetapopGraph, env: EnvironmentModel) -> dict[str, np.ndarray]:
-    a, b = env.schedule.order
-    Aa = state_mean_matrix(g, env, a)
-    Ab = state_mean_matrix(g, env, b)
-    return {env.states[a]: Aa @ Ab, env.states[b]: Ab @ Aa}
-
-
 def even_return_functional(
     g: MetapopGraph,
     env: EnvironmentModel,
@@ -189,37 +182,28 @@ def even_return_functional(
     cfg: WalkConfig | None = None,
     method: str = "exact",
 ) -> dict[str, PersistenceVerdict]:
-    """Persistence via first return of the walker to home at an even time.
+    """Persistence via first return of the walker to home at a multiple of the period.
 
-    Observing the population every second generation gives a branching
-    process whose mean matrix is the ordered two-step product, so the
+    Observing the population once per period gives a branching process
+    whose mean matrix is the ordered one-period product, so the
     fixed-environment return machinery applies to it directly.  Results
-    are keyed by the starting state (the value depends on the phase; the
-    persistence verdict does not).
+    are keyed by the state that starts each phase (the value depends on
+    the phase; the persistence verdict does not); a state that starts
+    several phases reports its first.
     """
-    if not 0 <= home < g.K:
-        raise ValidationError(f"home patch {home} out of range")
-    if not isinstance(env.schedule, Periodic) or len(env.schedule.order) != 2:
-        raise ValidationError("even-return analysis needs a two-state alternation")
-    if not validate_graph(g).irreducible:
-        raise ValidationError("even-return criterion needs an irreducible graph")
+    if not isinstance(env.schedule, Periodic):
+        raise ValidationError("even-return analysis needs a periodic schedule")
     if method == "exact":
-        return {
-            phase: _verdict_from_value(return_functional(A2, home), "exact-linear-system")
-            for phase, A2 in _phase_matrices(g, env).items()
-        }
-    if method == "monte-carlo":
+        cfg = None
+    elif method == "monte-carlo":
         cfg = cfg or WalkConfig()
-        a, b = env.schedule.order
-        # step s multiplies by the means of state (first, second)[s % 2]
-        return {
-            env.states[first]: _mc_verdict(*_excursions(
-                g.D, env.means[[first, second]], home,
-                cfg.n_trials, cfg.seed, cfg.max_steps,
-            ))
-            for first, second in ((a, b), (b, a))
-        }
-    raise ValidationError(f"unknown method {method!r}")
+    else:
+        raise ValidationError(f"unknown method {method!r}")
+    order = env.schedule.order
+    out: dict[str, PersistenceVerdict] = {}
+    for s, v in zip(order, _phase_verdicts(g, env.means[list(order)], home, cfg)):
+        out.setdefault(env.states[s], v)
+    return out
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ the forward levels as gcd(level[u] + 1 - level[v]) over the class's edges
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,12 +49,31 @@ def _json_object(source: str | Path | dict, what: str, keys=()) -> dict:
             raise ValidationError(f"cannot read {what} file: {e}") from None
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ValidationError(f"{what} file {str(source)!r} is not valid JSON: {e}") from None
-    if not isinstance(source, dict):
+    return _object(source, what, keys)
+
+
+def _object(value, what: str, keys=()) -> dict:
+    """``value``, which must be a dict holding every one of ``keys``."""
+    if not isinstance(value, dict):
         raise ValidationError(f"{what} must be a JSON object")
     for key in keys:
-        if key not in source:
+        if key not in value:
             raise ValidationError(f'{what} JSON needs key "{key}"')
-    return source
+    return value
+
+
+def _number(value, what: str, kind: type = float):
+    """``value`` as a ``kind`` (``float`` or ``int``).
+
+    A value that is not a real number (a string, a bool, a list, null) and,
+    for ``int``, one with a fractional part are each a ``ValidationError``
+    naming ``what``.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or (kind is int and value % 1 != 0)):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{what} must be {noun}, not {value!r}")
+    return kind(value)
 
 
 def _as_array(value, what: str, dtype=float) -> np.ndarray:
@@ -135,7 +155,11 @@ class AssumptionReport:
 def load_graph(source: str | Path | dict) -> MetapopGraph:
     """Build a graph from a JSON file path or an already-parsed dict."""
     source = _json_object(source, "graph", ("m", "D"))
-    labels = tuple(source["labels"]) if "labels" in source else None
+    labels = source.get("labels")
+    if labels is not None:
+        if not isinstance(labels, list):
+            raise ValidationError("graph labels must be a JSON list")
+        labels = tuple(labels)
     return MetapopGraph(m=source["m"], D=source["D"], labels=labels)
 
 

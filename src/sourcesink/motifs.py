@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, _as_array, _json_object, validate_graph
+from .graph import MetapopGraph, _as_array, _json_object, _number, validate_graph
 from .spectral import mean_matrix, perron_value
 from .walks import PersistenceVerdict, _verdict_from_value, return_value_matrix
 
@@ -61,10 +61,6 @@ class Motif:
             m=[means[t] for t in self.types], D=self.D, labels=self.labels
         )
         object.__setattr__(self, "D", collapsed.D)
-
-    @property
-    def n_patches(self) -> int:
-        return len(self.types)
 
     def to_dict(self) -> dict:
         return {
@@ -170,11 +166,8 @@ class PipelineSpec:
 def load_pipeline(source: str | Path | dict) -> PipelineSpec:
     """Build a pipeline spec from a JSON file path or parsed dict."""
     source = _json_object(source, "pipeline", PIPELINE_FIELDS)
-    try:
-        fields = {key: kind(source[key]) for key, kind in PIPELINE_FIELDS.items()}
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ValidationError(f"pipeline fields must be numbers: {e}") from None
-    return PipelineSpec(**fields)
+    return PipelineSpec(**{key: _number(source[key], f"pipeline {key}", kind)
+                           for key, kind in PIPELINE_FIELDS.items()})
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ Since max x = ||(I - B)^-1||_inf >= 1 / (1 - rho(B)), a block within
 ``CRITICAL_RADIUS_TOL`` of criticality shows as max x >= 1 /
 ``CRITICAL_RADIUS_TOL`` and counts as divergent.
 
+The criterion is written once, in ``_phase_verdicts``, for a schedule of
+patch means that repeats with period P: the walker's return then counts
+only at multiples of P, and the expectation is that of the one-period
+product of mean matrices.  A fixed environment is the case P = 1.
+
 Also here: the two-habitat decomposition of the same quantity through the
 sink depleting rate e = E[m^S] (S = sojourn time in sinks between source
 visits), Monte Carlo estimation of the excursion product, and raw
@@ -25,6 +30,7 @@ excursion sampling for diagnostics.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +38,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import MetapopGraph, validate_graph
-from .spectral import mean_matrix
 
 # (I - B)^-1 1 reaching 1 / this counts as divergent; it always does once
 # rho(B) >= 1 - this
@@ -81,7 +86,7 @@ class PersistenceVerdict:
 
     def to_dict(self) -> dict:
         d = {
-            "R": "inf" if math.isinf(self.value) else self.value,
+            "R": self.value,
             "persists": self.persists,
             "method": self.method,
         }
@@ -152,12 +157,7 @@ def return_functional(A: np.ndarray, home: int) -> float:
 
 def return_functional_exact(g: MetapopGraph, home: int = 0) -> PersistenceVerdict:
     """Exact excursion criterion by linear solve on the away sub-matrix."""
-    if not 0 <= home < g.K:
-        raise ValidationError(f"home patch {home} out of range")
-    if not validate_graph(g).irreducible:
-        raise ValidationError("persistence criterion needs an irreducible graph")
-    value = return_functional(mean_matrix(g), home)
-    return _verdict_from_value(value, "exact-linear-system")
+    return _phase_verdicts(g, g.m[None, :], home)[0]
 
 
 def _excursions(
@@ -223,14 +223,37 @@ def return_functional_mc(
     product and are counted in ``truncated_mass``.  The CI is the 95%
     normal-approximation halfwidth.
     """
-    cfg = cfg or WalkConfig()
+    return _phase_verdicts(g, g.m[None, :], home, cfg or WalkConfig())[0]
+
+
+def _phase_verdicts(
+    g: MetapopGraph, means: np.ndarray, home: int, cfg: WalkConfig | None = None
+) -> list[PersistenceVerdict]:
+    """The return criterion of a periodic schedule, one verdict per starting phase.
+
+    Row t of ``means`` (P x K) holds the patch means of step t of the
+    period; a fixed environment is the one-row case.  Verdict s is for the
+    schedule rotated to start at row s, the walker returning home at a
+    multiple of P: the exact value of the one-period product of mean
+    matrices when ``cfg`` is None, else the Monte Carlo estimate.
+    """
     if not 0 <= home < g.K:
         raise ValidationError(f"home patch {home} out of range")
     if not validate_graph(g).irreducible:
         raise ValidationError("persistence criterion needs an irreducible graph")
-    return _mc_verdict(
-        *_excursions(g.D, g.m[None, :], home, cfg.n_trials, cfg.seed, cfg.max_steps)
-    )
+    rotated = [np.roll(means, -s, axis=0) for s in range(means.shape[0])]
+    if cfg is None:
+        return [
+            _verdict_from_value(
+                return_functional(functools.reduce(np.matmul, rows[:, :, None] * g.D), home),
+                "exact-linear-system",
+            )
+            for rows in rotated
+        ]
+    return [
+        _mc_verdict(*_excursions(g.D, rows, home, cfg.n_trials, cfg.seed, cfg.max_steps))
+        for rows in rotated
+    ]
 
 
 def depleting_rate(g: MetapopGraph) -> float:

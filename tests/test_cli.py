@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,33 @@ def test_periodic_command(tmp_path):
     assert rep["cross_checks"]["even_return_sign_agree"] is True
 
 
+def test_divergent_return_value_is_written_as_inf(tmp_path):
+    # m(1 - q) = 1.2 * 0.9 >= 1: the away block diverges
+    cfg = write_cfg(tmp_path, {"graph": {"m": [2.0, 1.2], "D": [[0.9, 0.1], [0.1, 0.9]]}})
+    code, js = run(tmp_path, ["analyze", "--config", cfg])
+    assert code == 0
+    assert '"R": "inf",' in js.read_text()
+    code, out = run(tmp_path, ["analyze", "--config", cfg, "--format", "csv"], "out.csv")
+    assert code == 0
+    assert "return_functional.R,inf\n" in out.read_text()
+
+
+def test_periodic_one_state_schedule_writes_the_analyze_return_value(tmp_path):
+    env = {"states": ["e"], "means": [GRAPH["m"]], "schedule": {"periodic": ["e"]}}
+    code, per = run(tmp_path, ["periodic", "--config",
+                               write_cfg(tmp_path, {"graph": GRAPH, "env": env, "home": 1})])
+    assert code == 0
+    code, ana = run(tmp_path, ["analyze", "--config",
+                               write_cfg(tmp_path, {"graph": GRAPH, "home": 1})], "a.json")
+    assert code == 0
+    r_line = re.compile(r'"R": (.*),\n')
+    per_text = per.read_text()
+    assert r_line.findall(per_text) == r_line.findall(ana.read_text())
+    rep = json.loads(per_text)
+    assert list(rep["even_return"]) == ["e"] and "edge_chain" not in rep
+    assert rep["cross_checks"] == {"even_return_sign_agree": True}
+
+
 def test_randenv_command(tmp_path):
     cfg = write_cfg(tmp_path, {
         "graph": {"m": [1.0, 1.0], "D": [[0.5, 0.5], [0.5, 0.5]]},
@@ -455,6 +483,18 @@ MALFORMED = {
         **PERIODIC_ENV, "means": [[4.0, "x"], [0.2, 0.9]]}}),
     "pipeline not an object": ("pipeline", {"pipeline": [1, 2]}),
     "non-numeric pipeline field": ("pipeline", {"pipeline": {**PIPELINE, "n": "x"}}),
+    "non-numeric home": ("analyze", {"graph": GRAPH, "home": "x"}),
+    "simulate block not an object": ("simulate", {"graph": GRAPH, "simulate": [1]}),
+    "mc block not an object": ("analyze --trials 10", {"graph": GRAPH, "mc": 3}),
+    "non-numeric markov alpha": ("randenv", {"graph": GRAPH, "env": {
+        **MARKOV_ENV, "schedule": {"markov": {"alpha": "x", "beta": 0.5}}}}),
+    "markov without beta": ("randenv", {"graph": GRAPH, "env": {
+        **MARKOV_ENV, "schedule": {"markov": {"alpha": 0.5}}}}),
+    "labels not a list": ("validate", {"graph": {**GRAPH, "labels": 5}}),
+    "negative seed with trials": ("analyze --trials 10 --seed -1", {"graph": GRAPH}),
+    "negative seed": ("simulate --seed -1", {"graph": GRAPH}),
+    "non-numeric seed": ("analyze", {"graph": GRAPH, "seed": "x"}),
+    "non-numeric seed with trials": ("analyze --trials 10", {"graph": GRAPH, "seed": "x"}),
 }
 
 
@@ -467,7 +507,7 @@ def test_malformed_input_exits_2_without_a_report(tmp_path, monkeypatch, capsys,
     elif config is not None:
         path.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "out.json"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert main([*command.split(), "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("validation error: ")
 

@@ -19,11 +19,13 @@ from sourcesink import (
     periodic_mean_matrix,
     random_env_lower_bound,
     return_functional_exact,
+    return_functional_mc,
     state_mean_matrix,
     two_patch_periodic_criterion,
 )
 from sourcesink.environments import LYAPUNOV_BATCHES, LYAPUNOV_BURN_IN, _markov_env_path
-from conftest import random_fully_mixing, two_patch
+from sourcesink.walks import return_functional
+from conftest import random_fully_mixing, random_graph, two_patch
 
 
 def alternation(g, means1, means2):
@@ -163,6 +165,68 @@ def test_even_return_mc_tracks_exact():
     assert math.isfinite(v.value)
     assert abs(w.value - v.value) <= 4 * w.ci_halfwidth
     assert w.method == "monte-carlo"
+
+
+def test_one_state_schedule_is_the_fixed_environment():
+    rng = np.random.default_rng(13)
+    cfg = WalkConfig(n_trials=300, seed=5, max_steps=10**4)
+    for _ in range(40):
+        g = random_graph(rng, int(rng.integers(2, 7)))
+        env = EnvironmentModel(states=("e",), means=[g.m], schedule=Periodic((0,)))
+        for home in range(g.K):
+            (v,) = even_return_functional(g, env, home).values()
+            assert v == return_functional_exact(g, home)
+            assert v.value == return_functional(mean_matrix(g), home)
+        (w,) = even_return_functional(g, env, 0, cfg, "monte-carlo").values()
+        assert w == return_functional_mc(g, 0, cfg)
+
+
+def test_every_phase_of_a_long_schedule_matches_the_product_sign():
+    rng = np.random.default_rng(14)
+    checked = 0
+    for _ in range(60):
+        K, n_states, P = (int(x) for x in rng.integers((2, 2, 3), (6, 4, 6)))
+        g = random_graph(rng, K, m_range=(1.0, 1.0))
+        env = EnvironmentModel(states=tuple(f"e{i}" for i in range(n_states)),
+                               means=rng.uniform(0.2, 2.0, (n_states, K)),
+                               schedule=Periodic(tuple(rng.integers(0, n_states, P).tolist())))
+        log_rho = math.log(growth_rate(periodic_mean_matrix(g, env)).rho)
+        if abs(log_rho) <= 1e-6:
+            continue
+        checked += 1
+        for v in even_return_functional(g, env, int(rng.integers(K))).values():
+            assert v.persists == (log_rho > 0)
+    assert checked >= 50
+
+
+def test_period_three_mc_tracks_exact():
+    g = MetapopGraph(m=[1.0, 1.0, 1.0],
+                     D=[[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    env = EnvironmentModel(states=("a", "b", "c"),
+                           means=[[3.0, 0.4, 0.5], [0.5, 2.0, 0.3], [0.6, 0.4, 1.5]],
+                           schedule=Periodic((0, 1, 2)))
+    exact = even_return_functional(g, env)
+    mc = even_return_functional(g, env, cfg=WalkConfig(n_trials=20_000, seed=3),
+                                method="monte-carlo")
+    assert list(exact) == list(mc) == ["a", "b", "c"]
+    for phase, v in exact.items():
+        assert abs(mc[phase].value - v.value) <= 4 * mc[phase].ci_halfwidth
+
+
+def test_repeated_schedules_keep_verdicts_and_first_phase_keys():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        g = random_graph(rng, 3, m_range=(1.0, 1.0))
+        means = rng.uniform(0.2, 2.0, (2, 3))
+
+        def phases(order):
+            env = EnvironmentModel(states=("e1", "e2"), means=means, schedule=Periodic(order))
+            return even_return_functional(g, env)
+
+        once, twice = phases((0, 1)), phases((0, 1, 0, 1))
+        assert list(twice) == ["e1", "e2"]
+        assert {k: v.persists for k, v in twice.items()} == {k: v.persists for k, v in once.items()}
+        assert list(phases((0, 1, 0))) == ["e1", "e2"]
 
 
 def test_edge_chain_matches_product_spectral():
