@@ -7,7 +7,9 @@ generation dispersal flows are recorded, which is enough to draw the
 ancestral patch sequence of a uniformly chosen survivor exactly by
 walking the flows backward: an individual's reproduction is independent
 of its ancestry, so the backward patch kernel at generation t is just the
-flow into its patch, column-normalized.
+flow into its patch, column-normalized.  Flows are stored per live row:
+each generation keeps the integer flows of the runs it stepped, and the
+escaped runs' expected counts from which their flows are rebuilt.
 
 Runs whose population exceeds the escape cap are declared survivors and
 switch to propagation by conditional means (relative fluctuations at that
@@ -15,16 +17,18 @@ size are below 1e-3), so growth-rate windows beyond the cap stay defined.
 
 One driver, ``_steps``, runs the generation loop of every entry point:
 it draws each run's environment state, then steps the live runs (alive,
-at most the escape cap) through the one kernel ``_generation``.  Extinct
-runs would draw nothing, since broods and multinomial splits of zero
-individuals consume no randomness, so skipping them leaves the streams
-unchanged.
+at most the escape cap) through the one kernel ``_generation``.  The live
+runs are a sorted index that only shrinks, so each generation touches
+only the rows that have work.  Extinct runs would draw nothing, since
+broods and multinomial splits of zero individuals consume no randomness,
+so skipping them leaves the streams unchanged.
 
 Reproducibility: ``patch_series`` draws from the one stream (seed, 0);
 ``simulate`` and ``extinction_probability`` take runs in chunks of
 ``CHUNK``, chunk c drawing from stream (seed, c), except that with lineage
-``simulate``'s chunk shrinks with horizon * K^2 to bound its flow storage.
-Reports are byte-identical for a given seed and arguments.
+``simulate``'s chunk shrinks with horizon * K^2.  That formula once bounded
+a dense flow array; it is kept only because it sets the streams.  Reports
+are byte-identical for a given seed and arguments.
 """
 
 from __future__ import annotations
@@ -82,20 +86,24 @@ class OffspringLaw:
         return False
 
     def sample_brood(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Total offspring of z parents per run (z is an int array)."""
+        """Total offspring of z parents per run (z is an int array).
+
+        Poisson and bernoulli-pair draw for every entry: a Poisson draw at
+        mean 0 and a binomial draw of 0 trials consume no randomness, so the
+        zeros leave the stream where a draw for the positive entries would.
+        numpy rejects 0 successes for the negative binomial, so the
+        geometric law draws for the positive entries only.
+        """
+        if self.kind == "poisson":
+            return rng.poisson(self.mean * z)
+        if self.kind == "bernoulli-pair":
+            return self.pair_n * rng.binomial(z, 1.0 - self.p0)
+        if self.kind == "deterministic":
+            return int(round(self.mean)) * z
         out = np.zeros_like(z)
         alive = z > 0
-        if not alive.any():
-            return out
-        za = z[alive]
-        if self.kind == "poisson":
-            out[alive] = rng.poisson(self.mean * za)
-        elif self.kind == "geometric":
-            out[alive] = rng.negative_binomial(za, 1.0 / (1.0 + self.mean))
-        elif self.kind == "deterministic":
-            out[alive] = int(round(self.mean)) * za
-        else:
-            out[alive] = self.pair_n * rng.binomial(za, 1.0 - self.p0)
+        if alive.any():
+            out[alive] = rng.negative_binomial(z[alive], 1.0 / (1.0 + self.mean))
         return out
 
 
@@ -196,10 +204,21 @@ def _env_states_for_gen(env, t, states, rng):
     if t == 0:
         states[:] = rng.random(states.size) >= env.schedule.nu
         return states
-    u = rng.random(states.size)
-    leave = np.where(states == 0, env.schedule.alpha, env.schedule.beta)
-    states[:] = np.where(u < leave, 1 - states, states)
+    leave = np.array([env.schedule.alpha, env.schedule.beta])[states]
+    states ^= rng.random(states.size) < leave
     return states
+
+
+def _add_columns(X):
+    """``X.sum(axis=1)`` of an integer array as K - 1 vector adds.
+
+    numpy's reduction over a short axis costs about ten times the adds at
+    K = 2; integer sums are exact, so the order does not matter.
+    """
+    out = X[:, 0].copy()
+    for i in range(1, X.shape[1]):
+        out += X[:, i]
+    return out
 
 
 def _generation(Z, states, laws, D, rng):
@@ -208,14 +227,16 @@ def _generation(Z, states, laws, D, rng):
     flows[r, i, j] counts the newborns of run r born in patch i that settle
     in patch j.  Draws go state group by state group (``np.unique`` order),
     then source patch by source patch: the brood, then its multinomial
-    split over ``D[i]``.  A single row of laws is one group, with no mask.
+    split over ``D[i]``.  A single group (one row of laws, or every run in
+    the same state) is drawn with no mask.
     """
     K = Z.shape[1]
-    flows = np.zeros((Z.shape[0], K, K), dtype=np.int64)
-    if len(laws) == 1:
-        groups = [(laws[0], slice(None))]
+    flows = np.empty((Z.shape[0], K, K), dtype=np.int64)
+    present = [0] if len(laws) == 1 else np.unique(states)
+    if len(present) == 1:
+        groups = [(laws[present[0]], slice(None))]
     else:
-        groups = [(laws[s], states == s) for s in np.unique(states)]
+        groups = [(laws[s], states == s) for s in present]
     for row, rows in groups:
         for i in range(K):
             brood = row[i].sample_brood(Z[rows, i], rng)
@@ -226,21 +247,40 @@ def _generation(Z, states, laws, D, rng):
 def _steps(Z, env, laws, D, rng, escape_cap):
     """Advance the counts ``Z`` in place, one generation per iteration.
 
-    Yields ``(states, live, flows)``: every run's environment state, the
-    runs stepped (those alive with at most ``escape_cap`` individuals,
-    starting counts included) and their flows, None if no run was live.
-    A run that dies out or passes the cap keeps its last counts.
+    Yields ``(states, live, flows, totals)``: every run's environment
+    state, the sorted indices of the runs stepped (those alive with at most
+    ``escape_cap`` individuals, starting counts included), their flows
+    (None if no run was live) and their totals after the step.  A run that
+    dies out or passes the cap leaves the live set for good and keeps its
+    last counts; the live runs' counts go back into ``Z`` by one scatter.
     """
     states = np.zeros(Z.shape[0], dtype=np.int64)
+    live = np.arange(Z.shape[0])
+    Zl, totals = Z, _add_columns(Z)
     for t in count():
-        totals = Z.sum(axis=1)
-        live = (totals > 0) & (totals <= escape_cap)
+        keep = (totals > 0) & (totals <= escape_cap)
+        if not keep.all():
+            live, Zl, totals = live[keep], Zl[keep], totals[keep]
         states = _env_states_for_gen(env, t, states, rng)
         flows = None
-        if live.any():
-            flows = _generation(Z[live], states[live], laws, D, rng)
-            Z[live] = flows.sum(axis=1)
-        yield states, live, flows
+        if live.size:
+            flows = _generation(Zl, states[live], laws, D, rng)
+            Zl = _add_columns(flows)
+            totals = _add_columns(Zl)
+            Z[live] = Zl
+        yield states, live, flows, totals
+
+
+def _propagate(Zf, A):
+    """Expected counts one generation on: ``Zf[r] @ A[r]`` (or ``@ A``).
+
+    Sums over the source patch in order, one vector add each, which is
+    the order ``(Zf[:, :, None] * A).sum(axis=1)`` takes, bit for bit.
+    """
+    out = Zf[:, 0, None] * A[..., 0, :]
+    for i in range(1, Zf.shape[1]):
+        out += Zf[:, i, None] * A[..., i, :]
+    return out
 
 
 def _run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
@@ -249,14 +289,16 @@ def _run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
 
     Integer counts while the population is below the escape cap; above it,
     counts continue as expected values in floats (and the run is marked
-    escaped).  Flows are stored per generation for backward lineage draws.
+    escaped), in a block of the escaped runs in the order they escaped.
+    With lineage, each generation keeps the driver's flows of its live runs
+    and the escaped block before the step, with the block's states.
     """
     K = g.K
     Z = np.zeros((n_runs, K), dtype=np.int64)
     Z[:, start_patch] = 1
-    Zf = np.zeros((n_runs, K))
-    escaped = np.zeros(n_runs, dtype=bool)
-    flows = np.zeros((horizon, n_runs, K, K)) if want_lineage else None
+    esc = np.zeros(0, dtype=np.intp)
+    Zf = np.zeros((0, K))
+    history = []
     sizes = np.zeros((horizon + 1, n_runs))
     sizes[0] = 1.0
     if env is None:
@@ -264,64 +306,90 @@ def _run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
     else:
         A = np.stack([state_mean_matrix(g, env, s) for s in range(env.n_states)])
     steps = _steps(Z, env, laws, g.D, rng, escape_cap)
-    for t, (states, live, born) in zip(range(horizon), steps):
-        if want_lineage and born is not None:
-            flows[t, live] = born
-        if escaped.any():
-            esc = np.flatnonzero(escaped)
-            flow_f = Zf[esc][:, :, None] * A[states[esc]]
-            Zf[esc] = flow_f.sum(axis=1)
-            if want_lineage:
-                flows[t, esc] = flow_f
-        totals = Z.sum(axis=1)
-        newly = (totals > escape_cap) & ~escaped
-        Zf[newly] = Z[newly]
-        escaped |= newly
-        sizes[t + 1] = np.where(escaped, Zf.sum(axis=1), totals)
-    final = np.where(escaped[:, None], Zf, Z)
+    for t, (states, live, born, totals) in zip(range(horizon), steps):
+        s = states[esc]
+        if want_lineage:
+            history.append((live, born, Zf, s))
+        if esc.size:
+            # with one state every escaped run takes A[0], by broadcasting
+            Zf = _propagate(Zf, A[0] if len(A) == 1 else A[s])
+            sizes[t + 1, esc] = Zf.sum(axis=1)
+        sizes[t + 1, live] = totals
+        newly = live[totals > escape_cap]
+        if newly.size:
+            esc = np.concatenate([esc, newly])
+            Zf = np.concatenate([Zf, Z[newly]])
+    escaped = np.zeros(n_runs, dtype=bool)
+    escaped[esc] = True
+    final = Z.astype(float)
+    final[esc] = Zf
     alive = final.sum(axis=1) > 0
     lineage_freq = None
     if want_lineage:
-        lineage_freq = _backward_lineages(flows, final, alive, horizon, K, rng)
+        lineage_freq = _backward_lineages(history, final, alive, esc, A, rng)
     return alive, escaped, sizes, lineage_freq
 
 
-def _backward_lineages(flows, final, alive, horizon, K, rng):
+def _backward_lineages(history, final, alive, esc, A, rng):
     """Ancestral patch-visit frequencies of one uniform survivor per run.
 
     A uniform individual's patch is drawn from the final counts; its
     ancestor's patch at each earlier generation follows the column-
-    normalized dispersal flow of that generation.  Frequencies count the
-    horizon + 1 points of the lineage.
+    normalized dispersal flow of that generation: the stored flow column
+    of a live run, or ``Zf[i] * A[s, i, cur]`` of an escaped one.
+    Frequencies count the horizon + 1 points of the lineage.
     """
-    idx = np.where(alive)[0]
+    n, K = final.shape
+    idx = np.flatnonzero(alive)
     if idx.size == 0:
-        return np.zeros((len(alive), K))
+        return np.zeros((n, K))
     probs = final[idx]
     probs = probs / probs.sum(axis=1, keepdims=True)
     cur = _categorical_rows(probs, rng)
     tallies = np.zeros((idx.size, K), dtype=np.int64)
     rows = np.arange(idx.size)
     tallies[rows, cur] += 1
-    for t in range(horizon - 1, -1, -1):
-        cols = flows[t, idx, :, :][rows, :, cur]
+    # each survivor's place in the escaped block, n if it never escaped;
+    # the block only grows, so at generation t it holds the first len(Zf)
+    block = np.full(n, n)
+    block[esc] = np.arange(esc.size)
+    block = block[idx]
+    cols = np.empty((idx.size, K))
+    for live, born, Zf, s in reversed(history):
+        was_esc = block < len(Zf)
+        was_live = ~was_esc
+        if was_live.any():
+            at = np.searchsorted(live, idx[was_live])
+            cols[was_live] = born[at, :, cur[was_live]]
+        if was_esc.any():
+            at = block[was_esc]
+            cols[was_esc] = Zf[at] * A[s[at], :, cur[was_esc]]
         colsum = cols.sum(axis=1, keepdims=True)
-        # a zero column can only happen for the run's pre-start rows; guard
+        # a lineage reaches a patch with no inflow only by rounding in the
+        # last category of a draw; guard the division
         safe = colsum[:, 0] > 0
         probs = np.where(safe[:, None], cols / np.where(colsum == 0, 1.0, colsum), 1.0 / K)
         cur = _categorical_rows(probs, rng)
         tallies[rows, cur] += 1
-    freq = np.zeros((len(alive), K))
-    freq[idx] = tallies / float(horizon + 1)
+    freq = np.zeros((n, K))
+    freq[idx] = tallies / float(len(history) + 1)
     return freq
 
 
 def _categorical_rows(probs: np.ndarray, rng) -> np.ndarray:
-    """One categorical draw per row of a probability matrix."""
-    c = np.cumsum(probs, axis=1)
-    c[:, -1] = 1.0
-    u = rng.random((probs.shape[0], 1))
-    return (u > c).sum(axis=1)
+    """One categorical draw per row of a probability matrix.
+
+    Counts the partial row sums below a uniform draw, summing columns in
+    order as ``np.cumsum`` would; the last partial sum is taken as 1, so it
+    is never counted.
+    """
+    u = rng.random(len(probs))
+    edge = np.zeros(len(probs))
+    out = np.zeros(len(probs), dtype=np.intp)
+    for p in probs.T[:-1]:
+        edge += p
+        out += u > edge
+    return out
 
 
 def simulate(
@@ -356,7 +424,8 @@ def simulate(
 
     chunk = CHUNK
     if track_lineage:
-        # flow storage is horizon * chunk * K * K doubles; budget ~64 MB
+        # the size that once held a dense flow array to ~64 MB; it sets the
+        # streams, so it stays
         chunk = max(32, min(CHUNK, (64 << 20) // (max(horizon, 1) * g.K * g.K * 8)))
     results = [
         _run_chunk(g, env, laws, horizon, min(chunk, n_runs - c * chunk),
@@ -473,8 +542,8 @@ def extinction_probability(
         Z = np.zeros((min(CHUNK, n_runs - c * CHUNK), g.K), dtype=np.int64)
         Z[:, home] = n_initial
         steps = _steps(Z, env, laws, g.D, np.random.default_rng([seed, c]), escape_cap)
-        for _, live, _ in islice(steps, max_generations):
-            if not live.any():
+        for _, live, _, _ in islice(steps, max_generations):
+            if not live.size:
                 break
         dead_total += int((Z.sum(axis=1) == 0).sum())
     q_hat = dead_total / n_runs

@@ -324,7 +324,9 @@ def cmd_simulate(cfg: dict, args) -> dict:
                horizon=_number(sim.get("horizon", 200), "simulate horizon", int),
                seed=int(cfg["seed"]), env=env, start_patch=_home(cfg))
     n_runs = _number(sim.get("n_runs", 10**4), "simulate n_runs", int)
-    lineage = bool(sim.get("lineage", True))
+    lineage = sim.get("lineage", True)
+    if not isinstance(lineage, bool):
+        raise ValidationError(f"simulate lineage must be true or false, not {lineage!r}")
     rep = simulate(g, n_runs=n_runs, track_lineage=lineage, **run)
     if lineage and rep.n_survived == 0:
         raise StatisticalError(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from sourcesink import (
     survivor_occupancy,
 )
 from sourcesink.branching import (
-    _backward_lineages,
     _env_states_for_gen,
     _generation,
     _run_chunk,
@@ -28,6 +28,36 @@ from sourcesink.branching import (
 )
 from sourcesink.walks import CHUNK
 from conftest import random_graph, two_patch
+
+
+def _masked_brood(law, z, rng):
+    """Poisson and bernoulli-pair broods drawn for the positive entries only."""
+    out = np.zeros_like(z)
+    alive = z > 0
+    if alive.any():
+        if law.kind == "poisson":
+            out[alive] = rng.poisson(law.mean * z[alive])
+        else:
+            out[alive] = law.pair_n * rng.binomial(z[alive], 1.0 - law.p0)
+    return out
+
+
+@pytest.mark.parametrize("law", [
+    OffspringLaw("poisson", 1.7), OffspringLaw("poisson", 0.0),
+    OffspringLaw("bernoulli-pair", 1.2, p0=0.4, pair_n=2),
+    OffspringLaw("bernoulli-pair", 2.7, p0=0.1, pair_n=3),
+    OffspringLaw("bernoulli-pair", 0.0, p0=1.0, pair_n=2),
+], ids=lambda law: f"{law.kind}-{law.mean}")
+def test_draws_at_zero_consume_no_randomness(law):
+    # sample_brood draws for every entry, zeros included; numpy must leave
+    # the stream where a draw for the positive entries only leaves it.
+    # Counts up to 60 reach both of numpy's Poisson and binomial samplers.
+    draw = np.random.default_rng(49)
+    z = draw.integers(1, 60, 500) * (draw.random(500) < 0.5)
+    rng, ref_rng = np.random.default_rng(50), np.random.default_rng(50)
+    for _ in range(3):
+        assert np.array_equal(law.sample_brood(z, rng), _masked_brood(law, z, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_offspring_law_validation():
@@ -230,6 +260,22 @@ def test_extinction_power_law_in_initial_size():
         assert abs(qk - q1**k) <= 2.5 * (cik + k * q1 ** (k - 1) * ci1)
 
 
+def test_lineage_storage_holds_only_what_the_backward_pass_reads():
+    # one lineage chunk: 655 runs at K = 8 and horizon 200, for which a
+    # dense (horizon, runs, K, K) flow array would take 64 MB; flows are
+    # kept for live runs only, and an escaped run keeps K expected counts
+    g = random_graph(np.random.default_rng(47), 8, m_range=(0.9, 1.5))
+    g = MetapopGraph(m=g.m * 1.25 / growth_rate(mean_matrix(g)).rho, D=g.D)
+    tracemalloc.start()
+    try:
+        rep = simulate(g, horizon=200, n_runs=655, seed=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_escaped > 0 and rep.n_survived < rep.n_runs
+    assert peak < 32 << 20
+
+
 def test_reports_are_deterministic_and_thread_invariant():
     g = two_patch()
     a = simulate(g, horizon=50, n_runs=1500, seed=17)
@@ -384,8 +430,40 @@ def _reference_run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape
     alive = final.sum(axis=1) > 0
     lineage_freq = None
     if want_lineage:
-        lineage_freq = _backward_lineages(flows, final, alive, horizon, K, rng)
+        lineage_freq = _reference_backward_lineages(flows, final, alive, horizon, K, rng)
     return alive, escaped, sizes, lineage_freq
+
+
+def _reference_backward_lineages(flows, final, alive, horizon, K, rng):
+    """The backward lineage pass over a dense (horizon, runs, K, K) flow array."""
+    idx = np.where(alive)[0]
+    if idx.size == 0:
+        return np.zeros((len(alive), K))
+    probs = final[idx]
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    cur = _reference_categorical_rows(probs, rng)
+    tallies = np.zeros((idx.size, K), dtype=np.int64)
+    rows = np.arange(idx.size)
+    tallies[rows, cur] += 1
+    for t in range(horizon - 1, -1, -1):
+        cols = flows[t, idx, :, :][rows, :, cur]
+        colsum = cols.sum(axis=1, keepdims=True)
+        # a zero column can only happen for the run's pre-start rows; guard
+        safe = colsum[:, 0] > 0
+        probs = np.where(safe[:, None], cols / np.where(colsum == 0, 1.0, colsum), 1.0 / K)
+        cur = _reference_categorical_rows(probs, rng)
+        tallies[rows, cur] += 1
+    freq = np.zeros((len(alive), K))
+    freq[idx] = tallies / float(horizon + 1)
+    return freq
+
+
+def _reference_categorical_rows(probs, rng):
+    """One categorical draw per row, by a cumulative sum and a row reduction."""
+    c = np.cumsum(probs, axis=1)
+    c[:, -1] = 1.0
+    u = rng.random((probs.shape[0], 1))
+    return (u > c).sum(axis=1)
 
 
 def _reference_patch_series(g, env, laws, horizon, n_runs, seed, start_patch, escape_cap):

@@ -485,6 +485,9 @@ MALFORMED = {
     "non-numeric pipeline field": ("pipeline", {"pipeline": {**PIPELINE, "n": "x"}}),
     "non-numeric home": ("analyze", {"graph": GRAPH, "home": "x"}),
     "simulate block not an object": ("simulate", {"graph": GRAPH, "simulate": [1]}),
+    "lineage a string": ("simulate", {"graph": GRAPH, "simulate": {"lineage": "no"}}),
+    "lineage a number": ("simulate", {"graph": GRAPH, "simulate": {"lineage": 1}}),
+    "lineage null": ("simulate", {"graph": GRAPH, "simulate": {"lineage": None}}),
     "mc block not an object": ("analyze --trials 10", {"graph": GRAPH, "mc": 3}),
     "non-numeric markov alpha": ("randenv", {"graph": GRAPH, "env": {
         **MARKOV_ENV, "schedule": {"markov": {"alpha": "x", "beta": 0.5}}}}),
