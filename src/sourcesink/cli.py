@@ -1,9 +1,11 @@
 """Command-line front end.
 
-One executable with subcommands; every run consumes a JSON config (plus
-flag overrides, flags win), emits a machine-readable report that embeds
-the resolved config, its hash and the seed, and uses fixed float
-formatting so identical inputs give byte-identical outputs.
+One executable with subcommands.  Every run reads its settings from one
+resolved JSON config: a flag overrides one config key and exists only on
+the subcommands that read it, so re-running a report's ``config`` block
+gives the same report.  Each report embeds that config, its hash (of the
+``dumps_report`` text) and the seed, with fixed float formatting so
+identical inputs give byte-identical outputs.
 
 ``main`` is the one front door: it resolves the config, calls
 ``cmd_<name>(cfg, args)`` for the report body, writes the
@@ -31,8 +33,6 @@ from . import __version__
 from .branching import patch_series, poisson_laws, geometric_laws, simulate
 from .environments import (
     EnvironmentModel,
-    MarkovSwitching,
-    Periodic,
     even_return_functional,
     load_environment,
     lyapunov_estimate,
@@ -166,28 +166,28 @@ def _report_csv(report: dict) -> str:
 
 
 def _provenance(config: dict) -> dict:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return {
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "config_sha256": hashlib.sha256(dumps_report(config).encode()).hexdigest(),
         "seed": config["seed"],
         "version": __version__,
     }
 
 
 def _load_config(args) -> dict:
-    """Resolve config file plus flag overrides (flags win)."""
+    """Resolve config file plus flag overrides (flags win).
+
+    An override flag's ``dest`` is the key it sets: ``name`` or ``block.name``.
+    """
     cfg = _json_object(args.config, "config") if args.config else {}
     for block in ("mc", "simulate", "randenv"):
         _object(cfg.get(block, {}), f'config "{block}"')
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg.setdefault("mc", {})["n_trials"] = args.trials
-        cfg.setdefault("simulate", {})["n_runs"] = args.trials
-    if getattr(args, "horizon", None) is not None:
-        cfg.setdefault("simulate", {})["horizon"] = args.horizon
-    cfg.setdefault("seed", 0)
-    if _number(cfg["seed"], "seed", int) < 0:
+    for key in args.overrides:
+        value = getattr(args, key)
+        if value is not None:
+            block, _, name = key.rpartition(".")
+            (cfg.setdefault(block, {}) if block else cfg)[name] = value
+    cfg["seed"] = _number(cfg.get("seed", 0), "seed", int)
+    if cfg["seed"] < 0:
         raise ValidationError(f"seed must be >= 0, not {cfg['seed']}")
     return cfg
 
@@ -211,7 +211,7 @@ def _walk_config(cfg: dict) -> WalkConfig:
     return WalkConfig(
         max_steps=_number(mc.get("max_steps", 10**7), "mc max_steps", int),
         n_trials=_number(mc.get("n_trials", 10**5), "mc n_trials", int),
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
 
 
@@ -228,15 +228,11 @@ def _laws_from_config(cfg, g, env):
     raise ValidationError(f"unknown law family {name!r} (use poisson or geometric)")
 
 
-def _env_from_config(cfg: dict, schedule_type: type, what: str) -> EnvironmentModel:
-    """The config's environment, which ``what`` analysis needs on a ``schedule_type``."""
+def _env_from_config(cfg: dict, what: str) -> EnvironmentModel:
+    """The config's environment, which ``what`` analysis needs."""
     if "env" not in cfg:
         raise ValidationError(f'{what} analysis needs an "env" block')
-    env = load_environment(cfg["env"])
-    if not isinstance(env.schedule, schedule_type):
-        kind = "periodic" if schedule_type is Periodic else "markov"
-        raise ValidationError(f"{what} analysis needs a {kind} schedule")
-    return env
+    return load_environment(cfg["env"])
 
 
 def _write_csv(path: str, header: str, lines) -> None:
@@ -299,13 +295,11 @@ def cmd_analyze(cfg: dict, args) -> dict:
             "spectral_vs_return_sign_agree": (sd.rho > 1.0) == verdict.persists,
         },
     }
-    if args.trials is not None:
+    if "mc" in cfg:
         mc = return_functional_mc(g, home, _walk_config(cfg))
         out["return_functional_mc"] = mc.to_dict()
         out["cross_checks"]["exact_minus_mc"] = verdict.value - mc.value
     if args.grid_out:
-        if g.K != 2:
-            raise ValidationError("--grid-out needs a two-patch graph")
         _write_csv(args.grid_out, "f1,R,I,R_minus_I",
                    (f"{f1:.17g},{R:.17g},{I:.17g},{RI:.17g}"
                     for f1, R, I, RI in rate_grid_2patch(g)))
@@ -322,7 +316,7 @@ def cmd_simulate(cfg: dict, args) -> dict:
     # the run settings ``simulate`` and ``patch_series`` share
     run = dict(laws=_laws_from_config(cfg, g, env),
                horizon=_number(sim.get("horizon", 200), "simulate horizon", int),
-               seed=int(cfg["seed"]), env=env, start_patch=_home(cfg))
+               seed=cfg["seed"], env=env, start_patch=_home(cfg))
     n_runs = _number(sim.get("n_runs", 10**4), "simulate n_runs", int)
     lineage = sim.get("lineage", True)
     if not isinstance(lineage, bool):
@@ -334,7 +328,7 @@ def cmd_simulate(cfg: dict, args) -> dict:
             'undefined; increase n_runs or set "simulate": {"lineage": false}'
         )
     if args.series_out:
-        series = patch_series(g, n_runs=min(int(sim.get("n_runs", 10)), 100), **run)
+        series = patch_series(g, n_runs=min(n_runs, 100), **run)
         _write_csv(args.series_out, "run,n," + ",".join(f"Z_{i}" for i in range(g.K)),
                    (f"{r},{t}," + ",".join(str(int(x)) for x in series[r, t])
                     for r, t in np.ndindex(series.shape[:2])))
@@ -343,7 +337,7 @@ def cmd_simulate(cfg: dict, args) -> dict:
 
 def cmd_periodic(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
-    env = _env_from_config(cfg, Periodic, "periodic")
+    env = _env_from_config(cfg, "periodic")
     A2 = periodic_mean_matrix(g, env)
     sd = growth_rate(A2)
     period = len(env.schedule.order)
@@ -387,9 +381,9 @@ def cmd_periodic(cfg: dict, args) -> dict:
 
 def cmd_randenv(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
-    env = _env_from_config(cfg, MarkovSwitching, "random-environment")
+    env = _env_from_config(cfg, "random-environment")
     n_steps = _number(cfg.get("randenv", {}).get("n_steps", 10**6), "randenv n_steps", int)
-    ly = lyapunov_estimate(g, env, n_steps=n_steps, seed=int(cfg["seed"]))
+    ly = lyapunov_estimate(g, env, n_steps=n_steps, seed=cfg["seed"])
     out = {
         "lyapunov": ly.to_dict(),
         "persists": ly.gamma > 0.0,
@@ -451,19 +445,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        p.add_argument("--trials", type=int, default=None,
-                       help="Monte Carlo trial / run count override")
-        p.add_argument("--horizon", type=int, default=None,
-                       help="simulation horizon override")
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(overrides=())
+
+    def override(p, flag, key, help):
+        p.add_argument(flag, type=int, default=None, dest=key, help=help)
+        p.set_defaults(overrides=p.get_default("overrides") + (key,))
 
     p = sub.add_parser("validate", help="check graph assumptions")
     common(p)
 
     p = sub.add_parser("analyze", help="fixed-environment cross-method analysis")
     common(p)
+    override(p, "--seed", "seed", "RNG seed")
+    override(p, "--trials", "mc.n_trials", "Monte Carlo excursion count")
     p.add_argument("--grid-out", default=None,
                    help="CSV of the two-patch rate landscape (f1, R, I, R-I)")
     p.add_argument("--excursions-out", default=None,
@@ -471,6 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="multitype branching simulation")
     common(p)
+    override(p, "--seed", "seed", "RNG seed")
+    override(p, "--trials", "simulate.n_runs", "number of branching runs")
+    override(p, "--horizon", "simulate.horizon", "generations per run")
     p.add_argument("--series-out", default=None,
                    help="CSV of per-run patch-count time series")
 
@@ -479,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("randenv", help="Markov random-environment analysis")
     common(p)
+    override(p, "--seed", "seed", "RNG seed")
 
     p = sub.add_parser("pipeline", help="sink-pipeline closed forms")
     common(p)

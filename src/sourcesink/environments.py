@@ -180,7 +180,6 @@ def even_return_functional(
     env: EnvironmentModel,
     home: int = 0,
     cfg: WalkConfig | None = None,
-    method: str = "exact",
 ) -> dict[str, PersistenceVerdict]:
     """Persistence via first return of the walker to home at a multiple of the period.
 
@@ -189,16 +188,11 @@ def even_return_functional(
     fixed-environment return machinery applies to it directly.  Results
     are keyed by the state that starts each phase (the value depends on
     the phase; the persistence verdict does not); a state that starts
-    several phases reports its first.
+    several phases reports its first.  The values are exact when ``cfg``
+    is None, else Monte Carlo estimates with ``cfg``'s trials and seed.
     """
     if not isinstance(env.schedule, Periodic):
         raise ValidationError("even-return analysis needs a periodic schedule")
-    if method == "exact":
-        cfg = None
-    elif method == "monte-carlo":
-        cfg = cfg or WalkConfig()
-    else:
-        raise ValidationError(f"unknown method {method!r}")
     order = env.schedule.order
     out: dict[str, PersistenceVerdict] = {}
     for s, v in zip(order, _phase_verdicts(g, env.means[list(order)], home, cfg)):

@@ -464,9 +464,65 @@ def test_every_report_opens_with_the_same_header(tmp_path, command):
     assert list(rep)[:3] == ["command", "provenance", "config"]
     assert rep["command"] == command
     resolved = {"seed": 0, **config}
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    canonical = dumps_report(rep["config"])
     assert rep["provenance"]["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
     assert rep["provenance"]["seed"] == resolved["seed"]
+
+
+# every flag each subcommand accepts, each with a value to pass it
+COMMAND_FLAGS = {
+    "validate": {},
+    "analyze": {"--seed": "4", "--trials": "200", "--grid-out": "grid.csv",
+                "--excursions-out": "exc.csv"},
+    "simulate": {"--seed": "6", "--trials": "100", "--horizon": "15",
+                 "--series-out": "series.csv"},
+    "periodic": {},
+    "randenv": {"--seed": "5"},
+    "pipeline": {},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_CONFIGS))
+def test_a_reports_config_alone_reproduces_the_report(tmp_path, command):
+    # every config holds integral floats such as 2.0, which the report writes as 2
+    config = {**COMMAND_CONFIGS[command], "seed": 7.0}
+    flags = [x for flag, value in COMMAND_FLAGS[command].items()
+             for x in (flag, str(tmp_path / value) if flag.endswith("-out") else value)]
+    code, first = run(tmp_path, [command, "--config", write_cfg(tmp_path, config), *flags],
+                      "first.json")
+    assert code == 0
+    echoed = write_cfg(tmp_path, json.loads(first.read_text())["config"], "echoed.json")
+    code, second = run(tmp_path, [command, "--config", echoed], "second.json")
+    assert code == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys):
+    (sub,) = [a for a in cli.build_parser()._actions if a.choices and "analyze" in a.choices]
+    common = {"-h", "--help", "--config", "--out", "--format"}
+    for command, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert flags == common | set(COMMAND_FLAGS[command]), command
+    cfg = write_cfg(tmp_path, {"graph": GRAPH, "pipeline": PIPELINE, "env": PERIODIC_ENV})
+    out = tmp_path / "out.json"
+    for argv in ("validate --seed 1", "analyze --horizon 5", "periodic --trials 5",
+                 "randenv --trials 5", "pipeline --horizon 3"):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv.split(), "--config", cfg, "--out", str(out)])
+        assert exit_.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_float_seed_is_read_as_its_integer(tmp_path):
+    csvs = []
+    for seed in (3.0, 3):
+        exc = tmp_path / f"exc{seed!r}.csv"
+        cfg = write_cfg(tmp_path, {"graph": GRAPH, "seed": seed}, f"cfg{seed!r}.json")
+        code, _ = run(tmp_path, ["analyze", "--config", cfg, "--excursions-out", str(exc)])
+        assert code == 0
+        csvs.append(exc.read_text())
+    assert csvs[0] == csvs[1]
 
 
 MALFORMED = {
@@ -494,6 +550,10 @@ MALFORMED = {
     "markov without beta": ("randenv", {"graph": GRAPH, "env": {
         **MARKOV_ENV, "schedule": {"markov": {"alpha": 0.5}}}}),
     "labels not a list": ("validate", {"graph": {**GRAPH, "labels": 5}}),
+    "periodic on a markov schedule": ("periodic", {"graph": GRAPH, "env": MARKOV_ENV}),
+    "randenv on a periodic schedule": ("randenv", {"graph": GRAPH, "env": PERIODIC_ENV}),
+    "rate grid of three patches": ("analyze --grid-out grid.csv", {"graph": {
+        "m": [2.0, 0.5, 1.0], "D": [[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.3, 0.3, 0.4]]}}),
     "negative seed with trials": ("analyze --trials 10 --seed -1", {"graph": GRAPH}),
     "negative seed": ("simulate --seed -1", {"graph": GRAPH}),
     "non-numeric seed": ("analyze", {"graph": GRAPH, "seed": "x"}),
@@ -511,7 +571,7 @@ def test_malformed_input_exits_2_without_a_report(tmp_path, monkeypatch, capsys,
         path.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "out.json"
     assert main([*command.split(), "--config", str(path), "--out", str(out)]) == 2
-    assert not out.exists()
+    assert not out.exists() and not (tmp_path / "grid.csv").exists()
     assert capsys.readouterr().err.startswith("validation error: ")
 
 

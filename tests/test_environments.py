@@ -157,9 +157,7 @@ def test_even_return_all_unit_means_is_one():
 def test_even_return_mc_tracks_exact():
     g, env = coupled_sinks()
     exact = even_return_functional(g, env)
-    mc = even_return_functional(
-        g, env, cfg=WalkConfig(n_trials=100_000, seed=17), method="monte-carlo"
-    )
+    mc = even_return_functional(g, env, cfg=WalkConfig(n_trials=100_000, seed=17))
     v = exact["e1"]
     w = mc["e1"]
     assert math.isfinite(v.value)
@@ -177,7 +175,7 @@ def test_one_state_schedule_is_the_fixed_environment():
             (v,) = even_return_functional(g, env, home).values()
             assert v == return_functional_exact(g, home)
             assert v.value == return_functional(mean_matrix(g), home)
-        (w,) = even_return_functional(g, env, 0, cfg, "monte-carlo").values()
+        (w,) = even_return_functional(g, env, 0, cfg).values()
         assert w == return_functional_mc(g, 0, cfg)
 
 
@@ -206,8 +204,7 @@ def test_period_three_mc_tracks_exact():
                            means=[[3.0, 0.4, 0.5], [0.5, 2.0, 0.3], [0.6, 0.4, 1.5]],
                            schedule=Periodic((0, 1, 2)))
     exact = even_return_functional(g, env)
-    mc = even_return_functional(g, env, cfg=WalkConfig(n_trials=20_000, seed=3),
-                                method="monte-carlo")
+    mc = even_return_functional(g, env, cfg=WalkConfig(n_trials=20_000, seed=3))
     assert list(exact) == list(mc) == ["a", "b", "c"]
     for phase, v in exact.items():
         assert abs(mc[phase].value - v.value) <= 4 * mc[phase].ci_halfwidth
@@ -399,8 +396,7 @@ def test_even_return_mc_reports_truncation():
     env = alternation(g, [2.0, 0.5], [0.5, 2.0])
     n = 2500
     exact = 1.0 - ((1 - p) ** 2 + p * q)
-    res = even_return_functional(g, env, cfg=WalkConfig(max_steps=3, n_trials=n, seed=2),
-                                 method="monte-carlo")
+    res = even_return_functional(g, env, cfg=WalkConfig(max_steps=3, n_trials=n, seed=2))
     for v in res.values():
         assert v.truncated_mass > 0
         assert abs(v.truncated_mass - exact) <= 4 * math.sqrt(exact * (1 - exact) / n)
