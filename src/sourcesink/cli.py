@@ -270,6 +270,7 @@ def cmd_analyze(cfg: dict, args) -> dict:
             "left": sd.left,
             "right": sd.right,
             "phi": phi_spec,
+            "residual": sd.residual,
         },
         "stationary": u,
         "return_functional": verdict.to_dict(),
@@ -343,6 +344,7 @@ def cmd_periodic(cfg: dict, args) -> dict:
     period = len(env.schedule.order)
     out = {
         "product_matrix_rho": sd.rho,
+        "product_matrix_residual": sd.residual,
         "log_rho_per_step": math.log(sd.rho) / period,
         "persists": sd.rho > 1.0,
     }
@@ -359,6 +361,7 @@ def cmd_periodic(cfg: dict, args) -> dict:
         "occupancy_edges": ec.occupancy_edges,
         "marginal_even": ec.marginal_even,
         "marginal_odd": ec.marginal_odd,
+        "residual": ec.residual,
     }
     out["cross_checks"] = {
         "edge_chain_vs_product_log_rho": ec.log_growth - ec.log_growth_spectral,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import MetapopGraph, _as_array, _json_object, _number, _object, validate_graph
 from .spectral import growth_rate
-from .variational import argmax_occupancy, max_rate_gap
+from .variational import _twisted_occupancy, max_rate_gap
 from .walks import PersistenceVerdict, WalkConfig, _phase_verdicts, _verdict_from_value
 
 LYAPUNOV_BURN_IN = 1000
@@ -209,7 +209,9 @@ class EdgeChainResult:
     matrix of optimal pair frequencies (zero on non-edges), and the two
     marginals are the patch occupancies at even and odd steps.  The
     spectral growth rate of the two-step product is carried alongside as a
-    cross-check.
+    cross-check.  ``residual`` is the max-norm residual / root of the
+    twisted chain's Perron vector, solved at the product's root; it is
+    None on the simplex route.
     """
 
     two_log_growth: float
@@ -219,6 +221,7 @@ class EdgeChainResult:
     marginal_odd: np.ndarray
     method: str
     log_growth_spectral: float
+    residual: float | None = None
 
 
 def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> tuple[MetapopGraph, list[tuple[int, int]]]:
@@ -247,6 +250,11 @@ def periodic_growth_and_occupancy(
 
     Requires positive means in both states and a primitive edge chain (a
     periodic edge chain is rejected, matching the fixed-environment rule).
+    The twisted chain of the edge chain has the two-step product's Perron
+    root, which one K x K eigen-solve gives, so its Perron vector is one
+    bordered LU solve at that root rather than an eigen-solve of the
+    (up to K^2)-state chain.  The edge chain's log root is still read off
+    its own vectors, so a wrong chain shows in the cross-check.
     """
     if np.any(env.means <= 0):
         raise ValidationError("edge-chain analysis needs positive means in all states")
@@ -256,8 +264,9 @@ def periodic_growth_and_occupancy(
         raise ValidationError("edge chain is not irreducible")
     if not report.aperiodic:
         raise ValidationError("edge chain is periodic; the occupancy theory needs aperiodicity")
+    rho_prod = growth_rate(periodic_mean_matrix(g, env)).rho
     if method == "twisted-eigen":
-        res = argmax_occupancy(eg)
+        res = _twisted_occupancy(eg, rho_prod)
     elif method == "simplex-optimize":
         res = max_rate_gap(eg)
     else:
@@ -265,7 +274,6 @@ def periodic_growth_and_occupancy(
     phi = np.zeros((g.K, g.K))
     for (i, j), val in zip(pairs, res.occupancy):
         phi[i, j] = val
-    rho_prod = growth_rate(periodic_mean_matrix(g, env)).rho
     return EdgeChainResult(
         two_log_growth=res.log_growth,
         log_growth=0.5 * res.log_growth,
@@ -274,6 +282,7 @@ def periodic_growth_and_occupancy(
         marginal_odd=phi.sum(axis=0),
         method=res.method,
         log_growth_spectral=0.5 * math.log(rho_prod),
+        residual=res.residual,
     )
 
 

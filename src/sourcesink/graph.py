@@ -11,7 +11,8 @@ the structural checks used as preconditions elsewhere (irreducibility,
 aperiodicity, positive means), the stationary law of the single random
 walker on the graph, and the Perron kernel that the spectral and
 variational modules share: a dense eigen-solve when the Perron root is
-unknown, one LU solve when it is known.
+unknown, one LU solve when it is known.  A graph's arrays are read-only
+copies, so its structure check is made once and kept on the graph.
 
 Every question about the support graph goes through one breadth-first
 search, ``_levels``, which expands a whole frontier per numpy step over a
@@ -23,6 +24,7 @@ the forward levels as gcd(level[u] + 1 - level[v]) over the class's edges
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import dataclass
@@ -85,9 +87,12 @@ def _as_array(value, what: str, dtype=float) -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """A read-only copy, returned as a view: an array that owns its data can
+    be made writeable again, and a graph's kept structure check relies on
+    its arrays never changing."""
     a = np.array(a, dtype=float)
     a.flags.writeable = False
-    return a
+    return a.view()
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,12 @@ class MetapopGraph:
     @property
     def K(self) -> int:
         return self.m.size
+
+    @functools.cached_property
+    def _assumptions(self) -> AssumptionReport:
+        """``validate_graph``'s report, computed on first use: ``m`` and ``D``
+        are read-only copies, so it cannot go stale."""
+        return _assumption_report(self.D > 0, self.m)
 
     def to_dict(self) -> dict:
         d = {"m": self.m.tolist(), "D": self.D.tolist()}
@@ -218,19 +229,7 @@ def _structure(S: np.ndarray) -> tuple[bool, int]:
     return bool((root_of == 0).all()), period or 1
 
 
-def validate_graph(g: MetapopGraph | np.ndarray) -> AssumptionReport:
-    """Check the standing structural assumptions of the analysis.
-
-    Irreducibility is reachability on edges with positive weight; the
-    period is the gcd of return-cycle lengths within each communicating
-    class, read off breadth-first level sets (``_structure``).  ``g`` may
-    also be a non-negative mean matrix A = m * D, as ``growth_rate`` passes
-    it: its support is A > 0 and its patch means are its row sums.
-    """
-    if isinstance(g, MetapopGraph):
-        support, means = g.D > 0, g.m
-    else:
-        support, means = g > 0, g.sum(axis=1)
+def _assumption_report(support: np.ndarray, means: np.ndarray) -> AssumptionReport:
     irreducible, period = _structure(support)
     return AssumptionReport(
         irreducible=irreducible,
@@ -238,6 +237,22 @@ def validate_graph(g: MetapopGraph | np.ndarray) -> AssumptionReport:
         positive_means=bool(np.all(means > 0)),
         period=period,
     )
+
+
+def validate_graph(g: MetapopGraph | np.ndarray) -> AssumptionReport:
+    """Check the standing structural assumptions of the analysis.
+
+    Irreducibility is reachability on edges with positive weight; the
+    period is the gcd of return-cycle lengths within each communicating
+    class, read off breadth-first level sets (``_structure``).  ``g`` may
+    also be a non-negative mean matrix A = m * D, as ``growth_rate`` passes
+    it: its support is A > 0 and its patch means are its row sums.  A
+    graph is checked once and its report kept; a matrix is checked on
+    every call.
+    """
+    if isinstance(g, MetapopGraph):
+        return g._assumptions
+    return _assumption_report(g > 0, g.sum(axis=1))
 
 
 def _perron(A: np.ndarray, root: float | None = None) -> tuple[float, np.ndarray]:
@@ -251,11 +266,16 @@ def _perron(A: np.ndarray, root: float | None = None) -> tuple[float, np.ndarray
     entries of one sign; ``abs`` fixes that sign and clears rounding-level
     negatives of near-zero entries.
 
-    With the Perron ``root`` known (1 for a stochastic chain), the vector
-    is one LU solve: the null vector of root*I - A with its last equation
-    replaced by sum = 1.  The Perron root of an irreducible matrix is
-    simple and its left vector is positive, so the last equation is
-    redundant and the bordered system is nonsingular.
+    ``root`` may be given only when every column of ``A`` sums to it, as
+    for the transposed stochastic matrix of a stationary law or the
+    column-stochastic twisted chain D''.  Then the complementary (left)
+    Perron vector is all ones, so the last equation of root*I - A is
+    exactly minus the sum of the others, and replacing it by sum = 1 loses
+    nothing: the vector is one LU solve.  Any other known root goes to
+    ``_bordered_perron``: for a left vector y, the rows of root*I - A
+    satisfy y_K (last row) = -sum_{i<K} y_i (row i), so when y_K is tiny
+    the rows that remain are nearly dependent and the replaced system is
+    near-singular.
     """
     if root is None:
         w, V = np.linalg.eig(A)
@@ -269,6 +289,30 @@ def _perron(A: np.ndarray, root: float | None = None) -> tuple[float, np.ndarray
         x = np.linalg.solve(M, b)
     x = np.abs(x)
     return root, x / x.sum()
+
+
+def _bordered_perron(A: np.ndarray, root: float) -> np.ndarray:
+    """Right Perron vector (sum 1) of an irreducible non-negative matrix
+    whose Perron ``root`` is known, by one bordered LU solve.
+
+    Solves [[root*I - A, 1], [1^T, 0]] [x; mu] = [0; 1].  The bordered
+    matrix is nonsingular because the root is simple and both Perron
+    vectors are positive, so neither meets the border orthogonally; unlike
+    ``_perron``'s replaced equation, no single entry of the left vector
+    sets its conditioning.  When ``root`` is off by a small amount, x is
+    still the Perron vector to first order, and the residual of
+    A x = root x shows the error.
+    """
+    n = A.shape[0]
+    M = np.empty((n + 1, n + 1))
+    M[:n, :n] = -A
+    M[np.diag_indices(n)] += root
+    M[:n, n] = M[n, :n] = 1.0
+    M[n, n] = 0.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    x = np.abs(np.linalg.solve(M, b)[:n])
+    return x / x.sum()
 
 
 def stationary_distribution(g: MetapopGraph) -> np.ndarray:

@@ -8,12 +8,14 @@ the asymptotic spatial profile is the left Perron vector, and the lineage
 occupancy of a random survivor is the normalized entrywise product of the
 left and right Perron vectors.
 
-The Perron root of a mean matrix is unknown, so each Perron pair comes
-from one dense eigen-solve (``graph._perron``); nearly decomposable and
-periodic supports are answered as directly as any other, and there is no
-iteration, tolerance or iteration cap to tune.  Questions whose root is
-known (stationary laws) or that only ask which side of 1 a spectral radius
-lies on (excursion divergence, in ``walks``) take one LU solve instead.
+The Perron root of a mean matrix is unknown, so each Perron pair is one
+dense eigen-solve for the root and the right vector (``graph._perron``)
+plus one bordered LU solve for the left vector at that root
+(``graph._bordered_perron``); nearly decomposable and periodic supports
+are answered as directly as any other, and there is no iteration,
+tolerance or iteration cap to tune.  Questions whose root is known
+(stationary laws) or that only ask which side of 1 a spectral radius lies
+on (excursion divergence, in ``walks``) take one LU solve instead.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, _perron, validate_graph
+from .graph import MetapopGraph, _bordered_perron, _perron, validate_graph
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,8 @@ def growth_rate(A: np.ndarray) -> SpectralData:
 
     Requires positive means (no zero row) and an irreducible support graph;
     a periodic support is allowed but flagged, since then only ``rho``
-    carries the usual meaning.
+    carries the usual meaning.  ``residual`` is the larger max-norm
+    residual of the two vectors' eigen-equations.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
@@ -76,7 +79,7 @@ def growth_rate(A: np.ndarray) -> SpectralData:
     if not report.irreducible:
         raise ValidationError("mean matrix support is not irreducible")
     rho, right = _perron(A)
-    _, left = _perron(A.T)
+    left = _bordered_perron(A.T, rho)
     residual = float(
         max(np.abs(A @ right - rho * right).max(), np.abs(left @ A - rho * left).max())
     )

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 from .graph import (
     MetapopGraph,
+    _bordered_perron,
     _levels,
     _perron,
     as_frequencies,
@@ -86,6 +87,7 @@ class VariationalResult:
     method: str
     iterations: int = 0
     gap: float | None = None  # certified value error bound (simplex route)
+    residual: float | None = None  # max-norm residual / root of D' at v (twisted route)
 
 
 def payoff(g: MetapopGraph, f) -> float:
@@ -391,14 +393,31 @@ def argmax_occupancy(g: MetapopGraph) -> VariationalResult:
     one LU solve.
     """
     _require_primitive_positive(g)
+    return _twisted_occupancy(g)
+
+
+def _twisted_occupancy(g: MetapopGraph, root: float | None = None) -> VariationalResult:
+    """``argmax_occupancy`` on a checked graph, at the Perron ``root`` of D' if known.
+
+    A known root (the edge chain's is the root of the two-step product)
+    turns the eigen-solve of D' into one bordered LU solve
+    (``_bordered_perron``).  The value is still read off v and phi, and it
+    is stationary in v, so it is the log root of D' itself up to second
+    order in an error of ``root``; the residual of v shows that error at
+    first order.
+    """
     Dp = g.D * g.m[None, :]
-    _, v = _perron(Dp.T)
+    if root is None:
+        root, v = _perron(Dp.T)
+    else:
+        v = _bordered_perron(Dp.T, root)
     vD = v @ g.D
+    residual = float(np.abs(vD * g.m - root * v).max()) / root
     Dpp = (v[:, None] * g.D) / vD[None, :]
     _, phi = _perron(Dpp, 1.0)
     cost = float(phi @ (np.log(v) - np.log(vD)))
     gain = float(phi @ np.log(g.m))
-    return VariationalResult(gain - cost, phi, "twisted-eigen")
+    return VariationalResult(gain - cost, phi, "twisted-eigen", residual=residual)
 
 
 def rate_grid_2patch(g: MetapopGraph, n: int = 99) -> list[tuple[float, float, float, float]]:

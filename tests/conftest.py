@@ -33,6 +33,42 @@ def random_graph(rng, K, m_range=(0.05, 3.0), zero_frac=0.35, min_spread=0.0):
             return g
 
 
+def recipe_dispersal(rng, D):
+    """``D`` with each off-diagonal entry times 10^U(-9, -2), diagonal refilled.
+
+    Weak, uneven coupling: the hard-graph recipe for the Perron solvers and
+    the simplex route.  Rows stay stochastic and the support is unchanged.
+    """
+    K = D.shape[0]
+    D = D * 10.0 ** rng.uniform(-9, -2, (K, K))
+    D[np.diag_indices(K)] = 0.0
+    D[np.diag_indices(K)] = 1.0 - D.sum(axis=1)
+    return D
+
+
+def hard_graphs(n, seed=2026):
+    """``n`` recipe graphs, K = 2 ... 64; every second one also has its
+    means scaled by 10^U(-6, 0), so some patches are nearly lethal."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        K = int(rng.integers(2, 65))
+        g = random_graph(rng, K)
+        m = g.m * 10.0 ** rng.uniform(-6, 0, K) if i % 2 else g.m
+        yield MetapopGraph(m=m, D=recipe_dispersal(rng, g.D))
+
+
+def eigen_solve_shapes(monkeypatch):
+    """The shapes of the matrices that reach ``np.linalg.eig``/``eigvals``
+    from now on, in call order."""
+    shapes = []
+    for name in ("eig", "eigvals"):
+        def counted(A, _solve=getattr(np.linalg, name)):
+            shapes.append(np.shape(A))
+            return _solve(A)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
 def random_fully_mixing(rng, K, m_range=(0.05, 3.0)):
     """Parent-independent migration: every row of D is the same delta."""
     delta = rng.dirichlet(np.ones(K) * 2.0)

@@ -160,6 +160,7 @@ def test_analyze_cross_checks(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert abs(rep["spectral"]["rho"] - 1.25) < 1e-9
+    assert 0.0 <= rep["spectral"]["residual"] <= 1e-14
     assert rep["return_functional"]["persists"] is True
     assert abs(rep["return_functional"]["R"] - 4.0 / 3.0) < 1e-12
     assert abs(rep["cross_checks"]["log_rho_minus_simplex_max"]) < 1e-6
@@ -268,6 +269,8 @@ def test_periodic_command(tmp_path):
     assert rep["persists"] is True
     assert abs(rep["product_matrix_rho"] - 1.3475) < 1e-9
     assert abs(rep["cross_checks"]["edge_chain_vs_product_log_rho"]) < 1e-9
+    assert 0.0 <= rep["product_matrix_residual"] <= 1e-14
+    assert 0.0 <= rep["edge_chain"]["residual"] <= 1e-14
     assert rep["two_patch_criterion"]["persists"] is True
     assert rep["cross_checks"]["even_return_sign_agree"] is True
 

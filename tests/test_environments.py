@@ -10,6 +10,8 @@ from sourcesink import (
     Periodic,
     ValidationError,
     WalkConfig,
+    argmax_occupancy,
+    edge_chain,
     even_return_functional,
     growth_rate,
     load_environment,
@@ -23,9 +25,16 @@ from sourcesink import (
     state_mean_matrix,
     two_patch_periodic_criterion,
 )
+from sourcesink import environments
 from sourcesink.environments import LYAPUNOV_BATCHES, LYAPUNOV_BURN_IN, _markov_env_path
 from sourcesink.walks import return_functional
-from conftest import random_fully_mixing, random_graph, two_patch
+from conftest import (
+    eigen_solve_shapes,
+    random_fully_mixing,
+    random_graph,
+    recipe_dispersal,
+    two_patch,
+)
 
 
 def alternation(g, means1, means2):
@@ -277,6 +286,62 @@ def test_edge_chain_simplex_method_on_weakly_coupled_graph():
     assert abs(res.log_growth - tw.log_growth) <= 1e-10
     assert np.abs(res.occupancy_edges - tw.occupancy_edges).max() <= 1e-6
     assert res.method == "simplex-optimize"
+
+
+def test_edge_chain_makes_no_eigen_solve_above_k(monkeypatch):
+    # the edge chain (here 9 patches, more edge states) is solved at the
+    # two-step product's root, which one 9 x 9 eigen-solve gives
+    rng = np.random.default_rng(33)
+    g = random_graph(rng, 9)
+    env = alternation(g, rng.uniform(0.3, 2.5, 9), rng.uniform(0.3, 2.5, 9))
+    shapes = eigen_solve_shapes(monkeypatch)
+    res = periodic_growth_and_occupancy(g, env)
+    assert edge_chain(g, env)[0].K > 9
+    assert shapes == [(9, 9)]
+    assert res.residual <= 1e-14
+
+
+def test_edge_chain_at_the_product_root_on_hard_alternations():
+    # random alternations up to K = 20; every second one has recipe
+    # dispersal and means scaled by 10^U(-6, 0).  The reference is the
+    # edge chain's own eigen-solve (argmax_occupancy on the chain).
+    rng = np.random.default_rng(34)
+    for n in range(20):
+        K = int(rng.integers(2, 21))
+        g = random_graph(rng, K)
+        means = rng.uniform(0.3, 2.5, (2, K))
+        if n % 2:
+            g = MetapopGraph(m=g.m, D=recipe_dispersal(rng, g.D))
+            means *= 10.0 ** rng.uniform(-6, 0, (2, K))
+        env = alternation(g, *means)
+        res = periodic_growth_and_occupancy(g, env)
+        assert abs(res.log_growth - res.log_growth_spectral) <= 1e-12
+        eg, pairs = edge_chain(g, env)
+        ref = np.zeros((K, K))
+        ref[tuple(np.array(pairs).T)] = argmax_occupancy(eg).occupancy
+        assert np.abs(res.occupancy_edges - ref).max() <= 1e-12
+
+
+def test_edge_chain_cross_check_sees_a_wrong_chain(monkeypatch):
+    # the twisted solve runs at the product's root, but the log root is read
+    # off the chain's own vectors, so edge means off by up to 1e-6 move the
+    # cross-check at first order (d log rho / d log m_e = phi_e), and the
+    # residual of the supplied-root solve shows the wrong root
+    rng = np.random.default_rng(35)
+    g = random_graph(rng, 8)
+    env = alternation(g, rng.uniform(0.3, 2.5, 8), rng.uniform(0.3, 2.5, 8))
+    exact = periodic_growth_and_occupancy(g, env)
+    eg, pairs = edge_chain(g, env)
+    phi = exact.occupancy_edges[tuple(np.array(pairs).T)]
+    delta = rng.uniform(-1e-6, 1e-6, eg.K)
+    wrong = MetapopGraph(m=eg.m * (1.0 + delta), D=eg.D)
+    monkeypatch.setattr(environments, "edge_chain", lambda g, env: (wrong, pairs))
+    res = periodic_growth_and_occupancy(g, env)
+    moved = res.log_growth - res.log_growth_spectral
+    first_order = 0.5 * float(phi @ np.log1p(delta))
+    assert abs(first_order) >= 1e-8
+    assert abs(moved - first_order) <= 1e-3 * abs(first_order)
+    assert exact.residual <= 1e-14 and res.residual >= 1e-10
 
 
 def test_lyapunov_constant_environment_recovers_log_rho():

@@ -19,6 +19,7 @@ from sourcesink import (
     stationary_distribution,
     validate_graph,
 )
+from sourcesink import graph
 from sourcesink.environments import Periodic, edge_chain
 from conftest import random_graph, two_patch
 
@@ -335,6 +336,27 @@ def test_validate_graph_is_pure():
     assert validate_graph(g) == validate_graph(g)
 
 
+def test_structure_is_checked_once_per_graph_and_every_call_for_a_matrix(monkeypatch):
+    # a graph's arrays are read-only copies, so its report is kept; a bare
+    # matrix may change between calls, so it is checked each time
+    calls = []
+    structure = graph._structure
+
+    def counted(S):
+        calls.append(S.shape)
+        return structure(S)
+
+    monkeypatch.setattr(graph, "_structure", counted)
+    g = two_patch()
+    assert validate_graph(g) is validate_graph(g)
+    stationary_distribution(g)
+    assert calls == [(2, 2)]
+    A = mean_matrix(g)
+    validate_graph(A)
+    validate_graph(A)
+    assert len(calls) == 3
+
+
 def test_as_frequencies_checks_simplex():
     f = as_frequencies([0.25, 0.75])
     assert np.allclose(f, [0.25, 0.75])
@@ -361,3 +383,5 @@ def test_graph_arrays_are_immutable():
         g.D[0, 0] = 0.9
     with pytest.raises(ValueError):
         g.m[0] = 3.0
+    with pytest.raises(ValueError):
+        g.D.flags.writeable = True

@@ -14,7 +14,13 @@ from sourcesink import (
     stable_geographic_distribution,
     stationary_distribution,
 )
-from conftest import random_fully_mixing, random_graph, two_patch
+from conftest import (
+    eigen_solve_shapes,
+    hard_graphs,
+    random_fully_mixing,
+    random_graph,
+    two_patch,
+)
 
 
 def test_mean_matrix_hand_product():
@@ -130,3 +136,25 @@ def test_weakly_coupled_sources_match_dense_eigensolve(eps):
     u = stationary_distribution(g)
     assert np.abs(u @ g.D - u).max() <= 1e-12
     assert return_functional_exact(g).persists == (sd.rho > 1.0)
+
+
+def test_growth_rate_makes_one_eigen_solve(monkeypatch):
+    # rho and the right vector come from eig; the left vector is one
+    # bordered LU solve at that root
+    g = random_graph(np.random.default_rng(32), 7)
+    shapes = eigen_solve_shapes(monkeypatch)
+    sd = growth_rate(mean_matrix(g))
+    assert shapes == [(7, 7)]
+    assert sd.residual <= 1e-14 * sd.rho
+
+
+def test_left_vector_and_occupancy_on_hard_graphs():
+    # weak, uneven coupling and nearly lethal patches put tiny entries in
+    # the left vector; replacing the last equation of rho*I - A^T by sum = 1
+    # then leaves a near-singular system (residual up to 1.0 here), and the
+    # bordered solve does not
+    for g in hard_graphs(200):
+        sd = growth_rate(mean_matrix(g))
+        assert sd.residual <= 1e-12 * sd.rho
+        phi = occupancy_spectral(sd)
+        assert np.abs(phi - argmax_occupancy(g).occupancy).max() <= 1e-11

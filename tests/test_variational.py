@@ -22,6 +22,7 @@ from sourcesink import (
 from sourcesink import variational
 from sourcesink.variational import _occupancy_set_is_full_dimensional, _rate_hessian
 from conftest import (
+    eigen_solve_shapes,
     random_fully_mixing,
     random_graph,
     sanov_lattice_rate,
@@ -237,17 +238,10 @@ def test_max_rate_gap_unit_means():
 
 def test_argmax_occupancy_makes_one_eigen_solve(monkeypatch):
     # D' has an unknown Perron root; D'' is column-stochastic, root 1
-    calls = []
-    eig = np.linalg.eig
-
-    def counted(A):
-        calls.append(A.shape)
-        return eig(A)
-
     g = random_graph(np.random.default_rng(31), 6)
-    monkeypatch.setattr(np.linalg, "eig", counted)
+    shapes = eigen_solve_shapes(monkeypatch)
     res = argmax_occupancy(g)
-    assert calls == [(6, 6)]
+    assert shapes == [(6, 6)]
     assert abs(res.log_growth - math.log(growth_rate(mean_matrix(g)).rho)) <= 1e-12
 
 
