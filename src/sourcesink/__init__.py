@@ -25,6 +25,7 @@ from .environments import (
     LyapunovEstimate,
     MarkovSwitching,
     Periodic,
+    Schedule,
     edge_chain,
     even_return_functional,
     load_environment,

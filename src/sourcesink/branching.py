@@ -42,7 +42,6 @@ import numpy as np
 from .environments import EnvironmentModel, Periodic, state_mean_matrix
 from .errors import StatisticalError, ValidationError
 from .graph import MetapopGraph
-from .spectral import mean_matrix
 from .walks import CHUNK
 
 ESCAPE_CAP = 10**7
@@ -107,10 +106,14 @@ class OffspringLaw:
         return out
 
 
+def _environment(g: MetapopGraph, env: EnvironmentModel | None) -> EnvironmentModel:
+    """``env``, or the fixed environment: the one-state periodic schedule of ``g.m``."""
+    return env or EnvironmentModel(("fixed",), [g.m], Periodic((0,)))
+
+
 def _laws(kind: str, g: MetapopGraph, env: EnvironmentModel | None) -> list[list[OffspringLaw]]:
     """Laws of one ``kind`` with each patch's mean, per environment state."""
-    table = [g.m] if env is None else env.means
-    return [[OffspringLaw(kind, float(m)) for m in row] for row in table]
+    return [[OffspringLaw(kind, float(m)) for m in row] for row in _environment(g, env).means]
 
 
 def poisson_laws(g: MetapopGraph, env: EnvironmentModel | None = None) -> list[list[OffspringLaw]]:
@@ -124,23 +127,23 @@ def geometric_laws(g: MetapopGraph, env: EnvironmentModel | None = None) -> list
 
 
 def _checked_laws(g, env, laws, allow_degenerate, home, n_runs, escape_cap):
-    """Validate a branching entry point's inputs; returns the laws to use."""
+    """Validate a branching entry point's inputs; returns the environment and laws to use."""
     if not 0 <= home < g.K:
         raise ValidationError(f"home patch {home} out of range")
     if n_runs < 1:
         raise ValidationError("n_runs must be >= 1")
     if escape_cap < 1:
         raise ValidationError("escape_cap must be >= 1")
+    env = _environment(g, env)
     if laws is None:
         laws = poisson_laws(g, env)
-    table = env.means if env is not None else g.m[None, :]
-    if len(laws) != table.shape[0]:
+    if len(laws) != env.n_states:
         raise ValidationError("need one row of laws per environment state")
     for s, row in enumerate(laws):
         if len(row) != g.K:
             raise ValidationError("need one law per patch")
         for i, law in enumerate(row):
-            if abs(law.mean - table[s][i]) > MEAN_MATCH_TOL * max(1.0, table[s][i]):
+            if abs(law.mean - env.means[s][i]) > MEAN_MATCH_TOL * max(1.0, env.means[s][i]):
                 raise ValidationError(
                     f"law mean for patch {i} in state {s} does not match the model"
                 )
@@ -150,7 +153,7 @@ def _checked_laws(g, env, laws, allow_degenerate, home, n_runs, escape_cap):
             "persistence dichotomy does not apply (pass allow_degenerate=True "
             "to simulate anyway)"
         )
-    return laws
+    return env, laws
 
 
 @dataclass(frozen=True)
@@ -196,16 +199,13 @@ class SimReport:
 
 def _env_states_for_gen(env, t, states, rng):
     """Environment state per run at generation t (updates ``states`` in place)."""
-    if env is None:
-        return states  # all zeros
-    if isinstance(env.schedule, Periodic):
-        states.fill(env.schedule.order[t % len(env.schedule.order)])
-        return states
-    if t == 0:
-        states[:] = rng.random(states.size) >= env.schedule.nu
-        return states
-    leave = np.array([env.schedule.alpha, env.schedule.beta])[states]
-    states ^= rng.random(states.size) < leave
+    cycle = env.schedule.cycle
+    if cycle is not None:
+        states.fill(cycle[t % len(cycle)])
+    elif t == 0:
+        states[:] = rng.random(states.size) >= env.schedule.start[0]
+    else:
+        states ^= rng.random(states.size) < env.schedule.T[[0, 1], [1, 0]][states]
     return states
 
 
@@ -301,10 +301,7 @@ def _run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape_cap,
     history = []
     sizes = np.zeros((horizon + 1, n_runs))
     sizes[0] = 1.0
-    if env is None:
-        A = mean_matrix(g)[None]
-    else:
-        A = np.stack([state_mean_matrix(g, env, s) for s in range(env.n_states)])
+    A = np.stack([state_mean_matrix(g, env, s) for s in range(env.n_states)])
     steps = _steps(Z, env, laws, g.D, rng, escape_cap)
     for t, (states, live, born, totals) in zip(range(horizon), steps):
         s = states[esc]
@@ -420,7 +417,7 @@ def simulate(
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs, escape_cap)
+    env, laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs, escape_cap)
 
     chunk = CHUNK
     if track_lineage:
@@ -489,7 +486,7 @@ def patch_series(
     Returns an (n_runs, horizon + 1, K) array; counts freeze once a run
     escapes past the cap.
     """
-    laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs, escape_cap)
+    env, laws = _checked_laws(g, env, laws, allow_degenerate, start_patch, n_runs, escape_cap)
     Z = np.zeros((n_runs, g.K), dtype=np.int64)
     Z[:, start_patch] = 1
     out = np.zeros((n_runs, horizon + 1, g.K), dtype=np.int64)
@@ -536,7 +533,7 @@ def extinction_probability(
     """
     if n_initial < 1:
         raise ValidationError("n_initial must be >= 1")
-    laws = _checked_laws(g, env, laws, allow_degenerate, home, n_runs, escape_cap)
+    env, laws = _checked_laws(g, env, laws, allow_degenerate, home, n_runs, escape_cap)
     dead_total = 0
     for c in range((n_runs + CHUNK - 1) // CHUNK):
         Z = np.zeros((min(CHUNK, n_runs - c * CHUNK), g.K), dtype=np.int64)

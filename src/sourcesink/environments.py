@@ -1,15 +1,13 @@
-"""Time-varying habitat quality: periodic schedules and Markov switching.
+"""Time-varying habitat quality: one schedule type, a Markov chain over phases.
 
-A periodic schedule of any period P reduces to the fixed-environment
-machinery through the one-period product of mean matrices: the walker's
-first return home at a multiple of P decides persistence, one verdict per
-starting phase (``walks._phase_verdicts``; a fixed environment is P = 1).
-The two-state alternation also has the chain of consecutive patch pairs
-(the edge chain), whose cost/payoff maximum equals twice the log growth
-rate, and a two-patch closed form.  Random Markov environments lose those
-exact reductions; there the growth exponent is the top Lyapunov exponent of
-the random product of per-state mean matrices, estimated by simulation,
-with a closed-form lower bound available for the two-patch case.
+``Periodic`` and ``MarkovSwitching`` build a ``Schedule``, and a fixed
+environment is its one-phase case.  A periodic schedule of period P reduces
+to the fixed environment through the one-period product of mean matrices and
+the return home at multiples of P; the two-state alternation also has the
+edge chain of patch pairs and a two-patch closed form.  On every schedule
+the growth exponent is the top Lyapunov exponent along the path, estimated
+by simulation, with a closed-form lower bound for two patches under random
+switching.
 """
 
 from __future__ import annotations
@@ -21,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, _as_array, _json_object, _number, _object, validate_graph
-from .spectral import growth_rate
-from .variational import _twisted_occupancy, max_rate_gap
+from .graph import (ROW_SUM_TOL, MetapopGraph, _as_array, _json_object, _number, _object,
+                    _readonly, validate_graph)
+from .spectral import SpectralData, growth_rate
+from .variational import _twisted_occupancy
 from .walks import PersistenceVerdict, WalkConfig, _phase_verdicts, _verdict_from_value
 
 LYAPUNOV_BURN_IN = 1000
@@ -33,34 +32,61 @@ LYAPUNOV_SLAB_BYTES = 1 << 20  # bytes of matrices the Lyapunov kernel reduces a
 
 
 @dataclass(frozen=True)
-class Periodic:
+class Schedule:
+    """A Markov chain over phases: row-stochastic ``T``, the state ``state[p]``
+    that phase p applies, and the law ``start`` of the first phase.
+
+    ``cycle``, set once, holds the states of one period from the start if
+    ``T`` is a permutation and ``start`` one phase.  Otherwise it is None: the
+    chain draws, and must for now be the two-state chain (phase i, state i).
+    """
+
+    T: np.ndarray
+    state: tuple[int, ...]
+    start: np.ndarray
+
+    def __post_init__(self):
+        P = len(self.state)
+        T = _readonly(_as_array(self.T, "schedule T"))
+        start = _readonly(_as_array(self.start, "schedule start"))
+        if T.shape != (P, P) or start.shape != (P,):
+            raise ValidationError("schedule needs a P x P matrix T and a start law over P phases")
+        laws = np.vstack([T, start])
+        if not (np.all(laws >= 0) and np.all(np.abs(laws.sum(axis=1) - 1.0) <= ROW_SUM_TOL)):
+            raise ValidationError("schedule T rows and start must be probability laws")
+        cycle = None
+        if np.isin(laws, (0.0, 1.0)).all() and (T.sum(axis=0) == 1.0).all():
+            phases = [int(start.argmax())]
+            while (p := int(T[phases[-1]].argmax())) != phases[0]:
+                phases.append(p)
+            cycle = tuple(self.state[p] for p in phases)
+        if cycle is None and tuple(self.state) != (0, 1):
+            raise ValidationError("a random schedule must be the two-state chain (0, 1)")
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "state", tuple(self.state))
+        object.__setattr__(self, "cycle", cycle)
+
+
+def Periodic(order) -> Schedule:
     """Deterministic schedule: state indices applied cyclically per step."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.order) == 0:
-            raise ValidationError("periodic schedule must not be empty")
+    P = len(order)
+    if P == 0:
+        raise ValidationError("periodic schedule must not be empty")
+    return Schedule(T=np.roll(np.eye(P), 1, axis=1), state=order, start=np.eye(P)[0])
 
 
-@dataclass(frozen=True)
-class MarkovSwitching:
-    """Two-state environment chain: alpha = P(e1 -> e2), beta = P(e2 -> e1)."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        for name, x in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 0.0 <= x <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1]")
-        if self.alpha == 0.0 and self.beta == 0.0:
-            raise ValidationError("environment chain must be able to switch")
-
-    @property
-    def nu(self) -> float:
-        """Long-run fraction of time in the first state."""
-        return self.beta / (self.alpha + self.beta)
+def MarkovSwitching(alpha: float, beta: float) -> Schedule:
+    """Two-state environment chain: alpha = P(e1 -> e2), beta = P(e2 -> e1),
+    started at its stationary law (nu, 1 - nu), nu the long-run share of e1."""
+    for name, x in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 <= x <= 1.0:
+            raise ValidationError(f"{name} must lie in [0, 1]")
+    if alpha == 0.0 and beta == 0.0:
+        raise ValidationError("environment chain must be able to switch")
+    nu = beta / (alpha + beta)
+    return Schedule(T=[[1.0 - alpha, alpha], [beta, 1.0 - beta]], state=(0, 1),
+                    start=[nu, 1.0 - nu])
 
 
 @dataclass(frozen=True)
@@ -69,7 +95,7 @@ class EnvironmentModel:
 
     states: tuple[str, ...]
     means: np.ndarray  # (n_states, K)
-    schedule: Periodic | MarkovSwitching
+    schedule: Schedule
 
     def __post_init__(self):
         means = _as_array(self.means, "environment means")
@@ -77,32 +103,14 @@ class EnvironmentModel:
             raise ValidationError("means must be one row of patch means per state")
         if np.any(means < 0) or not np.all(np.isfinite(means)):
             raise ValidationError("environment means must be finite and >= 0")
-        if isinstance(self.schedule, Periodic):
-            if any(not 0 <= i < len(self.states) for i in self.schedule.order):
-                raise ValidationError("periodic schedule names an unknown state")
-        elif isinstance(self.schedule, MarkovSwitching):
-            if len(self.states) != 2:
-                raise ValidationError("Markov switching is defined for two states")
-        else:
-            raise ValidationError("schedule must be Periodic or MarkovSwitching")
-        means = means.copy()
-        means.flags.writeable = False
-        object.__setattr__(self, "means", means)
+        if any(not 0 <= i < len(self.states) for i in self.schedule.state):
+            raise ValidationError("schedule names an unknown state")
+        object.__setattr__(self, "means", _readonly(means))
         object.__setattr__(self, "states", tuple(self.states))
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def to_dict(self) -> dict:
-        d = {"states": list(self.states), "means": self.means.tolist()}
-        if isinstance(self.schedule, Periodic):
-            d["schedule"] = {"periodic": [self.states[i] for i in self.schedule.order]}
-        else:
-            d["schedule"] = {
-                "markov": {"alpha": self.schedule.alpha, "beta": self.schedule.beta}
-            }
-        return d
 
 
 def load_environment(source: str | Path | dict) -> EnvironmentModel:
@@ -142,10 +150,11 @@ def periodic_mean_matrix(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
     matrix A(e1) A(e2); longer schedules generalize by taking the product
     in schedule order.
     """
-    if not isinstance(env.schedule, Periodic):
+    cycle = env.schedule.cycle
+    if cycle is None:
         raise ValidationError("periodic mean matrix needs a periodic schedule")
     out = np.eye(g.K)
-    for s in env.schedule.order:
+    for s in cycle:
         out = out @ state_mean_matrix(g, env, s)
     return out
 
@@ -191,11 +200,11 @@ def even_return_functional(
     several phases reports its first.  The values are exact when ``cfg``
     is None, else Monte Carlo estimates with ``cfg``'s trials and seed.
     """
-    if not isinstance(env.schedule, Periodic):
+    cycle = env.schedule.cycle
+    if cycle is None:
         raise ValidationError("even-return analysis needs a periodic schedule")
-    order = env.schedule.order
     out: dict[str, PersistenceVerdict] = {}
-    for s, v in zip(order, _phase_verdicts(g, env.means[list(order)], home, cfg)):
+    for s, v in zip(cycle, _phase_verdicts(g, env.means[list(cycle)], home, cfg)):
         out.setdefault(env.states[s], v)
     return out
 
@@ -208,10 +217,9 @@ class EdgeChainResult:
     frequencies, which equals 2 log(rho); ``occupancy_edges`` is the K x K
     matrix of optimal pair frequencies (zero on non-edges), and the two
     marginals are the patch occupancies at even and odd steps.  The
-    spectral growth rate of the two-step product is carried alongside as a
-    cross-check.  ``residual`` is the max-norm residual / root of the
-    twisted chain's Perron vector, solved at the product's root; it is
-    None on the simplex route.
+    two-step product's Perron data (``product``) and growth rate ride along
+    as a cross-check; ``residual`` is the max-norm residual / root of the
+    twisted chain's Perron vector, solved at the product's root.
     """
 
     two_log_growth: float
@@ -219,9 +227,9 @@ class EdgeChainResult:
     occupancy_edges: np.ndarray
     marginal_even: np.ndarray
     marginal_odd: np.ndarray
-    method: str
     log_growth_spectral: float
-    residual: float | None = None
+    residual: float
+    product: SpectralData
 
 
 def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> tuple[MetapopGraph, list[tuple[int, int]]]:
@@ -232,9 +240,10 @@ def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> tuple[MetapopGraph, li
     per-state mean is m_i(e1) m_j(e2), the two-generation factor the pair
     contributes.
     """
-    if not isinstance(env.schedule, Periodic) or len(env.schedule.order) != 2:
+    cycle = env.schedule.cycle
+    if cycle is None or len(cycle) != 2:
         raise ValidationError("the edge chain needs a two-state alternation")
-    a, b = env.schedule.order
+    a, b = cycle
     I, J = np.nonzero(g.D > 0)
     pairs = list(zip(I.tolist(), J.tolist()))
     B = g.D[np.ix_(J, I)] * g.D[I, J][None, :]
@@ -243,9 +252,7 @@ def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> tuple[MetapopGraph, li
     return MetapopGraph(m=m_edge, D=B, labels=labels), pairs
 
 
-def periodic_growth_and_occupancy(
-    g: MetapopGraph, env: EnvironmentModel, method: str = "twisted-eigen"
-) -> EdgeChainResult:
+def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel) -> EdgeChainResult:
     """Edge-chain variational solution of a two-state periodic environment.
 
     Requires positive means in both states and a primitive edge chain (a
@@ -264,13 +271,8 @@ def periodic_growth_and_occupancy(
         raise ValidationError("edge chain is not irreducible")
     if not report.aperiodic:
         raise ValidationError("edge chain is periodic; the occupancy theory needs aperiodicity")
-    rho_prod = growth_rate(periodic_mean_matrix(g, env)).rho
-    if method == "twisted-eigen":
-        res = _twisted_occupancy(eg, rho_prod)
-    elif method == "simplex-optimize":
-        res = max_rate_gap(eg)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
+    product = growth_rate(periodic_mean_matrix(g, env))
+    res = _twisted_occupancy(eg, product.rho)
     phi = np.zeros((g.K, g.K))
     for (i, j), val in zip(pairs, res.occupancy):
         phi[i, j] = val
@@ -280,9 +282,9 @@ def periodic_growth_and_occupancy(
         occupancy_edges=phi,
         marginal_even=phi.sum(axis=1),
         marginal_odd=phi.sum(axis=0),
-        method=res.method,
-        log_growth_spectral=0.5 * math.log(rho_prod),
+        log_growth_spectral=0.5 * math.log(product.rho),
         residual=res.residual,
+        product=product,
     )
 
 
@@ -304,17 +306,17 @@ class LyapunovEstimate:
         }
 
 
-def _markov_env_path(sched: MarkovSwitching, n: int, rng) -> np.ndarray:
-    """A length-n sample of the two-state chain, started at stationarity.
-
-    Sojourns are geometric (and memoryless, so the stationary first
-    sojourn is a full geometric draw too); whole alternating runs are
-    drawn in bulk and expanded with repeat.
-    """
-    if sched.alpha <= 0.0 or sched.beta <= 0.0:
+def _env_path(sched: Schedule, n: int, rng) -> np.ndarray:
+    """A length-n path of states: the cycle repeated, or a sample of the
+    two-state chain from its start law, whose geometric sojourns (memoryless,
+    so the first is a full draw too) are drawn in bulk as whole alternating
+    runs and expanded with repeat."""
+    if sched.cycle is not None:
+        return np.resize(np.array(sched.cycle), n)
+    leave = sched.T[[0, 1], [1, 0]].tolist()  # off the diagonal: alpha and beta, bit for bit
+    if min(leave) <= 0.0:
         raise ValidationError("environment chain must be irreducible (alpha, beta > 0)")
-    leave = (sched.alpha, sched.beta)
-    cur = 0 if rng.random() < sched.nu else 1
+    cur = 0 if rng.random() < sched.start[0] else 1
     pieces = []
     total = 0
     while total < n:
@@ -336,25 +338,24 @@ def lyapunov_estimate(
     n_steps: int = LYAPUNOV_DEFAULT_STEPS,
     seed: int = 0,
 ) -> LyapunovEstimate:
-    """Growth exponent of the random environment by block products.
+    """Growth exponent of the environment by block products.
 
-    Along one simulated environment path (stream (seed, 0)), the ordered
-    products of the per-state mean matrices are formed over the burn-in of
-    1000 steps and over each of 100 equal batches, and a positive row
-    vector is pushed through them with l1 renormalization; the log growth
-    over a batch equals the sum of the step-by-step log renormalizers.
-    The exponent is the total over the batches divided by their steps, and
-    the CI comes from the batch means.  When the vector vanishes (possible
-    when a state has zero means), the exponent is -inf with CI 0.
+    Along one environment path (``_env_path``; a random one draws from
+    stream (seed, 0)), the ordered products of the per-state mean matrices
+    are formed over the burn-in of 1000 steps and over each of 100 equal
+    batches, and a positive row vector is pushed through them with l1
+    renormalization; the log growth over a batch equals the sum of the
+    step-by-step log renormalizers.  The exponent is the total over the
+    batches divided by their steps (log rho(product) / P on a schedule of
+    period P), and the CI comes from the batch means.  When the vector
+    vanishes (possible when a state has zero means), it is -inf with CI 0.
     """
-    if not isinstance(env.schedule, MarkovSwitching):
-        raise ValidationError("Lyapunov estimation needs a Markov-switching schedule")
     if not validate_graph(g).irreducible:
         raise ValidationError("Lyapunov estimation needs an irreducible graph")
     if n_steps <= LYAPUNOV_BURN_IN + LYAPUNOV_BATCHES:
         raise ValidationError("n_steps too small for burn-in plus batching")
     rng = np.random.default_rng([seed, 0])
-    w = _markov_env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN, rng)
+    w = _env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN, rng)
     batch = n_steps // LYAPUNOV_BATCHES
     used = batch * LYAPUNOV_BATCHES
     mats = np.stack([state_mean_matrix(g, env, s) for s in range(env.n_states)])
@@ -440,8 +441,7 @@ def random_env_lower_bound(
     rates and the switching rates.  Terms 0 * log(0) vanish; a positive
     coefficient on log(0) makes the bound -inf.
     """
-    sched = MarkovSwitching(alpha=alpha, beta=beta)
-    nu = sched.nu
+    nu = float(MarkovSwitching(alpha, beta).start[0])
     terms = (
         (nu, M1),
         (1.0 - nu, m2),

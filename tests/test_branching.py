@@ -364,7 +364,7 @@ def test_generation_kernel_matches_reference_loop(schedule):
          OffspringLaw("deterministic", 1.0), OffspringLaw("bernoulli-pair", 0.5, p0=0.75, pair_n=2)],
     ]
     g = random_graph(np.random.default_rng(40), 4)
-    env = None
+    env = EnvironmentModel(states=("fixed",), means=[g.m], schedule=Periodic((0,)))
     laws = rows[:1]
     if schedule is not None:
         means = [[law.mean for law in row] for row in rows]
@@ -528,7 +528,8 @@ def test_driver_matches_reference_loops(schedule, dies_early):
                                                                        [0.1, 0.5, 0.2, 0.3])]
     D = random_graph(np.random.default_rng(43), 4).D
     if schedule is None:
-        g, env, laws = MetapopGraph(m=[law.mean for law in rows[0]], D=D), None, rows[:1]
+        g, laws = MetapopGraph(m=[law.mean for law in rows[0]], D=D), rows[:1]
+        env = EnvironmentModel(states=("fixed",), means=[g.m], schedule=Periodic((0,)))
     else:
         g, laws = MetapopGraph(m=np.ones(4), D=D), rows
         means = [[law.mean for law in row] for row in rows]
@@ -555,3 +556,29 @@ def test_driver_matches_reference_loops(schedule, dies_early):
                                      escape_cap=cap, env=env)
         assert got == _reference_extinctions(g, env, laws, 2, CHUNK + 300, 46, n_initial,
                                              50, cap)
+
+
+def test_fixed_environment_is_the_one_state_periodic_schedule(monkeypatch):
+    # env=None and the explicit one-state schedule of g.m give the same
+    # results and leave every generator in the same state
+    made = []
+
+    def recorded(*args, _make=np.random.default_rng):
+        made.append(_make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    g = random_graph(np.random.default_rng(47), 3, m_range=(0.8, 2.0))
+    one = EnvironmentModel(states=("fixed",), means=[g.m], schedule=Periodic((0,)))
+    runs = {}
+    for env in (None, one):
+        made.clear()
+        sims = [simulate(g, horizon=30, n_runs=400, seed=48, env=env, track_lineage=lin,
+                         escape_cap=cap).to_dict()
+                for lin in (True, False) for cap in (300, 10**7)]
+        series = patch_series(g, horizon=25, n_runs=12, seed=49, env=env, escape_cap=300)
+        q = extinction_probability(g, n_runs=CHUNK + 100, seed=50, env=env,
+                                   max_generations=60, escape_cap=300)
+        runs[env is None] = (sims, series.tolist(), q, [r.bit_generator.state for r in made])
+    assert runs[True] == runs[False]
+    assert len(runs[True][3]) > 4

@@ -9,7 +9,9 @@ import pytest
 
 from sourcesink import cli
 from sourcesink.cli import dumps_report, main
+from sourcesink.environments import random_env_lower_bound
 from sourcesink.errors import ConvergenceError
+from conftest import eigen_solve_shapes
 
 GRAPH = {"m": [2.0, 0.5], "D": [[0.5, 0.5], [0.5, 0.5]]}
 
@@ -318,6 +320,43 @@ def test_randenv_command(tmp_path):
     assert rep["cross_checks"]["bound_below_gamma_plus_ci"] is True
 
 
+PERIOD3 = {"graph": {"m": [1.0, 1.0], "D": [[0.5, 0.5], [0.5, 0.5]]},
+           "env": {"states": ["a", "b", "c"], "means": [[4.0, 0.9], [0.2, 0.9], [1.0, 1.0]],
+                   "schedule": {"periodic": ["a", "b", "c"]}}}
+
+
+def test_randenv_on_a_periodic_schedule_is_the_product_rate(tmp_path):
+    cfg = write_cfg(tmp_path, PERIOD3)
+    code, per = run(tmp_path, ["periodic", "--config", cfg], "per.json")
+    assert code == 0
+    code, ran = run(tmp_path, ["randenv", "--config", cfg], "ran.json")
+    assert code == 0
+    rep = json.loads(ran.read_text())
+    gap = rep["lyapunov"]["gamma"] - json.loads(per.read_text())["log_rho_per_step"]
+    assert abs(gap) <= rep["lyapunov"]["ci"]
+    # three phases are not the two states of the bound's chain
+    assert "lower_bound" not in rep
+    # the alternation e1, e2 is that chain with alpha = beta = 1
+    cfg = write_cfg(tmp_path, {"graph": GRAPH, "env": PERIODIC_ENV,
+                               "randenv": {"n_steps": 20000}}, "alt.json")
+    code, ran = run(tmp_path, ["randenv", "--config", cfg], "alt-out.json")
+    assert code == 0
+    rep = json.loads(ran.read_text())
+    assert rep["lower_bound"] == random_env_lower_bound(4.0, 0.9, 0.5, 0.5, 1.0, 1.0)
+
+
+def test_periodic_command_makes_one_eigen_solve(tmp_path, monkeypatch):
+    # the edge chain is solved at the root of the product's one eigen-solve
+    m, D = [1.0, 1.0, 1.0], [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]
+    env = {"states": ["e1", "e2"], "means": [[2.0, 0.5, 1.2], [0.4, 1.5, 0.9]],
+           "schedule": {"periodic": ["e1", "e2"]}}
+    cfg = write_cfg(tmp_path, {"graph": {"m": m, "D": D}, "env": env})
+    shapes = eigen_solve_shapes(monkeypatch)
+    code, out = run(tmp_path, ["periodic", "--config", cfg])
+    assert code == 0 and "edge_chain" in json.loads(out.read_text())
+    assert shapes == [(3, 3)]
+
+
 def test_randenv_vanishing_population_reports_minus_inf(tmp_path):
     cfg = write_cfg(tmp_path, {
         "graph": {"m": [1.0, 1.0], "D": [[0.5, 0.5], [0.5, 0.5]]},
@@ -554,7 +593,6 @@ MALFORMED = {
         **MARKOV_ENV, "schedule": {"markov": {"alpha": 0.5}}}}),
     "labels not a list": ("validate", {"graph": {**GRAPH, "labels": 5}}),
     "periodic on a markov schedule": ("periodic", {"graph": GRAPH, "env": MARKOV_ENV}),
-    "randenv on a periodic schedule": ("randenv", {"graph": GRAPH, "env": PERIODIC_ENV}),
     "rate grid of three patches": ("analyze --grid-out grid.csv", {"graph": {
         "m": [2.0, 0.5, 1.0], "D": [[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.3, 0.3, 0.4]]}}),
     "negative seed with trials": ("analyze --trials 10 --seed -1", {"graph": GRAPH}),

@@ -8,6 +8,7 @@ from sourcesink import (
     MarkovSwitching,
     MetapopGraph,
     Periodic,
+    Schedule,
     ValidationError,
     WalkConfig,
     argmax_occupancy,
@@ -16,6 +17,7 @@ from sourcesink import (
     growth_rate,
     load_environment,
     lyapunov_estimate,
+    max_rate_gap,
     mean_matrix,
     periodic_growth_and_occupancy,
     periodic_mean_matrix,
@@ -26,7 +28,7 @@ from sourcesink import (
     two_patch_periodic_criterion,
 )
 from sourcesink import environments
-from sourcesink.environments import LYAPUNOV_BATCHES, LYAPUNOV_BURN_IN, _markov_env_path
+from sourcesink.environments import LYAPUNOV_BATCHES, LYAPUNOV_BURN_IN, _env_path
 from sourcesink.walks import return_functional
 from conftest import (
     eigen_solve_shapes,
@@ -269,9 +271,11 @@ def test_edge_chain_fully_mixing_closed_forms():
 
 
 def test_edge_chain_respects_simplex_method():
+    # the simplex ascent on the edge chain is the reference route
     g, env = coupled_sinks()
-    res = periodic_growth_and_occupancy(g, env, method="simplex-optimize")
-    assert abs(res.log_growth - res.log_growth_spectral) < 1e-6
+    res = max_rate_gap(edge_chain(g, env)[0])
+    tw = periodic_growth_and_occupancy(g, env)
+    assert abs(0.5 * res.log_growth - tw.log_growth_spectral) < 1e-6
     assert res.method == "simplex-optimize"
 
 
@@ -281,10 +285,11 @@ def test_edge_chain_simplex_method_on_weakly_coupled_graph():
     g = MetapopGraph(m=[1.0, 1.0, 1.0], D=D)
     env = EnvironmentModel(states=("e1", "e2"), means=[[2.0, 1.5, 0.5], [1.0, 1.8, 0.4]],
                            schedule=Periodic((0, 1)))
-    res = periodic_growth_and_occupancy(g, env, method="simplex-optimize")
+    eg, pairs = edge_chain(g, env)
+    res = max_rate_gap(eg)
     tw = periodic_growth_and_occupancy(g, env)
-    assert abs(res.log_growth - tw.log_growth) <= 1e-10
-    assert np.abs(res.occupancy_edges - tw.occupancy_edges).max() <= 1e-6
+    assert abs(0.5 * res.log_growth - tw.log_growth) <= 1e-10
+    assert np.abs(res.occupancy - tw.occupancy_edges[tuple(np.array(pairs).T)]).max() <= 1e-6
     assert res.method == "simplex-optimize"
 
 
@@ -430,7 +435,7 @@ def test_lyapunov_block_products_match_step_loop(K, zero_means):
                            schedule=MarkovSwitching(0.3, 0.6))
     ly = lyapunov_estimate(g, env, n_steps=n_steps, seed=seed)
 
-    w = _markov_env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN,
+    w = _env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN,
                          np.random.default_rng([seed, 0]))
     batch = n_steps // LYAPUNOV_BATCHES
     mats = [state_mean_matrix(g, env, s).tolist() for s in range(2)]
@@ -515,9 +520,9 @@ def test_environment_json_roundtrip():
             "schedule": {"periodic": ["e1", "e2"]},
         }
     )
-    assert isinstance(env.schedule, Periodic)
-    env2 = load_environment(env.to_dict())
-    assert env2.schedule.order == (0, 1)
+    assert env.schedule.cycle == (0, 1)
+    assert np.array_equal(env.schedule.T, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(env.schedule.start, [1.0, 0.0])
     menv = load_environment(
         {
             "states": ["e1", "e2"],
@@ -525,8 +530,9 @@ def test_environment_json_roundtrip():
             "schedule": {"markov": {"alpha": 0.25, "beta": 0.75}},
         }
     )
-    assert isinstance(menv.schedule, MarkovSwitching)
-    assert menv.schedule.nu == 0.75
+    assert menv.schedule.cycle is None
+    assert np.array_equal(menv.schedule.T, [[0.75, 0.25], [0.75, 0.25]])
+    assert np.array_equal(menv.schedule.start, [0.75, 0.25])
 
 
 def test_environment_validation():
@@ -542,3 +548,41 @@ def test_environment_validation():
     with pytest.raises(ValidationError):
         # the edge chain of the pure two-cycle is reducible/periodic
         periodic_growth_and_occupancy(g, env)
+
+
+def test_schedule_kind_is_decided_by_its_data():
+    # periodic iff T is a permutation and the start is one phase; the cycle
+    # is the start phase's orbit, read in states
+    assert Periodic((2, 0, 2)).cycle == (2, 0, 2)
+    swap = [[0.0, 1.0], [1.0, 0.0]]
+    assert Schedule(T=swap, state=(0, 1), start=[0.0, 1.0]).cycle == (1, 0)
+    two_cycles = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    assert Schedule(T=two_cycles, state=(0, 1, 1), start=[0.0, 0.0, 1.0]).cycle == (1,)
+    # the stationary start of the deterministic swap still draws
+    assert MarkovSwitching(1.0, 1.0).cycle is None
+    assert MarkovSwitching(0.0, 0.5).cycle is None
+
+
+def test_a_random_schedule_must_be_the_two_state_chain():
+    third = np.full((3, 3), 1.0 / 3.0)
+    with pytest.raises(ValidationError, match="two-state chain"):
+        Schedule(T=third, state=(0, 1, 2), start=np.full(3, 1.0 / 3.0))
+    with pytest.raises(ValidationError, match="two-state chain"):
+        Schedule(T=[[0.5, 0.5], [0.5, 0.5]], state=(1, 0), start=[0.5, 0.5])
+    with pytest.raises(ValidationError, match="probability laws"):
+        Schedule(T=[[0.5, 0.6], [0.5, 0.5]], state=(0, 1), start=[0.5, 0.5])
+    with pytest.raises(ValidationError, match="probability laws"):
+        Schedule(T=[[0.0, 1.0], [1.0, 0.0]], state=(0, 1), start=[math.nan, 1.0])
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 4, 5])
+def test_lyapunov_on_a_periodic_schedule_is_the_product_rate(P):
+    # from P = 3 on, the reversed order is no rotation of the schedule, so a
+    # path taken in the wrong order shows
+    rng = np.random.default_rng([19, P])
+    g = MetapopGraph(m=np.ones(3), D=rng.dirichlet(np.ones(3), size=3))
+    env = EnvironmentModel(states=("e1", "e2", "e3"), means=rng.uniform(0.2, 2.5, (3, 3)),
+                           schedule=Periodic(tuple(t % 3 for t in range(P))))
+    ly = lyapunov_estimate(g, env, n_steps=10**5, seed=P)
+    target = math.log(growth_rate(periodic_mean_matrix(g, env)).rho) / P
+    assert abs(ly.gamma - target) <= max(ly.ci_halfwidth, 1e-12)
