@@ -27,19 +27,19 @@ Reproducibility: ``patch_series`` draws from the one stream (seed, 0);
 ``simulate`` and ``extinction_probability`` take runs in chunks of
 ``CHUNK``, chunk c drawing from stream (seed, c), except that with lineage
 ``simulate``'s chunk shrinks with horizon * K^2.  That formula once bounded
-a dense flow array; it is kept only because it sets the streams.  Reports
-are byte-identical for a given seed and arguments.
+a dense flow array; it sets the streams and still bounds a chunk's stored
+lineage flows.  Reports are byte-identical for a given seed and arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import count, islice
 
 import numpy as np
 
-from .environments import EnvironmentModel, Periodic, state_mean_matrix
+from .environments import EnvironmentModel, Periodic, _patch_means, state_mean_matrix
 from .errors import StatisticalError, ValidationError
 from .graph import MetapopGraph
 from .walks import CHUNK
@@ -135,6 +135,7 @@ def _checked_laws(g, env, laws, allow_degenerate, home, n_runs, escape_cap):
     if escape_cap < 1:
         raise ValidationError("escape_cap must be >= 1")
     env = _environment(g, env)
+    means = _patch_means(g, env)
     if laws is None:
         laws = poisson_laws(g, env)
     if len(laws) != env.n_states:
@@ -143,7 +144,7 @@ def _checked_laws(g, env, laws, allow_degenerate, home, n_runs, escape_cap):
         if len(row) != g.K:
             raise ValidationError("need one law per patch")
         for i, law in enumerate(row):
-            if abs(law.mean - env.means[s][i]) > MEAN_MATCH_TOL * max(1.0, env.means[s][i]):
+            if abs(law.mean - means[s][i]) > MEAN_MATCH_TOL * max(1.0, means[s][i]):
                 raise ValidationError(
                     f"law mean for patch {i} in state {s} does not match the model"
                 )
@@ -182,19 +183,9 @@ class SimReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "survival_prob": self.survival_prob,
-            "survival_ci": self.survival_ci,
-            "growth_rate_hat": self.growth_rate_hat,
-            "growth_rate_ci": self.growth_rate_ci,
-            "occupancy_hat": None if self.occupancy_hat is None else self.occupancy_hat.tolist(),
-            "occupancy_ci": None if self.occupancy_ci is None else self.occupancy_ci.tolist(),
-            "n_runs": self.n_runs,
-            "n_survived": self.n_survived,
-            "n_escaped": self.n_escaped,
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
+        """The fields in order, arrays as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 
 def _env_states_for_gen(env, t, states, rng):
@@ -422,7 +413,7 @@ def simulate(
     chunk = CHUNK
     if track_lineage:
         # the size that once held a dense flow array to ~64 MB; it sets the
-        # streams, so it stays
+        # streams and still bounds the lineage flows a chunk stores
         chunk = max(32, min(CHUNK, (64 << 20) // (max(horizon, 1) * g.K * g.K * 8)))
     results = [
         _run_chunk(g, env, laws, horizon, min(chunk, n_runs - c * chunk),

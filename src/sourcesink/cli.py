@@ -305,7 +305,7 @@ def cmd_analyze(cfg: dict, args) -> dict:
                    (f"{f1:.17g},{R:.17g},{I:.17g},{RI:.17g}"
                     for f1, R, I, RI in rate_grid_2patch(g)))
     if args.excursions_out:
-        path = sample_excursion(g, home, seed=cfg["seed"]).path
+        path = sample_excursion(g, home, cfg["seed"], _walk_config(cfg).max_steps).path
         _write_csv(args.excursions_out, "step,patch", (f"{s},{p}" for s, p in enumerate(path)))
     return out
 
@@ -339,48 +339,38 @@ def cmd_simulate(cfg: dict, args) -> dict:
 def cmd_periodic(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
     env = _env_from_config(cfg, "periodic")
-    A2 = periodic_mean_matrix(g, env)
-    period = len(env.schedule.cycle)
+    ev = even_return_functional(g, env, _home(cfg))  # refuses a random schedule
+    cycle = env.schedule.cycle
     # the edge chain is solved at the two-step product's root, so its answer
     # carries the product's Perron data: one eigen-solve per run
-    ec = periodic_growth_and_occupancy(g, env) if period == 2 else None
-    sd = growth_rate(A2) if ec is None else ec.product
+    ec = periodic_growth_and_occupancy(g, env) if len(cycle) == 2 else None
+    sd = growth_rate(periodic_mean_matrix(g, env)) if ec is None else ec.product
+    persists = sd.rho > 1.0
     out = {
         "product_matrix_rho": sd.rho,
         "product_matrix_residual": sd.residual,
-        "log_rho_per_step": math.log(sd.rho) / period,
-        "persists": sd.rho > 1.0,
+        "log_rho_per_step": math.log(sd.rho) / len(cycle),
+        "persists": persists,
+        "even_return": {phase: v.to_dict() for phase, v in ev.items()},
     }
-    ev = even_return_functional(g, env, _home(cfg))
-    out["even_return"] = {phase: v.to_dict() for phase, v in ev.items()}
-    sign_agree = all(v.persists == (sd.rho > 1.0) for v in ev.values())
-    if ec is None:
-        out["cross_checks"] = {"even_return_sign_agree": sign_agree}
-        return out
-    out["edge_chain"] = {
-        "two_log_rho": ec.two_log_growth,
-        "log_rho": ec.log_growth,
-        "occupancy_edges": ec.occupancy_edges,
-        "marginal_even": ec.marginal_even,
-        "marginal_odd": ec.marginal_odd,
-        "residual": ec.residual,
-    }
-    out["cross_checks"] = {
-        "edge_chain_vs_product_log_rho": ec.log_growth - ec.log_growth_spectral,
-        "even_return_sign_agree": sign_agree,
-    }
-    if g.K == 2:
-        a, b = env.schedule.cycle
-        crit = two_patch_periodic_criterion(
-            M1=float(env.means[a][0]),
-            M2=float(env.means[b][0]),
-            m1=float(env.means[a][1]),
-            m2=float(env.means[b][1]),
-            p=float(g.D[0, 1]),
-            q=float(g.D[1, 0]),
-        )
+    checks = {}
+    if ec is not None:
+        out["edge_chain"] = {
+            "two_log_rho": ec.two_log_growth,
+            "log_rho": ec.log_growth,
+            "occupancy_edges": ec.occupancy_edges,
+            "marginal_even": ec.marginal_even,
+            "marginal_odd": ec.marginal_odd,
+            "residual": ec.residual,
+        }
+        checks["edge_chain_vs_product_log_rho"] = ec.log_growth - ec.log_growth_spectral
+    checks["even_return_sign_agree"] = all(v.persists == persists for v in ev.values())
+    out["cross_checks"] = checks
+    if ec is not None and g.K == 2:
+        (M1, m1), (M2, m2) = env.means[list(cycle)].tolist()
+        crit = two_patch_periodic_criterion(M1, M2, m1, m2, float(g.D[0, 1]), float(g.D[1, 0]))
         out["two_patch_criterion"] = crit.to_dict()
-        out["cross_checks"]["closed_form_sign_agree"] = crit.persists == (sd.rho > 1.0)
+        checks["closed_form_sign_agree"] = crit.persists == persists
     return out
 
 

@@ -12,6 +12,7 @@ switching.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -138,9 +139,16 @@ def load_environment(source: str | Path | dict) -> EnvironmentModel:
     return EnvironmentModel(states=states, means=source["means"], schedule=schedule)
 
 
+def _patch_means(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
+    """``env.means``, refused unless it has one column per patch of ``g``."""
+    if env.means.shape[1] != g.K:
+        raise ValidationError(f"environment means cover {env.means.shape[1]} patches, the graph has {g.K}")
+    return env.means
+
+
 def state_mean_matrix(g: MetapopGraph, env: EnvironmentModel, state: int) -> np.ndarray:
     """Mean matrix in one environment state: means[state][i] * D[i, j]."""
-    return env.means[state][:, None] * g.D
+    return _patch_means(g, env)[state][:, None] * g.D
 
 
 def periodic_mean_matrix(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
@@ -153,10 +161,7 @@ def periodic_mean_matrix(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
     cycle = env.schedule.cycle
     if cycle is None:
         raise ValidationError("periodic mean matrix needs a periodic schedule")
-    out = np.eye(g.K)
-    for s in cycle:
-        out = out @ state_mean_matrix(g, env, s)
-    return out
+    return functools.reduce(np.matmul, [state_mean_matrix(g, env, s) for s in cycle])
 
 
 def two_patch_periodic_criterion(
@@ -204,7 +209,7 @@ def even_return_functional(
     if cycle is None:
         raise ValidationError("even-return analysis needs a periodic schedule")
     out: dict[str, PersistenceVerdict] = {}
-    for s, v in zip(cycle, _phase_verdicts(g, env.means[list(cycle)], home, cfg)):
+    for s, v in zip(cycle, _phase_verdicts(g, _patch_means(g, env)[list(cycle)], home, cfg)):
         out.setdefault(env.states[s], v)
     return out
 
@@ -243,11 +248,11 @@ def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> tuple[MetapopGraph, li
     cycle = env.schedule.cycle
     if cycle is None or len(cycle) != 2:
         raise ValidationError("the edge chain needs a two-state alternation")
-    a, b = cycle
+    ma, mb = _patch_means(g, env)[list(cycle)]
     I, J = np.nonzero(g.D > 0)
     pairs = list(zip(I.tolist(), J.tolist()))
     B = g.D[np.ix_(J, I)] * g.D[I, J][None, :]
-    m_edge = env.means[a][I] * env.means[b][J]
+    m_edge = ma[I] * mb[J]
     labels = tuple(f"{i}->{j}" for (i, j) in pairs)
     return MetapopGraph(m=m_edge, D=B, labels=labels), pairs
 
@@ -255,7 +260,7 @@ def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> tuple[MetapopGraph, li
 def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel) -> EdgeChainResult:
     """Edge-chain variational solution of a two-state periodic environment.
 
-    Requires positive means in both states and a primitive edge chain (a
+    Requires positive applied means and a primitive edge chain (a
     periodic edge chain is rejected, matching the fixed-environment rule).
     The twisted chain of the edge chain has the two-step product's Perron
     root, which one K x K eigen-solve gives, so its Perron vector is one
@@ -263,9 +268,9 @@ def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel) -> Edg
     (up to K^2)-state chain.  The edge chain's log root is still read off
     its own vectors, so a wrong chain shows in the cross-check.
     """
-    if np.any(env.means <= 0):
-        raise ValidationError("edge-chain analysis needs positive means in all states")
     eg, pairs = edge_chain(g, env)
+    if np.any(env.means[list(env.schedule.cycle)] <= 0):
+        raise ValidationError("edge-chain analysis needs positive means in the applied states")
     report = validate_graph(eg)
     if not report.irreducible:
         raise ValidationError("edge chain is not irreducible")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, _as_array, _json_object, _number, validate_graph
+from .graph import MetapopGraph, _as_array, _json_object, _number, _readonly, validate_graph
 from .spectral import mean_matrix, perron_value
 from .walks import PersistenceVerdict, _verdict_from_value, return_value_matrix
 
@@ -52,9 +52,7 @@ class Motif:
         types = _as_array(self.types, "patch types", int).reshape(-1)
         if np.any((types < 0) | (types >= means.size)):
             raise ValidationError("patch type out of range of means_by_type")
-        means = means.copy()
-        means.flags.writeable = False
-        object.__setattr__(self, "means_by_type", means)
+        object.__setattr__(self, "means_by_type", _readonly(means))
         object.__setattr__(self, "types", tuple(types.tolist()))
         # validates shape, stochastic rows and entry ranges
         collapsed = MetapopGraph(

@@ -153,10 +153,6 @@ def _inner_solve(Dss, fs, v0, bound):
     reached or no step raises the objective.
     """
     s = fs.size
-    if s == 1:
-        d = Dss[0, 0]
-        cost = math.inf if d == 0.0 else -math.log(d)
-        return cost, np.ones(1), 0
     xi = _clamp(np.log(fs if v0 is None else v0))
     free = np.arange(s) != int(np.argmax(fs))
     eye = np.eye(s - 1)
@@ -195,27 +191,20 @@ def _inner_solve(Dss, fs, v0, bound):
     raise ConvergenceError("inner rate-function solve did not converge", residual=rel)
 
 
-class _RateSolver:
-    """Pre-validated evaluator of I(f) for one graph (hot-loop friendly)."""
-
-    def __init__(self, g: MetapopGraph):
-        self.g = g
-        self.D = g.D
-        pos = g.D[g.D > 0]
-        self.bound = math.log(1.0 / float(pos.min())) + 5.0
-
-    def evaluate(self, f: np.ndarray, v0=None):
-        sup = np.where(f > 0)[0]
-        Dss = self.D[np.ix_(sup, sup)]
-        fs = f[sup]
-        if np.any(Dss.sum(axis=0) == 0.0):
-            # a supported patch with no inflow from the support: unrealizable
-            return math.inf, _embed(np.ones(sup.size), sup, f.size), 0
-        v0s = None if v0 is None else np.asarray(v0, dtype=float)[sup]
-        cost, vs, iters = _inner_solve(Dss, fs, v0s, self.bound)
-        if -1e-12 < cost < 0.0:
-            cost = 0.0
-        return cost, _embed(vs, sup, f.size), iters
+def _cost(D: np.ndarray, f: np.ndarray, v0: np.ndarray | None = None):
+    """(I(f), inner vector, inner steps) on a checked graph, warm-started from a
+    full-length ``v0`` when given."""
+    sup = np.where(f > 0)[0]
+    Dss = D[np.ix_(sup, sup)]
+    fs = f[sup]
+    if np.any(Dss.sum(axis=0) == 0.0):
+        # a supported patch with no inflow from the support: unrealizable
+        return math.inf, _embed(np.ones(sup.size), sup, f.size), 0
+    bound = math.log(1.0 / float(D[D > 0].min())) + 5.0
+    cost, vs, iters = _inner_solve(Dss, fs, None if v0 is None else v0[sup], bound)
+    if -1e-12 < cost < 0.0:
+        cost = 0.0
+    return cost, _embed(vs, sup, f.size), iters
 
 
 def _embed(vs: np.ndarray, sup: np.ndarray, k: int) -> np.ndarray:
@@ -224,20 +213,18 @@ def _embed(vs: np.ndarray, sup: np.ndarray, k: int) -> np.ndarray:
     return v
 
 
-def rate_function(g: MetapopGraph, f, v0: np.ndarray | None = None) -> RateEvaluation:
+def rate_function(g: MetapopGraph, f) -> RateEvaluation:
     """Cost I(f) of an occupancy scheme, with the attaining inner vector.
 
-    The inner concave supremum is solved on the support of f, from ``v0``
-    when given, until its relative stationarity residual falls below
-    ``INNER_RES_TOL``.  I(f) = +inf when no walk can realize f (a supported
-    patch unreachable from the support, or no circulation on the support
-    with marginal f).
+    The inner concave supremum is solved on the support of f until its
+    relative stationarity residual falls below ``INNER_RES_TOL``.  I(f) =
+    +inf when no walk can realize f (a supported patch unreachable from the
+    support, or no circulation on the support with marginal f).
     """
     if not validate_graph(g).irreducible:
         raise ValidationError("rate function needs an irreducible dispersal matrix")
     f = as_frequencies(f, g.K)
-    solver = _RateSolver(g)
-    cost, v, iters = solver.evaluate(f, v0=v0)
+    cost, v, iters = _cost(g.D, f)
     sup = np.where(v > 0)[0]
     v_gauged = v.copy()
     if math.isfinite(cost):
@@ -327,10 +314,9 @@ def max_rate_gap(g: MetapopGraph) -> VariationalResult:
         )
     k = g.K
     logm = np.log(g.m)
-    solver = _RateSolver(g)
 
     def evaluate(f, v_warm):
-        cost, v, _ = solver.evaluate(f, v0=v_warm)
+        cost, v, _ = _cost(g.D, f, v_warm)
         return float(f @ logm) - cost, v
 
     f = stationary_distribution(g)

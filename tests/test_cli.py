@@ -556,6 +556,17 @@ def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_excursion_sidecar_stops_at_the_configured_step_cap(tmp_path):
+    # a trap graph whose excursions from patch 0 run for hundreds of steps
+    exc = tmp_path / "exc.csv"
+    cfg = write_cfg(tmp_path, {"graph": {"m": [2, 0.5], "D": [[0, 1], [0.001, 0.999]]},
+                               "mc": {"max_steps": 5, "n_trials": 1000}})
+    code, _ = run(tmp_path, ["analyze", "--config", cfg, "--excursions-out", str(exc)])
+    assert code == 0
+    lines = exc.read_text().splitlines()
+    assert lines[0] == "step,patch" and len(lines) <= 5 + 2
+
+
 def test_float_seed_is_read_as_its_integer(tmp_path):
     csvs = []
     for seed in (3.0, 3):
@@ -599,6 +610,12 @@ MALFORMED = {
     "negative seed": ("simulate --seed -1", {"graph": GRAPH}),
     "non-numeric seed": ("analyze", {"graph": GRAPH, "seed": "x"}),
     "non-numeric seed with trials": ("analyze --trials 10", {"graph": GRAPH, "seed": "x"}),
+    "periodic env of three patches": ("periodic", {"graph": GRAPH, "env": {
+        **PERIODIC_ENV, "means": [[4.0, 0.9, 1.0], [0.2, 0.9, 1.0]]}}),
+    "randenv env of three patches": ("randenv", {"graph": GRAPH, "env": {
+        **MARKOV_ENV, "means": [[10.0, 0.9, 1.0], [0.05, 0.8, 1.0]]}}),
+    "simulate env of one patch": ("simulate", {"graph": GRAPH, "env": {
+        **PERIODIC_ENV, "means": [[4.0], [0.2]]}}),
 }
 
 

@@ -14,6 +14,7 @@ from sourcesink import (
     argmax_occupancy,
     edge_chain,
     even_return_functional,
+    extinction_probability,
     growth_rate,
     load_environment,
     lyapunov_estimate,
@@ -24,6 +25,7 @@ from sourcesink import (
     random_env_lower_bound,
     return_functional_exact,
     return_functional_mc,
+    simulate,
     state_mean_matrix,
     two_patch_periodic_criterion,
 )
@@ -586,3 +588,40 @@ def test_lyapunov_on_a_periodic_schedule_is_the_product_rate(P):
     ly = lyapunov_estimate(g, env, n_steps=10**5, seed=P)
     target = math.log(growth_rate(periodic_mean_matrix(g, env)).rho) / P
     assert abs(ly.gamma - target) <= max(ly.ci_halfwidth, 1e-12)
+
+
+# every entry point that reads an environment's means on a graph
+ENV_ON_GRAPH = {
+    "state_mean_matrix": lambda g, env: state_mean_matrix(g, env, 0),
+    "periodic_mean_matrix": periodic_mean_matrix,
+    "even_return_functional": even_return_functional,
+    "edge_chain": edge_chain,
+    "periodic_growth_and_occupancy": periodic_growth_and_occupancy,
+    "lyapunov_estimate": lambda g, env: lyapunov_estimate(g, env, n_steps=2000),
+    "simulate": lambda g, env: simulate(g, env=env, horizon=5, n_runs=10),
+    "extinction_probability": lambda g, env: extinction_probability(g, env=env, n_runs=10),
+}
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("name", list(ENV_ON_GRAPH))
+def test_environment_of_another_patch_count_is_refused(name, width):
+    g = two_patch()
+    env = EnvironmentModel(("e1", "e2"), np.full((2, width), 1.5), Periodic((0, 1)))
+    with pytest.raises(ValidationError, match=f"cover {width} patches, the graph has 2"):
+        ENV_ON_GRAPH[name](g, env)
+
+
+def test_edge_chain_ignores_a_state_the_schedule_never_applies():
+    g = MetapopGraph(m=[1.0, 1.0], D=[[0.5, 0.5], [0.5, 0.5]])
+    means = [[4.0, 0.9], [0.2, 0.9]]
+    with_c = EnvironmentModel(("a", "b", "c"), means + [[0.0, 1.0]], Periodic((0, 1)))
+    without_c = EnvironmentModel(("a", "b"), means, Periodic((0, 1)))
+    got, want = (periodic_growth_and_occupancy(g, env) for env in (with_c, without_c))
+    assert got.log_growth == want.log_growth
+    assert abs(got.log_growth - 0.149) < 5e-4
+    assert np.array_equal(got.occupancy_edges, want.occupancy_edges)
+    assert got.residual == want.residual
+    with pytest.raises(ValidationError, match="positive means"):
+        periodic_growth_and_occupancy(
+            g, EnvironmentModel(("a", "b"), [[4.0, 0.9], [0.0, 0.9]], Periodic((0, 1))))

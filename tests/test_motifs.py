@@ -264,3 +264,12 @@ def test_motif_json_roundtrip():
     assert np.array_equal(again.D, motif.D)
     with pytest.raises(ValidationError):
         load_motif({"types": [0], "means_by_type": [1.0]})
+
+
+def test_motif_means_are_read_only():
+    motif = chessboard_motif()
+    with pytest.raises(ValueError):
+        motif.means_by_type[0] = 99.0
+    with pytest.raises(ValueError):
+        motif.means_by_type.flags.writeable = True
+    assert motif.means_by_type.tolist() == [1.5, 0.6]
