@@ -41,7 +41,7 @@ import numpy as np
 
 from .environments import EnvironmentModel, Periodic, _patch_means, state_mean_matrix
 from .errors import StatisticalError, ValidationError
-from .graph import MetapopGraph
+from .graph import MetapopGraph, _check_home
 from .walks import CHUNK
 
 ESCAPE_CAP = 10**7
@@ -128,8 +128,7 @@ def geometric_laws(g: MetapopGraph, env: EnvironmentModel | None = None) -> list
 
 def _checked_laws(g, env, laws, allow_degenerate, home, n_runs, escape_cap):
     """Validate a branching entry point's inputs; returns the environment and laws to use."""
-    if not 0 <= home < g.K:
-        raise ValidationError(f"home patch {home} out of range")
+    _check_home(g, home)
     if n_runs < 1:
         raise ValidationError("n_runs must be >= 1")
     if escape_cap < 1:

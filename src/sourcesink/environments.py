@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import (ROW_SUM_TOL, MetapopGraph, _as_array, _json_object, _number, _object,
-                    _readonly, validate_graph)
+                    _readonly, _require)
 from .spectral import SpectralData, growth_rate
 from .variational import _twisted_occupancy
 from .walks import PersistenceVerdict, WalkConfig, _phase_verdicts, _verdict_from_value
@@ -260,8 +260,9 @@ def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> tuple[MetapopGraph, li
 def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel) -> EdgeChainResult:
     """Edge-chain variational solution of a two-state periodic environment.
 
-    Requires positive applied means and a primitive edge chain (a
-    periodic edge chain is rejected, matching the fixed-environment rule).
+    Requires a primitive edge chain with positive means, which on an
+    irreducible graph is positive means in the applied states (a periodic
+    edge chain is rejected, matching the fixed-environment rule).
     The twisted chain of the edge chain has the two-step product's Perron
     root, which one K x K eigen-solve gives, so its Perron vector is one
     bordered LU solve at that root rather than an eigen-solve of the
@@ -269,13 +270,7 @@ def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel) -> Edg
     its own vectors, so a wrong chain shows in the cross-check.
     """
     eg, pairs = edge_chain(g, env)
-    if np.any(env.means[list(env.schedule.cycle)] <= 0):
-        raise ValidationError("edge-chain analysis needs positive means in the applied states")
-    report = validate_graph(eg)
-    if not report.irreducible:
-        raise ValidationError("edge chain is not irreducible")
-    if not report.aperiodic:
-        raise ValidationError("edge chain is periodic; the occupancy theory needs aperiodicity")
+    _require(eg, "edge chain", aperiodic=True, positive=True)
     product = growth_rate(periodic_mean_matrix(g, env))
     res = _twisted_occupancy(eg, product.rho)
     phi = np.zeros((g.K, g.K))
@@ -355,8 +350,7 @@ def lyapunov_estimate(
     period P), and the CI comes from the batch means.  When the vector
     vanishes (possible when a state has zero means), it is -inf with CI 0.
     """
-    if not validate_graph(g).irreducible:
-        raise ValidationError("Lyapunov estimation needs an irreducible graph")
+    _require(g, "Lyapunov estimation")
     if n_steps <= LYAPUNOV_BURN_IN + LYAPUNOV_BATCHES:
         raise ValidationError("n_steps too small for burn-in plus batching")
     rng = np.random.default_rng([seed, 0])

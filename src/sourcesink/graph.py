@@ -8,8 +8,9 @@ reference patch is needed.
 
 This module owns input validation (stochastic rows, non-negative means),
 the structural checks used as preconditions elsewhere (irreducibility,
-aperiodicity, positive means), the stationary law of the single random
-walker on the graph, and the Perron kernel that the spectral and
+aperiodicity, positive means) with every refusal they word (``_require``,
+one call per analysis), the stationary law of the single random walker on
+the graph, and the Perron kernel that the spectral and
 variational modules share: a dense eigen-solve when the Perron root is
 unknown, one LU solve when it is known.  A graph's arrays are read-only
 copies, so its structure check is made once and kept on the graph.
@@ -163,15 +164,18 @@ class AssumptionReport:
     period: int
 
 
+def _labels(source: dict, what: str) -> tuple | None:
+    """``source``'s ``labels`` list as a tuple, None when absent."""
+    labels = source.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValidationError(f"{what} labels must be a JSON list")
+    return None if labels is None else tuple(labels)
+
+
 def load_graph(source: str | Path | dict) -> MetapopGraph:
     """Build a graph from a JSON file path or an already-parsed dict."""
     source = _json_object(source, "graph", ("m", "D"))
-    labels = source.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list):
-            raise ValidationError("graph labels must be a JSON list")
-        labels = tuple(labels)
-    return MetapopGraph(m=source["m"], D=source["D"], labels=labels)
+    return MetapopGraph(m=source["m"], D=source["D"], labels=_labels(source, "graph"))
 
 
 def as_frequencies(f, k: int | None = None) -> np.ndarray:
@@ -255,6 +259,32 @@ def validate_graph(g: MetapopGraph | np.ndarray) -> AssumptionReport:
     return _assumption_report(g > 0, g.sum(axis=1))
 
 
+def _check_home(g: MetapopGraph, home) -> None:
+    """Refuse ``home`` unless it is an integer (not a bool) patch index of ``g``."""
+    if isinstance(home, bool) or not isinstance(home, numbers.Integral):
+        raise ValidationError(f"home patch must be an integer, not {home!r}")
+    if not 0 <= home < g.K:
+        raise ValidationError(f"home patch {home} out of range")
+
+
+def _require(g: MetapopGraph | np.ndarray, what: str, *, home=None, aperiodic=False,
+             positive=False) -> AssumptionReport:
+    """``validate_graph(g)``, refused unless it meets what analysis ``what``
+    needs: an irreducible graph, plus a patch index ``home``, ``aperiodic``
+    and ``positive`` means (a mean matrix's row sums) when asked.  The first
+    failure is a ``ValidationError`` naming ``what``."""
+    if home is not None:
+        _check_home(g, home)
+    report = validate_graph(g)
+    if positive and not report.positive_means:
+        raise ValidationError(f"{what} needs positive means; a patch has mean 0")
+    if not report.irreducible:
+        raise ValidationError(f"{what} needs an irreducible graph; this one is not irreducible")
+    if aperiodic and not report.aperiodic:
+        raise ValidationError(f"{what} needs an aperiodic graph; this one has period {report.period}")
+    return report
+
+
 def _perron(A: np.ndarray, root: float | None = None) -> tuple[float, np.ndarray]:
     """Perron root and right Perron vector (sum 1) of an irreducible
     non-negative matrix.
@@ -323,7 +353,5 @@ def stationary_distribution(g: MetapopGraph) -> np.ndarray:
     iteration to stall, so periodic and nearly decomposable chains are
     answered like any other.
     """
-    report = validate_graph(g)
-    if not report.irreducible:
-        raise ValidationError("stationary distribution needs an irreducible graph")
+    _require(g, "stationary distribution")
     return _perron(g.D.T, 1.0)[1]

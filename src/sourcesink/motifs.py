@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, _as_array, _json_object, _number, _readonly, validate_graph
+from .graph import (MetapopGraph, _as_array, _json_object, _labels, _number, _readonly,
+                    _require)
 from .spectral import mean_matrix, perron_value
 from .walks import PersistenceVerdict, _verdict_from_value, return_value_matrix
 
@@ -61,11 +62,11 @@ class Motif:
         object.__setattr__(self, "D", collapsed.D)
 
     def to_dict(self) -> dict:
-        return {
-            "types": list(self.types),
-            "means_by_type": self.means_by_type.tolist(),
-            "D": self.D.tolist(),
-        }
+        d = {"types": list(self.types), "means_by_type": self.means_by_type.tolist(),
+             "D": self.D.tolist()}
+        if self.labels is not None:
+            d["labels"] = list(self.labels)
+        return d
 
 
 def load_motif(source: str | Path | dict) -> Motif:
@@ -75,6 +76,7 @@ def load_motif(source: str | Path | dict) -> Motif:
         types=source["types"],
         means_by_type=source["means_by_type"],
         D=source["D"],
+        labels=_labels(source, "motif"),
     )
 
 
@@ -116,8 +118,7 @@ def type_return_functional(motif: Motif) -> PersistenceVerdict:
     infinite and so is the verdict, since then rho(A) > 1.
     """
     g = collapse(motif)
-    if not validate_graph(g).irreducible:
-        raise ValidationError("collapsed motif must be irreducible")
+    _require(g, "type-return criterion")
     R = return_value_matrix(mean_matrix(g), _home_patches(motif))
     rho = math.inf if np.isinf(R).any() else perron_value(R)
     return _verdict_from_value(rho, "exact-linear-system")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, _bordered_perron, _perron, validate_graph
+from .graph import MetapopGraph, _bordered_perron, _perron, _require
 
 
 @dataclass(frozen=True)
@@ -63,21 +63,17 @@ def perron_value(A: np.ndarray) -> float:
 def growth_rate(A: np.ndarray) -> SpectralData:
     """Perron data of a mean matrix.
 
-    Requires positive means (no zero row) and an irreducible support graph;
-    a periodic support is allowed but flagged, since then only ``rho``
-    carries the usual meaning.  ``residual`` is the larger max-norm
-    residual of the two vectors' eigen-equations.
+    Requires positive means (no zero row) and an irreducible support graph
+    (``graph._require``); a periodic support is allowed but flagged, since
+    then only ``rho`` carries the usual meaning.  ``residual`` is the
+    larger max-norm residual of the two vectors' eigen-equations.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValidationError("mean matrix must be square and non-empty")
     if np.any(A < 0) or not np.all(np.isfinite(A)):
         raise ValidationError("mean matrix entries must be finite and >= 0")
-    if np.any(A.sum(axis=1) == 0):
-        raise ValidationError("mean matrix has a zero row (a patch with zero mean)")
-    report = validate_graph(A)
-    if not report.irreducible:
-        raise ValidationError("mean matrix support is not irreducible")
+    report = _require(A, "growth rate", positive=True)
     rho, right = _perron(A)
     left = _bordered_perron(A.T, rho)
     residual = float(

@@ -33,9 +33,9 @@ from .graph import (
     _bordered_perron,
     _levels,
     _perron,
+    _require,
     as_frequencies,
     stationary_distribution,
-    validate_graph,
 )
 
 INNER_RES_TOL = 1e-11
@@ -221,8 +221,7 @@ def rate_function(g: MetapopGraph, f) -> RateEvaluation:
     +inf when no walk can realize f (a supported patch unreachable from the
     support, or no circulation on the support with marginal f).
     """
-    if not validate_graph(g).irreducible:
-        raise ValidationError("rate function needs an irreducible dispersal matrix")
+    _require(g, "rate function")
     f = as_frequencies(f, g.K)
     cost, v, iters = _cost(g.D, f)
     sup = np.where(v > 0)[0]
@@ -237,16 +236,6 @@ def rate_function(g: MetapopGraph, f) -> RateEvaluation:
         boundary=bool(sup.size < g.K),
         iterations=iters,
     )
-
-
-def _require_primitive_positive(g: MetapopGraph) -> None:
-    report = validate_graph(g)
-    if not report.positive_means:
-        raise ValidationError("all patch means must be positive")
-    if not report.irreducible:
-        raise ValidationError("dispersal matrix must be irreducible")
-    if not report.aperiodic:
-        raise ValidationError("dispersal matrix must be aperiodic")
 
 
 def _occupancy_set_is_full_dimensional(D: np.ndarray) -> bool:
@@ -305,7 +294,7 @@ def max_rate_gap(g: MetapopGraph) -> VariationalResult:
     when Newton stalls uncertified, as when the maximizer lies within
     float resolution of the simplex boundary.
     """
-    _require_primitive_positive(g)
+    _require(g, "simplex ascent", aperiodic=True, positive=True)
     if not _occupancy_set_is_full_dimensional(g.D):
         raise ValidationError(
             "the realizable occupancy set of this dispersal matrix is "
@@ -378,7 +367,7 @@ def argmax_occupancy(g: MetapopGraph) -> VariationalResult:
     unknown Perron root and takes one eigen-solve; D'' has root 1 and takes
     one LU solve.
     """
-    _require_primitive_positive(g)
+    _require(g, "twisted-chain occupancy", aperiodic=True, positive=True)
     return _twisted_occupancy(g)
 
 

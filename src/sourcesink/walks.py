@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, validate_graph
+from .graph import MetapopGraph, _require
 
 # (I - B)^-1 1 reaching 1 / this counts as divergent; it always does once
 # rho(B) >= 1 - this
@@ -237,10 +237,7 @@ def _phase_verdicts(
     multiple of P: the exact value of the one-period product of mean
     matrices when ``cfg`` is None, else the Monte Carlo estimate.
     """
-    if not 0 <= home < g.K:
-        raise ValidationError(f"home patch {home} out of range")
-    if not validate_graph(g).irreducible:
-        raise ValidationError("persistence criterion needs an irreducible graph")
+    _require(g, "persistence criterion", home=home)
     rotated = [np.roll(means, -s, axis=0) for s in range(means.shape[0])]
     if cfg is None:
         return [
@@ -270,12 +267,9 @@ def depleting_rate(g: MetapopGraph) -> float:
     sink_means = g.m[1:]
     if np.ptp(sink_means) > SINK_MEAN_RTOL * max(1.0, abs(float(sink_means[0]))):
         raise ValidationError("all sink patches must share a single mean")
-    if not validate_graph(g).irreducible:
-        raise ValidationError("depleting rate needs an irreducible graph")
+    _require(g, "depleting rate")
     m = float(sink_means[0])
-    p = float(g.D[0, 1:].sum())
-    if p == 0.0:
-        raise ValidationError("source never disperses; depleting rate undefined")
+    p = float(g.D[0, 1:].sum())  # > 0, as patch 0 of an irreducible graph reaches the sinks
     a = _resolvent(m * g.D[1:, 1:], m * g.D[1:, :1])
     if a is None:
         return math.inf
@@ -296,10 +290,7 @@ def sample_excursion(
 ) -> Excursion:
     """Draw one excursion; the path starts at home and, unless truncated,
     ends with the first return to home."""
-    if not 0 <= home < g.K:
-        raise ValidationError(f"home patch {home} out of range")
-    if not validate_graph(g).irreducible:
-        raise ValidationError("excursion sampling needs an irreducible graph")
+    _require(g, "excursion sampling", home=home)
     rng = np.random.default_rng([seed, 0])
     cum = np.cumsum(g.D, axis=1)
     cum[:, -1] = 1.0

@@ -149,6 +149,16 @@ def test_validate_command(tmp_path):
     assert rep["provenance"]["seed"] == 0
 
 
+def test_validate_writes_a_motifs_labels_under_the_graph(tmp_path):
+    motif = {"types": [0, 1], "means_by_type": [1.5, 0.6], "D": [[0, 1], [1, 0]],
+             "labels": ["a", "b"]}
+    code, out = run(tmp_path, ["validate", "--config", write_cfg(tmp_path, {"motif": motif})])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["graph"]["labels"] == ["a", "b"]
+    assert rep["config"]["motif"]["labels"] == ["a", "b"]
+
+
 def test_validate_rejects_bad_rows_with_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"graph": {"m": [1, 1], "D": [[0.6, 0.5], [0.5, 0.5]]}})
     code = main(["validate", "--config", cfg])
@@ -603,7 +613,10 @@ MALFORMED = {
     "markov without beta": ("randenv", {"graph": GRAPH, "env": {
         **MARKOV_ENV, "schedule": {"markov": {"alpha": 0.5}}}}),
     "labels not a list": ("validate", {"graph": {**GRAPH, "labels": 5}}),
+    "motif labels not a list": ("validate", {"motif": {"types": [0, 1], "means_by_type": [1.5, 0.6],
+                                                       "D": [[0, 1], [1, 0]], "labels": 5}}),
     "periodic on a markov schedule": ("periodic", {"graph": GRAPH, "env": MARKOV_ENV}),
+    "reducible graph": ("analyze", {"graph": {"m": [2.0, 0.5], "D": [[1, 0], [0, 1]]}}),
     "rate grid of three patches": ("analyze --grid-out grid.csv", {"graph": {
         "m": [2.0, 0.5, 1.0], "D": [[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.3, 0.3, 0.4]]}}),
     "negative seed with trials": ("analyze --trials 10 --seed -1", {"graph": GRAPH}),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from sourcesink import (
     stationary_distribution,
     validate_graph,
 )
+import sourcesink as ss
 from sourcesink import graph
 from sourcesink.environments import Periodic, edge_chain
 from conftest import random_graph, two_patch
@@ -385,3 +387,75 @@ def test_graph_arrays_are_immutable():
         g.m[0] = 3.0
     with pytest.raises(ValueError):
         g.D.flags.writeable = True
+
+
+# two closed patches; a 3-cycle, whose edge chain is a 3-cycle too; a zero mean
+REDUCIBLE = MetapopGraph(m=[2.0, 0.5], D=[[1.0, 0.0], [0.0, 1.0]])
+CYCLE3 = MetapopGraph(m=[2.0, 0.5, 1.0], D=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+ZERO_MEAN = MetapopGraph(m=[2.0, 0.0], D=[[0.5, 0.5], [0.5, 0.5]])
+
+
+def _alternation(g):
+    """Two states applied in turn: the graph's means, and nine tenths of them."""
+    return EnvironmentModel(("a", "b"), [g.m, 0.9 * g.m], Periodic((0, 1)))
+
+
+# route -> (the ``what`` its refusals name, a call of it on a graph)
+ROUTES = {
+    "stationary_distribution": ("stationary distribution", stationary_distribution),
+    "growth_rate": ("growth rate", lambda g: growth_rate(mean_matrix(g))),
+    "return_functional_exact": ("persistence criterion", ss.return_functional_exact),
+    "return_functional_mc": ("persistence criterion",
+                             lambda g: ss.return_functional_mc(g, 0, ss.WalkConfig(n_trials=10))),
+    "even_return_functional": ("persistence criterion",
+                               lambda g: ss.even_return_functional(g, _alternation(g))),
+    "depleting_rate": ("depleting rate", ss.depleting_rate),
+    "sample_excursion": ("excursion sampling", ss.sample_excursion),
+    "rate_function": ("rate function", lambda g: ss.rate_function(g, np.full(g.K, 1 / g.K))),
+    "max_rate_gap": ("simplex ascent", ss.max_rate_gap),
+    "argmax_occupancy": ("twisted-chain occupancy", ss.argmax_occupancy),
+    "edge_chain": ("edge chain", lambda g: ss.periodic_growth_and_occupancy(g, _alternation(g))),
+    "lyapunov_estimate": ("Lyapunov estimation",
+                          lambda g: ss.lyapunov_estimate(g, _alternation(g), n_steps=2000)),
+    "type_return_functional": ("type-return criterion", lambda g: ss.type_return_functional(
+        ss.Motif(types=range(g.K), means_by_type=g.m, D=g.D))),
+}
+GATE_CASES = (
+    [(name, "reducible", REDUCIBLE, "needs an irreducible graph; this one is not irreducible")
+     for name in ROUTES]
+    + [(name, "periodic", CYCLE3, "needs an aperiodic graph; this one has period 3")
+       for name in ("max_rate_gap", "argmax_occupancy", "edge_chain")]
+    + [(name, "zero-mean", ZERO_MEAN, "needs positive means; a patch has mean 0")
+       for name in ("growth_rate", "max_rate_gap", "argmax_occupancy", "edge_chain")]
+)
+
+
+@pytest.mark.parametrize("name, g, wording", [(n, g, w) for n, _, g, w in GATE_CASES],
+                         ids=[f"{n}-{kind}" for n, kind, _, _ in GATE_CASES])
+def test_every_route_words_a_structural_refusal_alike_and_names_itself(name, g, wording):
+    what, call = ROUTES[name]
+    with pytest.raises(ValidationError) as e:
+        call(g)
+    assert str(e.value) == f"{what} {wording}"
+
+
+HOME_ROUTES = {
+    "return_functional_exact": lambda g, h: ss.return_functional_exact(g, h),
+    "return_functional_mc": lambda g, h: ss.return_functional_mc(g, h, ss.WalkConfig(n_trials=10)),
+    "sample_excursion": lambda g, h: ss.sample_excursion(g, h),
+    "simulate": lambda g, h: ss.simulate(g, horizon=3, n_runs=4, start_patch=h),
+    "extinction_probability": lambda g, h: ss.extinction_probability(g, home=h, n_runs=4),
+}
+
+
+@pytest.mark.parametrize("home", [1.5, True, np.float64(1.0), "1"])
+@pytest.mark.parametrize("route", list(HOME_ROUTES))
+def test_a_home_patch_that_is_not_an_integer_is_refused(route, home):
+    message = f"home patch must be an integer, not {home!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        HOME_ROUTES[route](two_patch(), home)
+
+
+@pytest.mark.parametrize("route", list(HOME_ROUTES))
+def test_a_numpy_integer_home_patch_is_accepted(route):
+    HOME_ROUTES[route](two_patch(), np.int64(1))

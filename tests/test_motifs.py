@@ -258,12 +258,17 @@ def test_pipeline_degenerate_rejected():
 
 
 def test_motif_json_roundtrip():
-    motif = chessboard_motif()
-    again = load_motif(motif.to_dict())
-    assert again.types == motif.types
-    assert np.array_equal(again.D, motif.D)
+    labelled = Motif(types=(0, 1), means_by_type=[1.5, 0.6], D=[[0, 1], [1, 0]], labels=("a", "b"))
+    for motif in (chessboard_motif(), labelled):
+        again = load_motif(motif.to_dict())
+        assert again.types == motif.types
+        assert np.array_equal(again.D, motif.D)
+        assert again.labels == motif.labels
+    assert "labels" not in chessboard_motif().to_dict()
     with pytest.raises(ValidationError):
         load_motif({"types": [0], "means_by_type": [1.0]})
+    with pytest.raises(ValidationError, match="motif labels must be a JSON list"):
+        load_motif({**labelled.to_dict(), "labels": "ab"})
 
 
 def test_motif_means_are_read_only():
