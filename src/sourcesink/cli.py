@@ -44,6 +44,7 @@ from .environments import (
 from .errors import ConvergenceError, StatisticalError, ValidationError
 from .graph import (
     MetapopGraph,
+    _integer,
     _json_object,
     _number,
     _object,
@@ -186,9 +187,7 @@ def _load_config(args) -> dict:
         if value is not None:
             block, _, name = key.rpartition(".")
             (cfg.setdefault(block, {}) if block else cfg)[name] = value
-    cfg["seed"] = _number(cfg.get("seed", 0), "seed", int)
-    if cfg["seed"] < 0:
-        raise ValidationError(f"seed must be >= 0, not {cfg['seed']}")
+    cfg["seed"] = _integer(cfg.get("seed", 0), "seed", 0)
     return cfg
 
 

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import (ROW_SUM_TOL, MetapopGraph, _as_array, _json_object, _number, _object,
-                    _readonly, _require)
+from .graph import (ROW_SUM_TOL, MetapopGraph, _as_array, _integer, _json_object, _number,
+                    _object, _readonly, _require)
 from .spectral import SpectralData, growth_rate
 from .variational import _twisted_occupancy
 from .walks import PersistenceVerdict, WalkConfig, _phase_verdicts, _verdict_from_value
@@ -351,6 +351,7 @@ def lyapunov_estimate(
     vanishes (possible when a state has zero means), it is -inf with CI 0.
     """
     _require(g, "Lyapunov estimation")
+    n_steps, seed = _integer(n_steps, "n_steps"), _integer(seed, "seed", 0)
     if n_steps <= LYAPUNOV_BURN_IN + LYAPUNOV_BATCHES:
         raise ValidationError("n_steps too small for burn-in plus batching")
     rng = np.random.default_rng([seed, 0])

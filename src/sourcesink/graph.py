@@ -79,6 +79,14 @@ def _number(value, what: str, kind: type = float):
     return kind(value)
 
 
+def _integer(value, what: str, least: int = 1) -> int:
+    """``value`` as an int (by ``_number``) no smaller than ``least``."""
+    n = _number(value, what, int)
+    if n < least:
+        raise ValidationError(f"{what} must be >= {least}, not {n}")
+    return n
+
+
 def _as_array(value, what: str, dtype=float) -> np.ndarray:
     """``value`` as an array of ``dtype``; ragged or non-numeric input is a ValidationError."""
     try:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import MetapopGraph, _require
+from .graph import MetapopGraph, _integer, _require
 
 # (I - B)^-1 1 reaching 1 / this counts as divergent; it always does once
 # rho(B) >= 1 - this
@@ -60,10 +60,8 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValidationError("max_steps must be >= 1")
-        if self.n_trials < 1:
-            raise ValidationError("n_trials must be >= 1")
+        for name, least in (("max_steps", 1), ("n_trials", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
 
 
 @dataclass(frozen=True)
@@ -291,7 +289,8 @@ def sample_excursion(
     """Draw one excursion; the path starts at home and, unless truncated,
     ends with the first return to home."""
     _require(g, "excursion sampling", home=home)
-    rng = np.random.default_rng([seed, 0])
+    max_steps = _integer(max_steps, "max_steps")
+    rng = np.random.default_rng([_integer(seed, "seed", 0), 0])
     cum = np.cumsum(g.D, axis=1)
     cum[:, -1] = 1.0
     cum_rows = [row.tolist() for row in cum]

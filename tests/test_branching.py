@@ -21,10 +21,13 @@ from sourcesink import (
     survivor_occupancy,
 )
 from sourcesink.branching import (
+    _Edges,
+    _Record,
     _env_states_for_gen,
     _generation,
     _run_chunk,
     geometric_laws,
+    poisson_laws,
 )
 from sourcesink.walks import CHUNK
 from conftest import random_graph, two_patch
@@ -276,6 +279,36 @@ def test_lineage_storage_holds_only_what_the_backward_pass_reads():
     assert peak < 32 << 20
 
 
+def _torus(side, keep=0.8):
+    """Stepping-stone dispersal on a side x side torus: each patch keeps
+    ``keep`` of its newborns and sends the rest equally to its four
+    neighbours."""
+    K = side * side
+    D = np.zeros((K, K))
+    for i in range(K):
+        r, c = divmod(i, side)
+        D[i, i] = keep
+        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            D[i, ((r + dr) % side) * side + (c + dc) % side] += (1.0 - keep) / 4
+    return D
+
+
+def test_lineage_flows_on_a_sparse_torus_take_memory_per_edge():
+    # a 10 x 10 torus at horizon 20: a lineage chunk is 41 runs, whose dense
+    # (horizon, runs, K, K) int64 flow history would take 66 MB; per-edge
+    # flows (five edges a patch, plus the last entries) take under 2 MB
+    g = MetapopGraph(m=np.random.default_rng(51).uniform(1.1, 1.6, 100), D=_torus(10))
+    horizon, chunk = 20, 41
+    tracemalloc.start()
+    try:
+        rep = simulate(g, horizon=horizon, n_runs=2 * chunk, seed=52)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_survived > 0
+    assert peak < horizon * chunk * g.K * g.K * 8 / 8
+
+
 def test_reports_are_deterministic_and_thread_invariant():
     g = two_patch()
     a = simulate(g, horizon=50, n_runs=1500, seed=17)
@@ -352,35 +385,84 @@ def _reference_generation(Z, states, laws, D, rng):
     return flows
 
 
-@pytest.mark.parametrize("schedule", [None, Periodic((1, 0)), MarkovSwitching(0.4, 0.3)])
-def test_generation_kernel_matches_reference_loop(schedule):
+# fixed, periodic and Markov schedules, on K = 4 patches with a full
+# dispersal matrix and on K = 9 with zero entries (ids ending in K9)
+SCHEDULES_AND_SIZES = [
+    pytest.param(schedule, K, id=name + ("" if K == 4 else "-K9"))
+    for K in (4, 9)
+    for schedule, name in ((None, "None"), (Periodic((1, 0)), "schedule1"),
+                           (MarkovSwitching(0.4, 0.3), "schedule2"))
+]
+
+
+def _dense_flows(flows, D):
+    """Per-edge flows (runs, E + 1) as a dense (runs, K, K) array.
+
+    The edges are each row's positive entries plus its last entry, row by
+    row in column order; the last column of ``flows`` is all zeros."""
+    support = D > 0
+    support[:, -1] = True
+    src, dst = np.nonzero(support)
+    dense = np.zeros((len(flows), len(D), len(D)), dtype=np.int64)
+    dense[:, src, dst] = flows[:, :-1]
+    assert not flows[:, -1].any()
+    return dense
+
+
+def _law_rows(K):
+    """Two states' laws on K patches, one law kind per patch in turn."""
+    kinds = [
+        (OffspringLaw("poisson", 1.5), OffspringLaw("poisson", 0.3)),
+        (OffspringLaw("geometric", 0.8), OffspringLaw("geometric", 2.5)),
+        (OffspringLaw("deterministic", 2.0), OffspringLaw("deterministic", 1.0)),
+        (OffspringLaw("bernoulli-pair", 1.2, p0=0.4, pair_n=2),
+         OffspringLaw("bernoulli-pair", 0.5, p0=0.75, pair_n=2)),
+    ]
+    return [[kinds[i % 4][s] for i in range(K)] for s in (0, 1)]
+
+
+def _sparse_dispersal(K=9):
+    """A K >= 8 dispersal matrix with zero entries: patch i keeps half its
+    newborns and sends the rest to i + 1 and i + 3, so most rows have a
+    zero last entry and three (rows K - 4, K - 2 and K - 1) a positive one."""
+    D = np.zeros((K, K))
+    for i in range(K):
+        D[i, i] += 0.5
+        D[i, (i + 1) % K] += 0.3
+        D[i, (i + 3) % K] += 0.2
+    assert np.array_equal(np.flatnonzero(D[:, -1]), [K - 4, K - 2, K - 1])
+    return D
+
+
+@pytest.mark.parametrize("schedule, K", SCHEDULES_AND_SIZES)
+def test_generation_kernel_matches_reference_loop(schedule, K):
     # one law kind per patch; runs with zero parents draw nothing, so the
     # kernel on live runs only leaves the stream where the loop over all
-    # runs leaves it
-    rows = [
-        [OffspringLaw("poisson", 1.5), OffspringLaw("geometric", 0.8),
-         OffspringLaw("deterministic", 2.0), OffspringLaw("bernoulli-pair", 1.2, p0=0.4, pair_n=2)],
-        [OffspringLaw("poisson", 0.3), OffspringLaw("geometric", 2.5),
-         OffspringLaw("deterministic", 1.0), OffspringLaw("bernoulli-pair", 0.5, p0=0.75, pair_n=2)],
-    ]
-    g = random_graph(np.random.default_rng(40), 4)
+    # runs leaves it; at K = 9 the split over a row's positive entries and
+    # its last entry draws what the split over the whole row draws
+    rows = _law_rows(K)
+    D = random_graph(np.random.default_rng(40), 4).D if K == 4 else _sparse_dispersal(K)
+    g = MetapopGraph(m=[law.mean for law in rows[0]], D=D)
     env = EnvironmentModel(states=("fixed",), means=[g.m], schedule=Periodic((0,)))
     laws = rows[:1]
     if schedule is not None:
         means = [[law.mean for law in row] for row in rows]
         env = EnvironmentModel(states=("e1", "e2"), means=means, schedule=schedule)
         laws = rows
+    edges = _Edges(g.D)
     draw = np.random.default_rng(41)
     states = np.zeros(300, dtype=np.int64)
     for t in range(6):
         states = _env_states_for_gen(env, t, states, draw)
-        Z = draw.integers(0, 4, size=(300, 4)) * (draw.random((300, 1)) < 0.6)
+        Z = draw.integers(0, 4, size=(300, K)) * (draw.random((300, 1)) < 0.6)
         live = Z.sum(axis=1) > 0
         assert 0 < live.sum() < 300
         ref_rng, rng = np.random.default_rng([42, t]), np.random.default_rng([42, t])
         ref = _reference_generation(Z, states, laws, g.D, ref_rng)
-        flows = _generation(Z[live], states[live], laws, g.D, rng)
-        assert np.array_equal(flows, ref[live])
+        flows = np.zeros((live.sum(), edges.n + 1), dtype=np.int64)
+        counts = _generation(Z[live], states[live], laws, edges, rng, flows)
+        assert np.array_equal(_dense_flows(flows, g.D), ref[live])
+        assert np.array_equal(counts, ref[live].sum(axis=1))
         assert not ref[~live].any()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -405,7 +487,7 @@ def _reference_run_chunk(g, env, laws, horizon, n_runs, rng, start_patch, escape
     for t in range(horizon):
         env_states = _env_states_for_gen(env, t, env_states, rng)
         if active.any():
-            flows_a = _generation(Z[active], env_states[active], laws, g.D, rng)
+            flows_a = _reference_generation(Z[active], env_states[active], laws, g.D, rng)
             Z[active] = flows_a.sum(axis=1)
             if want_lineage:
                 flows[t, active] = flows_a
@@ -479,7 +561,8 @@ def _reference_patch_series(g, env, laws, horizon, n_runs, seed, start_patch, es
     for t in range(horizon):
         env_states = _env_states_for_gen(env, t, env_states, rng)
         if active.any():
-            Z[active] = _generation(Z[active], env_states[active], laws, g.D, rng).sum(axis=1)
+            Z[active] = _reference_generation(Z[active], env_states[active], laws, g.D,
+                                              rng).sum(axis=1)
         totals = Z.sum(axis=1)
         active &= (totals > 0) & (totals <= escape_cap)
         out[:, t + 1] = Z
@@ -502,8 +585,8 @@ def _reference_extinctions(g, env, laws, home, n_runs, seed, n_initial, max_gene
             if not undecided.any():
                 break
             env_states = _env_states_for_gen(env, t, env_states, rng)
-            Z[undecided] = _generation(Z[undecided], env_states[undecided], laws, g.D,
-                                       rng).sum(axis=1)
+            Z[undecided] = _reference_generation(Z[undecided], env_states[undecided], laws,
+                                                 g.D, rng).sum(axis=1)
             totals = Z.sum(axis=1)
             undecided &= (totals > 0) & (totals <= escape_cap)
         dead_total += int((Z.sum(axis=1) == 0).sum())
@@ -511,40 +594,41 @@ def _reference_extinctions(g, env, laws, home, n_runs, seed, n_initial, max_gene
     return q_hat, 1.96 * math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / n_runs)
 
 
-@pytest.mark.parametrize("schedule", [None, Periodic((1, 0)), MarkovSwitching(0.4, 0.3)])
+@pytest.mark.parametrize("schedule, K", SCHEDULES_AND_SIZES)
 @pytest.mark.parametrize("dies_early", [False, True])
-def test_driver_matches_reference_loops(schedule, dies_early):
+def test_driver_matches_reference_loops(schedule, dies_early, K):
     # mixed laws; with the small escape cap runs escape mid-run, and long
     # before the horizon no run is live while escaped runs still follow
-    # their environment
-    rows = [
-        [OffspringLaw("poisson", 1.5), OffspringLaw("geometric", 0.8),
-         OffspringLaw("deterministic", 2.0), OffspringLaw("bernoulli-pair", 1.2, p0=0.4, pair_n=2)],
-        [OffspringLaw("poisson", 0.3), OffspringLaw("geometric", 2.5),
-         OffspringLaw("deterministic", 1.0), OffspringLaw("bernoulli-pair", 0.5, p0=0.75, pair_n=2)],
-    ]
+    # their environment.  At K = 9 the dispersal rows have zero entries,
+    # most of them a zero last entry, so the per-edge kernel meets rows it
+    # splits over fewer categories than the reference's dense loop
+    rows = _law_rows(K)
     if dies_early:
-        rows = [[OffspringLaw("poisson", m) for m in row] for row in ([0.3, 0.2, 0.1, 0.4],
-                                                                       [0.1, 0.5, 0.2, 0.3])]
-    D = random_graph(np.random.default_rng(43), 4).D
+        rows = [[OffspringLaw("poisson", m) for m in np.resize(row, K)]
+                for row in ([0.3, 0.2, 0.1, 0.4], [0.1, 0.5, 0.2, 0.3])]
+    D = random_graph(np.random.default_rng(43), 4).D if K == 4 else _sparse_dispersal(K)
     if schedule is None:
         g, laws = MetapopGraph(m=[law.mean for law in rows[0]], D=D), rows[:1]
         env = EnvironmentModel(states=("fixed",), means=[g.m], schedule=Periodic((0,)))
     else:
-        g, laws = MetapopGraph(m=np.ones(4), D=D), rows
+        g, laws = MetapopGraph(m=np.ones(K), D=D), rows
         means = [[law.mean for law in row] for row in rows]
         env = EnvironmentModel(states=("e1", "e2"), means=means, schedule=schedule)
     horizon, cap = 60, 200
     for lineage in (True, False):
         ref_rng, rng = np.random.default_rng(44), np.random.default_rng(44)
-        ref = _reference_run_chunk(g, env, laws, horizon, 300, ref_rng, 1, cap, lineage)
-        got = _run_chunk(g, env, laws, horizon, 300, rng, 1, cap, lineage)
-        for a, b in zip(got, ref):
-            assert (a is None and b is None) or np.array_equal(a, b)
+        alive, escaped, sizes, freq = _reference_run_chunk(g, env, laws, horizon, 300, ref_rng,
+                                                           1, cap, lineage)
+        got = _run_chunk(g, env, laws, _Edges(g.D), horizon, 300, rng, 1, cap,
+                         _Record() if lineage else None)
+        assert np.array_equal(got[0], alive) and np.array_equal(got[1], escaped)
+        # the chunk keeps the sizes of the growth window [h/2, h] of its survivors only
+        assert np.array_equal(got[2], sizes[horizon // 2:, alive].T)
+        assert (got[3] is None) == (freq is None)
+        assert freq is None or np.array_equal(got[3], freq[alive])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        alive, escaped = ref[0], ref[1]
         if dies_early:
-            assert not alive.any() and not ref[2][-1].any()
+            assert not alive.any() and not sizes[-1].any()
         else:
             assert 0 < escaped.sum() < 300 and (~alive).any()
     series = patch_series(g, laws, horizon=40, n_runs=30, seed=45, env=env, start_patch=1,
@@ -556,6 +640,38 @@ def test_driver_matches_reference_loops(schedule, dies_early):
                                      escape_cap=cap, env=env)
         assert got == _reference_extinctions(g, env, laws, 2, CHUNK + 300, 46, n_initial,
                                              50, cap)
+
+
+def test_a_periodic_schedule_of_many_states_matches_the_reference_loop():
+    # 130 states, the first two past what an int8 holds: each run's state
+    # must index its row of laws and its mean matrix as is
+    K, n_states, horizon, cap = 4, 130, 20, 200
+    means = np.random.default_rng(53).uniform(1.0, 1.8, (n_states, K))
+    g = MetapopGraph(m=np.ones(K), D=random_graph(np.random.default_rng(43), K).D)
+    env = EnvironmentModel(states=tuple(f"e{s}" for s in range(n_states)), means=means,
+                           schedule=Periodic(tuple(range(n_states))[::-1]))
+    laws = poisson_laws(g, env)
+    for lineage in (True, False):
+        ref_rng, rng = np.random.default_rng(54), np.random.default_rng(54)
+        alive, escaped, sizes, freq = _reference_run_chunk(g, env, laws, horizon, 300, ref_rng,
+                                                           0, cap, lineage)
+        got = _run_chunk(g, env, laws, _Edges(g.D), horizon, 300, rng, 0, cap,
+                         _Record() if lineage else None)
+        assert 0 < escaped.sum() < 300 and (~alive).any()
+        assert np.array_equal(got[0], alive) and np.array_equal(got[1], escaped)
+        assert np.array_equal(got[2], sizes[horizon // 2:, alive].T)
+        assert freq is None or np.array_equal(got[3], freq[alive])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # one chunk of simulate is this run chunk on stream (seed, 0)
+        alive, escaped, _, freq = _reference_run_chunk(
+            g, env, laws, horizon, 300, np.random.default_rng([55, 0]), 0, cap, lineage)
+        rep = simulate(g, horizon=horizon, n_runs=300, seed=55, env=env, escape_cap=cap,
+                       track_lineage=lineage)
+        assert (rep.n_survived, rep.n_escaped) == (alive.sum(), escaped.sum())
+        assert (rep.occupancy_hat is None) == (freq is None)
+        assert freq is None or np.array_equal(rep.occupancy_hat, freq[alive].mean(axis=0))
+    series = patch_series(g, laws, horizon=30, n_runs=20, seed=56, env=env, escape_cap=cap)
+    assert np.array_equal(series, _reference_patch_series(g, env, laws, 30, 20, 56, 0, cap))
 
 
 def test_fixed_environment_is_the_one_state_periodic_schedule(monkeypatch):

@@ -459,3 +459,45 @@ def test_a_home_patch_that_is_not_an_integer_is_refused(route, home):
 @pytest.mark.parametrize("route", list(HOME_ROUTES))
 def test_a_numpy_integer_home_patch_is_accepted(route):
     HOME_ROUTES[route](two_patch(), np.int64(1))
+
+
+# route -> (a call of it with keyword settings, its integer settings and the
+# least value each takes)
+SETTING_ROUTES = {
+    "WalkConfig": (lambda g, **kw: ss.WalkConfig(**kw),
+                   {"n_trials": 1, "max_steps": 1, "seed": 0}),
+    "sample_excursion": (lambda g, **kw: ss.sample_excursion(g, **kw),
+                         {"max_steps": 1, "seed": 0}),
+    "simulate": (lambda g, **kw: ss.simulate(g, **{"horizon": 3, "n_runs": 4, **kw}),
+                 {"horizon": 1, "n_runs": 1, "seed": 0, "escape_cap": 1}),
+    "patch_series": (lambda g, **kw: ss.patch_series(g, **{"horizon": 3, "n_runs": 4, **kw}),
+                     {"horizon": 1, "n_runs": 1, "seed": 0, "escape_cap": 1}),
+    "extinction_probability": (
+        lambda g, **kw: ss.extinction_probability(g, **{"n_runs": 4, **kw}),
+        {"n_runs": 1, "seed": 0, "n_initial": 1, "max_generations": 1, "escape_cap": 1}),
+    "lyapunov_estimate": (
+        lambda g, **kw: ss.lyapunov_estimate(g, _alternation(g), **{"n_steps": 2000, **kw}),
+        {"n_steps": 1, "seed": 0}),
+}
+SETTING_CASES = [(route, name, least) for route, (_, settings) in SETTING_ROUTES.items()
+                 for name, least in settings.items()]
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "string", "below"])
+@pytest.mark.parametrize("route, name, least", SETTING_CASES,
+                         ids=[f"{route}-{name}" for route, name, _ in SETTING_CASES])
+def test_integer_settings_are_refused_unless_whole_and_in_range(route, name, least, bad):
+    value = {"fraction": 2.5, "bool": True, "string": "3", "below": least - 1}[bad]
+    message = (f"{name} must be >= {least}, not {value}" if bad == "below"
+               else f"{name} must be an integer, not {value!r}")
+    call, _ = SETTING_ROUTES[route]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call(two_patch(), **{name: value})
+
+
+def test_whole_valued_settings_are_taken_as_ints():
+    cfg = ss.WalkConfig(n_trials=np.int64(20), max_steps=5.0, seed=np.int64(3))
+    assert (cfg.n_trials, cfg.max_steps, cfg.seed) == (20, 5, 3)
+    assert all(type(v) is int for v in (cfg.n_trials, cfg.max_steps, cfg.seed))
+    rep = ss.simulate(two_patch(), horizon=4.0, n_runs=np.int64(6), seed=2.0)
+    assert rep.to_dict() == ss.simulate(two_patch(), horizon=4, n_runs=6, seed=2).to_dict()
