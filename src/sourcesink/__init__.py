@@ -32,6 +32,7 @@ from .environments import (
     lyapunov_estimate,
     periodic_growth_and_occupancy,
     periodic_mean_matrix,
+    phase_occupancy,
     random_env_lower_bound,
     state_mean_matrix,
     two_patch_periodic_criterion,

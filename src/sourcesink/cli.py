@@ -37,7 +37,7 @@ from .environments import (
     load_environment,
     lyapunov_estimate,
     periodic_growth_and_occupancy,
-    periodic_mean_matrix,
+    phase_occupancy,
     random_env_lower_bound,
     two_patch_periodic_criterion,
 )
@@ -67,7 +67,7 @@ from .walks import (
     depleting_rate,
     return_functional_exact,
     return_functional_mc,
-    sample_excursion,
+    _excursion_walk,
 )
 
 EXIT_VALIDATION = 2
@@ -304,8 +304,8 @@ def cmd_analyze(cfg: dict, args) -> dict:
                    (f"{f1:.17g},{R:.17g},{I:.17g},{RI:.17g}"
                     for f1, R, I, RI in rate_grid_2patch(g)))
     if args.excursions_out:
-        path = sample_excursion(g, home, cfg["seed"], _walk_config(cfg).max_steps).path
-        _write_csv(args.excursions_out, "step,patch", (f"{s},{p}" for s, p in enumerate(path)))
+        walk = _excursion_walk(g, home, cfg["seed"], _walk_config(cfg).max_steps)
+        _write_csv(args.excursions_out, "step,patch", (f"{s},{p}" for s, p in enumerate(walk)))
     return out
 
 
@@ -340,36 +340,34 @@ def cmd_periodic(cfg: dict, args) -> dict:
     env = _env_from_config(cfg, "periodic")
     ev = even_return_functional(g, env, _home(cfg))  # refuses a random schedule
     cycle = env.schedule.cycle
-    # the edge chain is solved at the two-step product's root, so its answer
+    # the edge chain is solved at the one-period product's root, so its answer
     # carries the product's Perron data: one eigen-solve per run
-    ec = periodic_growth_and_occupancy(g, env) if len(cycle) == 2 else None
-    sd = growth_rate(periodic_mean_matrix(g, env)) if ec is None else ec.product
+    ec = periodic_growth_and_occupancy(g, env)
+    sd, log_rho = ec.product, math.log(ec.product.rho) / len(cycle)
+    occ, steps = phase_occupancy(g, env, sd)
     persists = sd.rho > 1.0
     out = {
         "product_matrix_rho": sd.rho,
         "product_matrix_residual": sd.residual,
-        "log_rho_per_step": math.log(sd.rho) / len(cycle),
+        "log_rho_per_step": log_rho,
         "persists": persists,
+        "phase_occupancy": occ,
+        "occupancy_edges": steps,
         "even_return": {phase: v.to_dict() for phase, v in ev.items()},
+        "edge_chain": {"log_rho": ec.log_growth, "phase_occupancy": ec.phase_occupancy,
+                       "residual": ec.residual},
+        "cross_checks": {
+            "edge_chain_vs_product_log_rho": ec.log_growth - log_rho,
+            "phase_occupancy_spectral_vs_twisted_linf":
+                float(np.abs(occ - ec.phase_occupancy).max()),
+            "even_return_sign_agree": all(v.persists == persists for v in ev.values()),
+        },
     }
-    checks = {}
-    if ec is not None:
-        out["edge_chain"] = {
-            "two_log_rho": ec.two_log_growth,
-            "log_rho": ec.log_growth,
-            "occupancy_edges": ec.occupancy_edges,
-            "marginal_even": ec.marginal_even,
-            "marginal_odd": ec.marginal_odd,
-            "residual": ec.residual,
-        }
-        checks["edge_chain_vs_product_log_rho"] = ec.log_growth - ec.log_growth_spectral
-    checks["even_return_sign_agree"] = all(v.persists == persists for v in ev.values())
-    out["cross_checks"] = checks
-    if ec is not None and g.K == 2:
+    if g.K == 2 and len(cycle) == 2:
         (M1, m1), (M2, m2) = env.means[list(cycle)].tolist()
         crit = two_patch_periodic_criterion(M1, M2, m1, m2, float(g.D[0, 1]), float(g.D[1, 0]))
         out["two_patch_criterion"] = crit.to_dict()
-        checks["closed_form_sign_agree"] = crit.persists == persists
+        out["cross_checks"]["closed_form_sign_agree"] = crit.persists == persists
     return out
 
 

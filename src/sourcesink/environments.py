@@ -1,12 +1,15 @@
 """Time-varying habitat quality: one schedule type, a Markov chain over phases.
 
 ``Periodic`` and ``MarkovSwitching`` build a ``Schedule``, and a fixed
-environment is its one-phase case.  A periodic schedule of period P reduces
-to the fixed environment through the one-period product of mean matrices and
-the return home at multiples of P; the two-state alternation also has the
-edge chain of patch pairs and a two-patch closed form.  On every schedule
-the growth exponent is the top Lyapunov exponent along the path, estimated
-by simulation, with a closed-form lower bound for two patches under random
+environment is its one-phase case.  A periodic schedule of period P is
+the fixed environment of its edge chain, the space-time chain of P*K
+patches, which the twisted route solves for growth and each phase's
+occupancy.  The same questions reduce to K x K ones through the
+one-period product of mean matrices: its Perron data carried round the
+cycle, and the return home at multiples of P.  The two-patch two-state
+alternation also has a closed form.  On every schedule the growth
+exponent is the top Lyapunov exponent along the path, estimated by
+simulation, with a closed-form lower bound for two patches under random
 switching.
 """
 
@@ -106,6 +109,13 @@ class EnvironmentModel:
             raise ValidationError("environment means must be finite and >= 0")
         if any(not 0 <= i < len(self.states) for i in self.schedule.state):
             raise ValidationError("schedule names an unknown state")
+        try:
+            last = {name: i for i, name in enumerate(self.states)}
+        except TypeError:  # a name that is not hashable, such as a JSON list
+            raise ValidationError("environment state names must be strings or numbers") from None
+        for i, name in enumerate(self.states):
+            if last[name] != i:
+                raise ValidationError(f"environment state {name!r} is named twice")
         object.__setattr__(self, "means", _readonly(means))
         object.__setattr__(self, "states", tuple(self.states))
 
@@ -124,12 +134,10 @@ def load_environment(source: str | Path | dict) -> EnvironmentModel:
     if "periodic" in sched:
         if not isinstance(sched["periodic"], list):
             raise ValidationError("periodic schedule must be a JSON list of state names")
-        try:
-            index = {s: i for i, s in enumerate(states)}
-            order = tuple(index[s] for s in sched["periodic"])
-        except (KeyError, TypeError) as e:  # TypeError: a state name that is not hashable
-            raise ValidationError(f"periodic schedule names unknown state {e}") from None
-        schedule = Periodic(order)
+        for name in sched["periodic"]:
+            if name not in states:
+                raise ValidationError(f"periodic schedule names unknown state {name!r}")
+        schedule = Periodic(tuple(states.index(name) for name in sched["periodic"]))
     elif "markov" in sched:
         markov = _object(sched["markov"], "markov schedule", ("alpha", "beta"))
         schedule = MarkovSwitching(_number(markov["alpha"], "markov alpha"),
@@ -151,6 +159,13 @@ def state_mean_matrix(g: MetapopGraph, env: EnvironmentModel, state: int) -> np.
     return _patch_means(g, env)[state][:, None] * g.D
 
 
+def _cycle(env: EnvironmentModel, what: str) -> tuple[int, ...]:
+    """The states of one period of ``env``'s schedule, which ``what`` needs."""
+    if env.schedule.cycle is None:
+        raise ValidationError(f"{what} needs a periodic schedule")
+    return env.schedule.cycle
+
+
 def periodic_mean_matrix(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
     """Ordered product of per-state mean matrices over one schedule period.
 
@@ -158,9 +173,7 @@ def periodic_mean_matrix(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
     matrix A(e1) A(e2); longer schedules generalize by taking the product
     in schedule order.
     """
-    cycle = env.schedule.cycle
-    if cycle is None:
-        raise ValidationError("periodic mean matrix needs a periodic schedule")
+    cycle = _cycle(env, "periodic mean matrix")
     return functools.reduce(np.matmul, [state_mean_matrix(g, env, s) for s in cycle])
 
 
@@ -205,9 +218,7 @@ def even_return_functional(
     several phases reports its first.  The values are exact when ``cfg``
     is None, else Monte Carlo estimates with ``cfg``'s trials and seed.
     """
-    cycle = env.schedule.cycle
-    if cycle is None:
-        raise ValidationError("even-return analysis needs a periodic schedule")
+    cycle = _cycle(env, "even-return analysis")
     out: dict[str, PersistenceVerdict] = {}
     for s, v in zip(cycle, _phase_verdicts(g, _patch_means(g, env)[list(cycle)], home, cfg)):
         out.setdefault(env.states[s], v)
@@ -216,76 +227,69 @@ def even_return_functional(
 
 @dataclass(frozen=True)
 class EdgeChainResult:
-    """Edge-chain variational output for a two-state periodic environment.
+    """The twisted route on a periodic schedule's edge chain: ``log_growth``
+    (the maximum of payoff minus cost, log rho per step), the P x K
+    ``phase_occupancy`` (row s: the patch occupancy at steps s mod P) and the
+    max-norm ``residual`` / root of the twisted Perron vector, solved at the
+    root of ``product``, the one-period product's Perron data."""
 
-    ``two_log_growth`` is the maximum of payoff minus cost over edge
-    frequencies, which equals 2 log(rho); ``occupancy_edges`` is the K x K
-    matrix of optimal pair frequencies (zero on non-edges), and the two
-    marginals are the patch occupancies at even and odd steps.  The
-    two-step product's Perron data (``product``) and growth rate ride along
-    as a cross-check; ``residual`` is the max-norm residual / root of the
-    twisted chain's Perron vector, solved at the product's root.
-    """
-
-    two_log_growth: float
     log_growth: float
-    occupancy_edges: np.ndarray
-    marginal_even: np.ndarray
-    marginal_odd: np.ndarray
-    log_growth_spectral: float
+    phase_occupancy: np.ndarray
     residual: float
     product: SpectralData
 
 
-def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> tuple[MetapopGraph, list[tuple[int, int]]]:
-    """The chain of consecutive patch pairs, packaged as a graph.
-
-    States are the ordered pairs (i, j) with D[i, j] > 0 (other pairs are
-    never visited); transition ((i, j) -> (k, l)) = D[j, k] D[k, l]; the
-    per-state mean is m_i(e1) m_j(e2), the two-generation factor the pair
-    contributes.
-    """
-    cycle = env.schedule.cycle
-    if cycle is None or len(cycle) != 2:
-        raise ValidationError("the edge chain needs a two-state alternation")
-    ma, mb = _patch_means(g, env)[list(cycle)]
-    I, J = np.nonzero(g.D > 0)
-    pairs = list(zip(I.tolist(), J.tolist()))
-    B = g.D[np.ix_(J, I)] * g.D[I, J][None, :]
-    m_edge = ma[I] * mb[J]
-    labels = tuple(f"{i}->{j}" for (i, j) in pairs)
-    return MetapopGraph(m=m_edge, D=B, labels=labels), pairs
+def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> MetapopGraph:
+    """The space-time chain of a periodic schedule, as a graph: patch s*K + i
+    is patch i at phase s, with the mean phase s applies, and disperses by D
+    into phase s + 1 mod P (the Kronecker product of the cyclic shift and D).
+    Its mean matrix to the P-th power is block diagonal with each phase's
+    one-period product, so its Perron root is rho(product)^(1/P)."""
+    cycle = _cycle(env, "the edge chain")
+    shift = np.roll(np.eye(len(cycle)), 1, axis=1)
+    return MetapopGraph(m=_patch_means(g, env)[list(cycle)].ravel(), D=np.kron(shift, g.D))
 
 
 def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel) -> EdgeChainResult:
-    """Edge-chain variational solution of a two-state periodic environment.
+    """The twisted route on the edge chain of a periodic schedule.
 
-    Requires a primitive edge chain with positive means, which on an
-    irreducible graph is positive means in the applied states (a periodic
-    edge chain is rejected, matching the fixed-environment rule).
-    The twisted chain of the edge chain has the two-step product's Perron
-    root, which one K x K eigen-solve gives, so its Perron vector is one
-    bordered LU solve at that root rather than an eigen-solve of the
-    (up to K^2)-state chain.  The edge chain's log root is still read off
-    its own vectors, so a wrong chain shows in the cross-check.
+    The chain is irreducible exactly when the one-period product is, and
+    periodic by construction, which the twisted route does not mind.  Its
+    root is the P-th root of the product's, which one K x K eigen-solve
+    gives, so its twisted chain takes one bordered LU solve, not an
+    eigen-solve of P*K patches; the log root is still read off the chain's
+    own vectors, so a wrong chain shows in the cross-check.
     """
-    eg, pairs = edge_chain(g, env)
-    _require(eg, "edge chain", aperiodic=True, positive=True)
+    chain = edge_chain(g, env)
+    _require(chain, "edge chain", positive=True)
     product = growth_rate(periodic_mean_matrix(g, env))
-    res = _twisted_occupancy(eg, product.rho)
-    phi = np.zeros((g.K, g.K))
-    for (i, j), val in zip(pairs, res.occupancy):
-        phi[i, j] = val
-    return EdgeChainResult(
-        two_log_growth=res.log_growth,
-        log_growth=0.5 * res.log_growth,
-        occupancy_edges=phi,
-        marginal_even=phi.sum(axis=1),
-        marginal_odd=phi.sum(axis=0),
-        log_growth_spectral=0.5 * math.log(product.rho),
-        residual=res.residual,
-        product=product,
-    )
+    P = chain.K // g.K
+    res = _twisted_occupancy(chain, product.rho ** (1.0 / P))
+    occ = res.occupancy.reshape(P, g.K)
+    return EdgeChainResult(res.log_growth, occ / occ.sum(axis=1, keepdims=True), res.residual,
+                           product)
+
+
+def phase_occupancy(g: MetapopGraph, env: EnvironmentModel,
+                    product: SpectralData) -> tuple[np.ndarray, np.ndarray]:
+    """Survivor occupancy of each phase from the one-period product's Perron
+    data, with no eigen-solve.  With A_s the mean matrix of phase s, the
+    vectors l_{s+1} ~ l_s A_s and r_s ~ A_s r_{s+1} (r_P = r_0) are those of
+    the product from phase s, and row s of the P x K first result is l_s r_s
+    normalized.  The K x K second, l_0[i] A_0[i, j] r_1[j] normalized, is
+    the frequency of steps i -> j from phase 0 to phase 1."""
+    mats = [state_mean_matrix(g, env, s) for s in _cycle(env, "phase occupancy")]
+    P = len(mats)
+    left, right = [product.left] * P, [product.right] * P
+    for s in range(1, P):
+        x = left[s - 1] @ mats[s - 1]
+        left[s] = x / x.sum()
+    for s in range(P - 1, 0, -1):
+        y = mats[s] @ right[(s + 1) % P]
+        right[s] = y / y.sum()
+    occ = np.array(left) * np.array(right)
+    steps = left[0][:, None] * mats[0] * right[1 % P][None, :]
+    return occ / occ.sum(axis=1, keepdims=True), steps / steps.sum()
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,22 +284,33 @@ class Excursion:
     truncated: bool
 
 
-def sample_excursion(
-    g: MetapopGraph, home: int = 0, seed: int = 0, max_steps: int = 10**7
-) -> Excursion:
-    """Draw one excursion; the path starts at home and, unless truncated,
-    ends with the first return to home."""
+def _excursion_walk(g: MetapopGraph, home: int, seed: int, max_steps: int) -> Iterator[int]:
+    """The patches of one excursion from ``home``, one at a time: home, then
+    each step up to the first return or ``max_steps`` steps.  The graph and
+    the arguments are checked before the walk is returned."""
     _require(g, "excursion sampling", home=home)
     max_steps = _integer(max_steps, "max_steps")
     rng = np.random.default_rng([_integer(seed, "seed", 0), 0])
     cum = np.cumsum(g.D, axis=1)
     cum[:, -1] = 1.0
     cum_rows = [row.tolist() for row in cum]
-    path = [home]
-    pos = home
-    for step in range(1, max_steps + 1):
-        pos = bisect.bisect_right(cum_rows[pos], rng.random())
-        path.append(pos)
-        if pos == home:
-            return Excursion(path=tuple(path), T=step, truncated=False)
-    return Excursion(path=tuple(path), T=max_steps, truncated=True)
+
+    def walk():
+        pos = home
+        yield pos
+        for _ in range(max_steps):
+            pos = bisect.bisect_right(cum_rows[pos], rng.random())
+            yield pos
+            if pos == home:
+                return
+
+    return walk()
+
+
+def sample_excursion(
+    g: MetapopGraph, home: int = 0, seed: int = 0, max_steps: int = 10**7
+) -> Excursion:
+    """Draw one excursion; the path starts at home and, unless truncated,
+    ends with the first return to home."""
+    path = tuple(_excursion_walk(g, home, seed, max_steps))
+    return Excursion(path=path, T=len(path) - 1, truncated=path[-1] != home)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from sourcesink import MetapopGraph, validate_graph
+from sourcesink import MetapopGraph, argmax_occupancy, validate_graph
 
 
 def random_graph(rng, K, m_range=(0.05, 3.0), zero_frac=0.35, min_spread=0.0):
@@ -55,6 +55,32 @@ def hard_graphs(n, seed=2026):
         g = random_graph(rng, K)
         m = g.m * 10.0 ** rng.uniform(-6, 0, K) if i % 2 else g.m
         yield MetapopGraph(m=m, D=recipe_dispersal(rng, g.D))
+
+
+def pair_chain(g, env):
+    """The P = 2 edge chain of consecutive patch pairs, kept as the reference
+    for the space-time chain of a two-state alternation.
+
+    States are the pairs (i, j) with D[i, j] > 0, patch i at even steps and
+    j at odd ones; transition (i, j) -> (k, l) is D[j, k] D[k, l], and pair
+    (i, j) has the two-step mean m_i(e1) m_j(e2).  Returns the chain as a
+    graph and the pairs' patch indices (I, J).
+    """
+    ma, mb = env.means[list(env.schedule.cycle)]
+    I, J = np.nonzero(g.D > 0)
+    B = g.D[np.ix_(J, I)] * g.D[I, J][None, :]
+    return MetapopGraph(m=ma[I] * mb[J], D=B), (I, J)
+
+
+def pair_chain_answer(g, env, occupancy_of=None):
+    """log rho per step, the K x K pair frequencies and the 2 x K phase
+    occupancies of the pair chain, by ``occupancy_of`` (default: the
+    twisted route with its own eigen-solve) on it."""
+    chain, (I, J) = pair_chain(g, env)
+    res = (occupancy_of or argmax_occupancy)(chain)
+    edges = np.zeros((g.K, g.K))
+    edges[I, J] = res.occupancy
+    return 0.5 * res.log_growth, edges, np.array([edges.sum(axis=1), edges.sum(axis=0)])
 
 
 def eigen_solve_shapes(monkeypatch):

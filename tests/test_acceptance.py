@@ -255,7 +255,7 @@ def test_criterion_7_periodic_environment():
                                schedule=Periodic((0, 1)))
         res = periodic_growth_and_occupancy(g, env)
         worst_edge = max(
-            worst_edge, abs(0.5 * res.two_log_growth - res.log_growth_spectral)
+            worst_edge, abs(res.log_growth - 0.5 * math.log(res.product.rho))
         )
     report(
         7,

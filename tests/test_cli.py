@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +287,12 @@ def test_periodic_command(tmp_path):
     assert 0.0 <= rep["edge_chain"]["residual"] <= 1e-14
     assert rep["two_patch_criterion"]["persists"] is True
     assert rep["cross_checks"]["even_return_sign_agree"] is True
+    for occ in (rep["phase_occupancy"], rep["edge_chain"]["phase_occupancy"]):
+        assert len(occ) == 2 and all(abs(sum(row) - 1.0) <= 1e-12 for row in occ)
+    assert rep["cross_checks"]["phase_occupancy_spectral_vs_twisted_linf"] <= 1e-12
+    steps = np.array(rep["occupancy_edges"])
+    assert np.abs(steps.sum(axis=1) - rep["phase_occupancy"][0]).max() <= 1e-12
+    assert np.abs(steps.sum(axis=0) - rep["phase_occupancy"][1]).max() <= 1e-12
 
 
 def test_divergent_return_value_is_written_as_inf(tmp_path):
@@ -309,9 +317,16 @@ def test_periodic_one_state_schedule_writes_the_analyze_return_value(tmp_path):
     r_line = re.compile(r'"R": (.*),\n')
     per_text = per.read_text()
     assert r_line.findall(per_text) == r_line.findall(ana.read_text())
-    rep = json.loads(per_text)
-    assert list(rep["even_return"]) == ["e"] and "edge_chain" not in rep
-    assert rep["cross_checks"] == {"even_return_sign_agree": True}
+    rep, fixed = json.loads(per_text), json.loads(ana.read_text())
+    assert list(rep["even_return"]) == ["e"]
+    # one phase: the same log rho and spectral occupancy, and the edge chain
+    # is the graph itself, solved at the known root instead of by eigen-solve
+    assert rep["log_rho_per_step"] == fixed["verdict"]["log_rho"]
+    assert rep["phase_occupancy"] == [fixed["spectral"]["phi"]]
+    assert abs(rep["edge_chain"]["log_rho"] - fixed["variational"]["twisted"]["log_rho"]) <= 1e-14
+    twisted = np.array(fixed["variational"]["twisted"]["phi"])
+    assert np.abs(rep["edge_chain"]["phase_occupancy"][0] - twisted).max() <= 1e-14
+    assert rep["cross_checks"]["even_return_sign_agree"] is True
 
 
 def test_randenv_command(tmp_path):
@@ -335,6 +350,17 @@ PERIOD3 = {"graph": {"m": [1.0, 1.0], "D": [[0.5, 0.5], [0.5, 0.5]]},
                    "schedule": {"periodic": ["a", "b", "c"]}}}
 
 
+def test_periodic_answers_survivor_occupancy_for_a_period_of_three(tmp_path):
+    code, out = run(tmp_path, ["periodic", "--config", write_cfg(tmp_path, PERIOD3)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    for occ in (rep["phase_occupancy"], rep["edge_chain"]["phase_occupancy"]):
+        assert len(occ) == 3 and all(abs(sum(row) - 1.0) <= 1e-12 for row in occ)
+    assert rep["cross_checks"]["phase_occupancy_spectral_vs_twisted_linf"] <= 1e-12
+    assert abs(rep["cross_checks"]["edge_chain_vs_product_log_rho"]) <= 1e-12
+    assert "two_patch_criterion" not in rep
+
+
 def test_randenv_on_a_periodic_schedule_is_the_product_rate(tmp_path):
     cfg = write_cfg(tmp_path, PERIOD3)
     code, per = run(tmp_path, ["periodic", "--config", cfg], "per.json")
@@ -355,16 +381,26 @@ def test_randenv_on_a_periodic_schedule_is_the_product_rate(tmp_path):
     assert rep["lower_bound"] == random_env_lower_bound(4.0, 0.9, 0.5, 0.5, 1.0, 1.0)
 
 
-def test_periodic_command_makes_one_eigen_solve(tmp_path, monkeypatch):
-    # the edge chain is solved at the root of the product's one eigen-solve
+def _periodic_eigen_solve_shapes(tmp_path, monkeypatch, schedule):
     m, D = [1.0, 1.0, 1.0], [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]
-    env = {"states": ["e1", "e2"], "means": [[2.0, 0.5, 1.2], [0.4, 1.5, 0.9]],
-           "schedule": {"periodic": ["e1", "e2"]}}
+    env = {"states": ["e1", "e2", "e3"],
+           "means": [[2.0, 0.5, 1.2], [0.4, 1.5, 0.9], [1.1, 0.7, 0.3]],
+           "schedule": {"periodic": schedule}}
     cfg = write_cfg(tmp_path, {"graph": {"m": m, "D": D}, "env": env})
     shapes = eigen_solve_shapes(monkeypatch)
     code, out = run(tmp_path, ["periodic", "--config", cfg])
-    assert code == 0 and "edge_chain" in json.loads(out.read_text())
-    assert shapes == [(3, 3)]
+    rep = json.loads(out.read_text())
+    assert code == 0 and len(rep["edge_chain"]["phase_occupancy"]) == len(schedule)
+    return shapes
+
+
+def test_periodic_command_makes_one_eigen_solve(tmp_path, monkeypatch):
+    # the edge chain is solved at the root of the product's one eigen-solve
+    assert _periodic_eigen_solve_shapes(tmp_path, monkeypatch, ["e1", "e2"]) == [(3, 3)]
+
+
+def test_periodic_command_makes_one_eigen_solve_for_a_period_of_three(tmp_path, monkeypatch):
+    assert _periodic_eigen_solve_shapes(tmp_path, monkeypatch, ["e1", "e2", "e3"]) == [(3, 3)]
 
 
 def test_randenv_vanishing_population_reports_minus_inf(tmp_path):
@@ -577,6 +613,33 @@ def test_excursion_sidecar_stops_at_the_configured_step_cap(tmp_path):
     assert lines[0] == "step,patch" and len(lines) <= 5 + 2
 
 
+def test_excursion_sidecar_is_written_as_the_walk_goes(tmp_path, monkeypatch):
+    # on this trap graph the walk from patch 0 stays at patch 1 far beyond the
+    # step cap, so the sidecar holds every one of mc.max_steps steps; a path
+    # kept whole costs at least 8 bytes a step (1.6 MB here), a streamed one
+    # nothing that grows with the steps.  The report's own Monte Carlo route
+    # is capped short, since only the sidecar is measured.
+    steps = 10**5
+    mc = cli.return_functional_mc
+    monkeypatch.setattr(cli, "return_functional_mc",
+                        lambda g, home, cfg: mc(g, home, dataclasses.replace(cfg, max_steps=10)))
+    cfg = write_cfg(tmp_path, {"graph": {"m": [2.0, 0.5], "D": [[0, 1], [1e-9, 1 - 1e-9]]},
+                               "mc": {"max_steps": steps, "n_trials": 10}})
+    exc = tmp_path / "exc.csv"
+    argv = ["analyze", "--config", cfg, "--excursions-out", str(exc)]
+    assert run(tmp_path, argv)[0] == 0  # warm caches, so the trace sees the write alone
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    lines = exc.read_text().splitlines()
+    assert len(lines) == steps + 2 and lines[-1] == f"{steps},1"
+    assert peak < 0.5e6, peak
+
+
 def test_float_seed_is_read_as_its_integer(tmp_path):
     csvs = []
     for seed in (3.0, 3):
@@ -623,6 +686,10 @@ MALFORMED = {
     "negative seed": ("simulate --seed -1", {"graph": GRAPH}),
     "non-numeric seed": ("analyze", {"graph": GRAPH, "seed": "x"}),
     "non-numeric seed with trials": ("analyze --trials 10", {"graph": GRAPH, "seed": "x"}),
+    "repeated state name": ("periodic", {"graph": GRAPH, "env": {
+        **PERIODIC_ENV, "states": ["a", "a"], "schedule": {"periodic": ["a", "a"]}}}),
+    "state name a list": ("randenv", {"graph": GRAPH, "env": {
+        **MARKOV_ENV, "states": [["a"], "b"]}}),
     "periodic env of three patches": ("periodic", {"graph": GRAPH, "env": {
         **PERIODIC_ENV, "means": [[4.0, 0.9, 1.0], [0.2, 0.9, 1.0]]}}),
     "randenv env of three patches": ("randenv", {"graph": GRAPH, "env": {

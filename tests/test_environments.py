@@ -20,20 +20,25 @@ from sourcesink import (
     lyapunov_estimate,
     max_rate_gap,
     mean_matrix,
+    occupancy_spectral,
     periodic_growth_and_occupancy,
     periodic_mean_matrix,
+    phase_occupancy,
     random_env_lower_bound,
     return_functional_exact,
     return_functional_mc,
     simulate,
     state_mean_matrix,
     two_patch_periodic_criterion,
+    validate_graph,
 )
 from sourcesink import environments
 from sourcesink.environments import LYAPUNOV_BATCHES, LYAPUNOV_BURN_IN, _env_path
 from sourcesink.walks import return_functional
 from conftest import (
     eigen_solve_shapes,
+    pair_chain,
+    pair_chain_answer,
     random_fully_mixing,
     random_graph,
     recipe_dispersal,
@@ -242,17 +247,21 @@ def test_repeated_schedules_keep_verdicts_and_first_phase_keys():
 def test_edge_chain_matches_product_spectral():
     g, env = coupled_sinks()
     res = periodic_growth_and_occupancy(g, env)
-    assert abs(res.log_growth - res.log_growth_spectral) < 1e-9
-    assert abs(res.marginal_even.sum() - 1.0) < 1e-9
-    assert abs(res.marginal_odd.sum() - 1.0) < 1e-9
-    assert np.all(res.occupancy_edges >= 0)
+    assert abs(res.log_growth - 0.5 * math.log(res.product.rho)) < 1e-9
+    assert res.phase_occupancy.shape == (2, 2)
+    assert np.abs(res.phase_occupancy.sum(axis=1) - 1.0).max() < 1e-9
+    assert np.all(res.phase_occupancy >= 0)
+    occ, steps = phase_occupancy(g, env, res.product)
+    assert np.abs(occ - res.phase_occupancy).max() < 1e-9
+    assert np.all(steps >= 0)
 
 
 def test_edge_chain_constant_env_doubles_single_rate():
+    # per step the rate is the single one, so over the period it doubles
     g = two_patch()
     env = alternation(g, [2.0, 0.5], [2.0, 0.5])
     res = periodic_growth_and_occupancy(g, env)
-    assert abs(res.two_log_growth - 2.0 * math.log(1.25)) < 1e-9
+    assert abs(2.0 * res.log_growth - 2.0 * math.log(1.25)) < 1e-9
 
 
 def test_edge_chain_fully_mixing_closed_forms():
@@ -269,16 +278,20 @@ def test_edge_chain_fully_mixing_closed_forms():
         assert abs(res.log_growth - math.log(rho)) < 1e-10
         expect = np.outer(delta * mA, delta * mB)
         expect /= expect.sum()
-        assert np.abs(res.occupancy_edges - expect).max() < 1e-8
+        marginals = [expect.sum(axis=1), expect.sum(axis=0)]
+        assert np.abs(res.phase_occupancy - marginals).max() < 1e-8
+        occ, steps = phase_occupancy(g, env, res.product)
+        assert np.abs(occ - marginals).max() < 1e-8
+        assert np.abs(steps - expect).max() < 1e-8
 
 
 def test_edge_chain_respects_simplex_method():
-    # the simplex ascent on the edge chain is the reference route
+    # the simplex ascent on the pair chain is the reference route
     g, env = coupled_sinks()
-    res = max_rate_gap(edge_chain(g, env)[0])
+    log_rho, _, _ = pair_chain_answer(g, env, max_rate_gap)
     tw = periodic_growth_and_occupancy(g, env)
-    assert abs(0.5 * res.log_growth - tw.log_growth_spectral) < 1e-6
-    assert res.method == "simplex-optimize"
+    assert abs(log_rho - 0.5 * math.log(tw.product.rho)) < 1e-6
+    assert max_rate_gap(pair_chain(g, env)[0]).method == "simplex-optimize"
 
 
 def test_edge_chain_simplex_method_on_weakly_coupled_graph():
@@ -287,31 +300,34 @@ def test_edge_chain_simplex_method_on_weakly_coupled_graph():
     g = MetapopGraph(m=[1.0, 1.0, 1.0], D=D)
     env = EnvironmentModel(states=("e1", "e2"), means=[[2.0, 1.5, 0.5], [1.0, 1.8, 0.4]],
                            schedule=Periodic((0, 1)))
-    eg, pairs = edge_chain(g, env)
-    res = max_rate_gap(eg)
+    log_rho, edges, marginals = pair_chain_answer(g, env, max_rate_gap)
     tw = periodic_growth_and_occupancy(g, env)
-    assert abs(0.5 * res.log_growth - tw.log_growth) <= 1e-10
-    assert np.abs(res.occupancy - tw.occupancy_edges[tuple(np.array(pairs).T)]).max() <= 1e-6
-    assert res.method == "simplex-optimize"
+    assert abs(log_rho - tw.log_growth) <= 1e-10
+    assert np.abs(marginals - tw.phase_occupancy).max() <= 1e-6
+    assert np.abs(edges - phase_occupancy(g, env, tw.product)[1]).max() <= 1e-6
 
 
-def test_edge_chain_makes_no_eigen_solve_above_k(monkeypatch):
-    # the edge chain (here 9 patches, more edge states) is solved at the
-    # two-step product's root, which one 9 x 9 eigen-solve gives
+@pytest.mark.parametrize("P", [2, 3])
+def test_edge_chain_makes_no_eigen_solve_above_k(monkeypatch, P):
+    # the edge chain (here 9 patches times P phases) is solved at the P-th
+    # root of the one-period product's root, which one 9 x 9 eigen-solve gives
     rng = np.random.default_rng(33)
     g = random_graph(rng, 9)
-    env = alternation(g, rng.uniform(0.3, 2.5, 9), rng.uniform(0.3, 2.5, 9))
+    env = EnvironmentModel(("e1", "e2", "e3"), rng.uniform(0.3, 2.5, (3, 9)),
+                           Periodic(tuple(range(P))))
     shapes = eigen_solve_shapes(monkeypatch)
     res = periodic_growth_and_occupancy(g, env)
-    assert edge_chain(g, env)[0].K > 9
+    occ, _ = phase_occupancy(g, env, res.product)
+    assert edge_chain(g, env).K == 9 * P
     assert shapes == [(9, 9)]
     assert res.residual <= 1e-14
+    assert np.abs(occ - res.phase_occupancy).max() <= 1e-12
 
 
 def test_edge_chain_at_the_product_root_on_hard_alternations():
     # random alternations up to K = 20; every second one has recipe
-    # dispersal and means scaled by 10^U(-6, 0).  The reference is the
-    # edge chain's own eigen-solve (argmax_occupancy on the chain).
+    # dispersal and means scaled by 10^U(-6, 0).  The reference is the pair
+    # chain's own eigen-solve (argmax_occupancy on the chain of patch pairs).
     rng = np.random.default_rng(34)
     for n in range(20):
         K = int(rng.integers(2, 21))
@@ -322,33 +338,91 @@ def test_edge_chain_at_the_product_root_on_hard_alternations():
             means *= 10.0 ** rng.uniform(-6, 0, (2, K))
         env = alternation(g, *means)
         res = periodic_growth_and_occupancy(g, env)
-        assert abs(res.log_growth - res.log_growth_spectral) <= 1e-12
-        eg, pairs = edge_chain(g, env)
-        ref = np.zeros((K, K))
-        ref[tuple(np.array(pairs).T)] = argmax_occupancy(eg).occupancy
-        assert np.abs(res.occupancy_edges - ref).max() <= 1e-12
+        log_rho, edges, marginals = pair_chain_answer(g, env)
+        assert abs(res.log_growth - 0.5 * math.log(res.product.rho)) <= 1e-12
+        assert abs(res.log_growth - log_rho) <= 1e-12
+        occ, steps = phase_occupancy(g, env, res.product)
+        assert np.abs(res.phase_occupancy - marginals).max() <= 1e-12
+        assert np.abs(occ - marginals).max() <= 1e-12
+        assert np.abs(steps - edges).max() <= 1e-12
 
 
 def test_edge_chain_cross_check_sees_a_wrong_chain(monkeypatch):
     # the twisted solve runs at the product's root, but the log root is read
-    # off the chain's own vectors, so edge means off by up to 1e-6 move the
-    # cross-check at first order (d log rho / d log m_e = phi_e), and the
-    # residual of the supplied-root solve shows the wrong root
+    # off the chain's own vectors, so means off by up to 1e-6 move the
+    # cross-check at first order (d log rho / d log m_(s, i) is the chain's
+    # occupancy, phase_occupancy[s, i] / P), and the residual of the
+    # supplied-root solve shows the wrong root
     rng = np.random.default_rng(35)
     g = random_graph(rng, 8)
     env = alternation(g, rng.uniform(0.3, 2.5, 8), rng.uniform(0.3, 2.5, 8))
     exact = periodic_growth_and_occupancy(g, env)
-    eg, pairs = edge_chain(g, env)
-    phi = exact.occupancy_edges[tuple(np.array(pairs).T)]
-    delta = rng.uniform(-1e-6, 1e-6, eg.K)
-    wrong = MetapopGraph(m=eg.m * (1.0 + delta), D=eg.D)
-    monkeypatch.setattr(environments, "edge_chain", lambda g, env: (wrong, pairs))
+    chain = edge_chain(g, env)
+    delta = rng.uniform(-1e-6, 1e-6, chain.K)
+    wrong = MetapopGraph(m=chain.m * (1.0 + delta), D=chain.D)
+    monkeypatch.setattr(environments, "edge_chain", lambda g, env: wrong)
     res = periodic_growth_and_occupancy(g, env)
-    moved = res.log_growth - res.log_growth_spectral
-    first_order = 0.5 * float(phi @ np.log1p(delta))
+    moved = res.log_growth - 0.5 * math.log(res.product.rho)
+    first_order = 0.5 * float(exact.phase_occupancy.ravel() @ np.log1p(delta))
     assert abs(first_order) >= 1e-8
     assert abs(moved - first_order) <= 1e-3 * abs(first_order)
     assert exact.residual <= 1e-14 and res.residual >= 1e-10
+
+
+def _period_cases():
+    """Random graphs and recipe-dispersal graphs with schedules of period 3 to 5."""
+    rng = np.random.default_rng(36)
+    for n in range(30):
+        K, P = int(rng.integers(2, 9)), 3 + n % 3
+        g = random_graph(rng, K)
+        means = rng.uniform(0.3, 2.5, (P, K))
+        if n % 2:
+            g = MetapopGraph(m=g.m, D=recipe_dispersal(rng, g.D))
+            means *= 10.0 ** rng.uniform(-6, 0, (P, K))
+        yield g, EnvironmentModel(tuple(f"e{s}" for s in range(P)), means,
+                                  Periodic(tuple(range(P))))
+
+
+def test_spectral_and_twisted_phase_occupancy_agree_for_every_period():
+    for g, env in _period_cases():
+        res = periodic_growth_and_occupancy(g, env)
+        P = len(env.schedule.cycle)
+        occ, steps = phase_occupancy(g, env, res.product)
+        assert res.phase_occupancy.shape == occ.shape == (P, g.K)
+        assert abs(res.log_growth - math.log(res.product.rho) / P) <= 1e-12
+        assert np.abs(occ - res.phase_occupancy).max() <= 1e-12
+        assert np.abs(steps.sum(axis=1) - occ[0]).max() <= 1e-12
+        assert np.abs(steps.sum(axis=0) - occ[1]).max() <= 1e-12
+
+
+def test_a_repeated_schedule_keeps_the_rate_and_phase_rows():
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        g = random_graph(rng, 4)
+        means = rng.uniform(0.3, 2.5, (2, 4))
+        once, twice = (periodic_growth_and_occupancy(g, EnvironmentModel(("a", "b"), means,
+                                                                         Periodic(order)))
+                       for order in ((0, 1), (0, 1, 0, 1)))
+        assert abs(twice.log_growth - once.log_growth) <= 1e-12
+        assert np.abs(twice.phase_occupancy - np.tile(once.phase_occupancy, (2, 1))).max() <= 1e-12
+        env = EnvironmentModel(("a", "b"), means, Periodic((0, 1, 0, 1)))
+        occ, _ = phase_occupancy(g, env, twice.product)
+        assert np.abs(occ - np.tile(once.phase_occupancy, (2, 1))).max() <= 1e-12
+
+
+def test_a_one_state_schedule_is_the_fixed_environment_on_both_routes():
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        g = random_graph(rng, int(rng.integers(2, 9)))
+        env = EnvironmentModel(("e",), [g.m], Periodic((0,)))
+        res = periodic_growth_and_occupancy(g, env)
+        sd = growth_rate(mean_matrix(g))
+        assert res.product.rho == sd.rho
+        occ, _ = phase_occupancy(g, env, res.product)
+        assert np.array_equal(occ[0], occupancy_spectral(sd))
+        tw = argmax_occupancy(g)
+        assert abs(res.log_growth - tw.log_growth) <= 1e-12
+        assert np.abs(res.phase_occupancy[0] - tw.occupancy).max() <= 1e-12
 
 
 def test_lyapunov_constant_environment_recovers_log_rho():
@@ -545,6 +619,16 @@ def test_environment_validation():
                          schedule=Periodic(()))
     with pytest.raises(ValidationError):
         MarkovSwitching(0.0, 0.0)
+    # a repeated name would leave one of its rows unreachable by name
+    with pytest.raises(ValidationError, match="environment state 'a' is named twice"):
+        EnvironmentModel(states=("a", "b", "a"), means=np.ones((3, 2)), schedule=Periodic((0, 2)))
+    with pytest.raises(ValidationError, match="environment state 'a' is named twice"):
+        load_environment({"states": ["a", "a"], "means": [[4.0, 0.9], [0.2, 0.9]],
+                          "schedule": {"periodic": ["a", "a"]}})
+    for schedule in ({"periodic": [["a"], "b"]}, {"markov": {"alpha": 0.5, "beta": 0.5}}):
+        with pytest.raises(ValidationError, match="state names must be strings or numbers"):
+            load_environment({"states": [["a"], "b"], "means": [[4.0, 0.9], [0.2, 0.9]],
+                              "schedule": schedule})
     g = MetapopGraph(m=[1.0, 1.0], D=[[0.0, 1.0], [1.0, 0.0]])
     env = alternation(g, [2.0, 0.5], [2.0, 0.5])
     with pytest.raises(ValidationError):
@@ -597,6 +681,7 @@ ENV_ON_GRAPH = {
     "even_return_functional": even_return_functional,
     "edge_chain": edge_chain,
     "periodic_growth_and_occupancy": periodic_growth_and_occupancy,
+    "phase_occupancy": lambda g, env: phase_occupancy(g, env, None),
     "lyapunov_estimate": lambda g, env: lyapunov_estimate(g, env, n_steps=2000),
     "simulate": lambda g, env: simulate(g, env=env, horizon=5, n_runs=10),
     "extinction_probability": lambda g, env: extinction_probability(g, env=env, n_runs=10),
@@ -620,8 +705,31 @@ def test_edge_chain_ignores_a_state_the_schedule_never_applies():
     got, want = (periodic_growth_and_occupancy(g, env) for env in (with_c, without_c))
     assert got.log_growth == want.log_growth
     assert abs(got.log_growth - 0.149) < 5e-4
-    assert np.array_equal(got.occupancy_edges, want.occupancy_edges)
+    assert np.array_equal(got.phase_occupancy, want.phase_occupancy)
     assert got.residual == want.residual
     with pytest.raises(ValidationError, match="positive means"):
         periodic_growth_and_occupancy(
             g, EnvironmentModel(("a", "b"), [[4.0, 0.9], [0.0, 0.9]], Periodic((0, 1))))
+
+
+def test_a_periodic_graph_gets_an_answer_when_its_period_is_coprime_to_the_schedules():
+    # a graph of period d moves its walker one class on per step; a schedule
+    # of period P coprime to d makes the edge chain one class of period dP
+    rng = np.random.default_rng(39)
+    checked = 0
+    for d, P in ((2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (3, 5)):
+        for _ in range(5):
+            b = int(rng.integers(1, 4))
+            D = np.kron(np.roll(np.eye(d), 1, axis=1), np.ones((b, b)))
+            D *= rng.uniform(0.1, 1.0, D.shape)
+            g = MetapopGraph(m=np.ones(d * b), D=D / D.sum(axis=1, keepdims=True))
+            assert validate_graph(g).period == d
+            env = EnvironmentModel(tuple(f"e{s}" for s in range(P)),
+                                   rng.uniform(0.3, 2.5, (P, d * b)), Periodic(tuple(range(P))))
+            assert validate_graph(edge_chain(g, env)).irreducible
+            res = periodic_growth_and_occupancy(g, env)
+            occ, _ = phase_occupancy(g, env, res.product)
+            assert abs(res.log_growth - math.log(res.product.rho) / P) <= 1e-12
+            assert np.abs(occ - res.phase_occupancy).max() <= 1e-12
+            checked += 1
+    assert checked == 30

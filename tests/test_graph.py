@@ -23,7 +23,7 @@ from sourcesink import (
 import sourcesink as ss
 from sourcesink import graph
 from sourcesink.environments import Periodic, edge_chain
-from conftest import random_graph, two_patch
+from conftest import pair_chain, random_graph, two_patch
 
 
 def test_two_patch_self_loops_are_primitive():
@@ -206,7 +206,7 @@ def _large_graphs():
     env = EnvironmentModel(
         states=("e1", "e2"), means=rng.uniform(0.3, 2.5, (2, 24)), schedule=Periodic((0, 1))
     )
-    graphs = [edge_chain(g, env)[0]]
+    graphs = [pair_chain(g, env)[0], edge_chain(g, env)]
     for n, s in ((250, 0.2), (250, 0.0), (249, 0.0)):
         spec = PipelineSpec(n=n, p=1.0 if s == 0.0 else 0.5, L=0.5, s=s,
                             l=(1 - s) / 2, m=0.5, M=2.0)
@@ -241,9 +241,12 @@ def test_structure_matches_reference_walkers():
 
 
 def test_large_supports_structure():
-    chain, ring, odd_ring, even_ring = _large_graphs()
+    chain, space_time, ring, odd_ring, even_ring = _large_graphs()
     assert chain.K > 300
     assert validate_graph(chain).aperiodic
+    # the space-time chain steps from phase to phase, so its period is the schedule's
+    assert space_time.K == 48 and validate_graph(space_time).irreducible
+    assert validate_graph(space_time).period == 2
     assert validate_graph(ring).aperiodic
     # a ring of 251 patches without self-loops: cycles of length 2 and 251
     assert validate_graph(odd_ring).period == 1
@@ -392,6 +395,7 @@ def test_graph_arrays_are_immutable():
 # two closed patches; a 3-cycle, whose edge chain is a 3-cycle too; a zero mean
 REDUCIBLE = MetapopGraph(m=[2.0, 0.5], D=[[1.0, 0.0], [0.0, 1.0]])
 CYCLE3 = MetapopGraph(m=[2.0, 0.5, 1.0], D=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+BIPARTITE = MetapopGraph(m=[2.0, 0.5], D=[[0.0, 1.0], [1.0, 0.0]])
 ZERO_MEAN = MetapopGraph(m=[2.0, 0.0], D=[[0.5, 0.5], [0.5, 0.5]])
 
 
@@ -424,7 +428,11 @@ GATE_CASES = (
     [(name, "reducible", REDUCIBLE, "needs an irreducible graph; this one is not irreducible")
      for name in ROUTES]
     + [(name, "periodic", CYCLE3, "needs an aperiodic graph; this one has period 3")
-       for name in ("max_rate_gap", "argmax_occupancy", "edge_chain")]
+       for name in ("max_rate_gap", "argmax_occupancy")]
+    # the edge chain of a two-step alternation on a bipartite graph splits
+    # into two classes; on CYCLE3 it is irreducible and gets an answer
+    + [("edge_chain", "bipartite", BIPARTITE,
+        "needs an irreducible graph; this one is not irreducible")]
     + [(name, "zero-mean", ZERO_MEAN, "needs positive means; a patch has mean 0")
        for name in ("growth_rate", "max_rate_gap", "argmax_occupancy", "edge_chain")]
 )
