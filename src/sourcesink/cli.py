@@ -33,10 +33,12 @@ from . import __version__
 from .branching import patch_series, poisson_laws, geometric_laws, simulate
 from .environments import (
     EnvironmentModel,
+    edge_chain,
     even_return_functional,
     load_environment,
     lyapunov_estimate,
     periodic_growth_and_occupancy,
+    periodic_mean_matrix,
     phase_occupancy,
     random_env_lower_bound,
     two_patch_periodic_criterion,
@@ -340,29 +342,31 @@ def cmd_periodic(cfg: dict, args) -> dict:
     env = _env_from_config(cfg, "periodic")
     ev = even_return_functional(g, env, _home(cfg))  # refuses a random schedule
     cycle = env.schedule.cycle
-    # the edge chain is solved at the one-period product's root, so its answer
-    # carries the product's Perron data: one eigen-solve per run
-    ec = periodic_growth_and_occupancy(g, env)
-    sd, log_rho = ec.product, math.log(ec.product.rho) / len(cycle)
-    occ, steps = phase_occupancy(g, env, sd)
-    persists = sd.rho > 1.0
+    sd = growth_rate(periodic_mean_matrix(g, env))
+    log_rho, persists = math.log(sd.rho) / len(cycle), sd.rho > 1.0
     out = {
         "product_matrix_rho": sd.rho,
         "product_matrix_residual": sd.residual,
         "log_rho_per_step": log_rho,
         "persists": persists,
-        "phase_occupancy": occ,
-        "occupancy_edges": steps,
         "even_return": {phase: v.to_dict() for phase, v in ev.items()},
-        "edge_chain": {"log_rho": ec.log_growth, "phase_occupancy": ec.phase_occupancy,
-                       "residual": ec.residual},
-        "cross_checks": {
-            "edge_chain_vs_product_log_rho": ec.log_growth - log_rho,
-            "phase_occupancy_spectral_vs_twisted_linf":
-                float(np.abs(occ - ec.phase_occupancy).max()),
-            "even_return_sign_agree": all(v.persists == persists for v in ev.values()),
-        },
+        "cross_checks": {"even_return_sign_agree": all(v.persists == persists for v in ev.values())},
     }
+    # occupancy settles only on an aperiodic product, and the edge chain
+    # needs positive means; it is solved at the product's root, so a run
+    # makes one eigen-solve
+    if not sd.periodic_warning:
+        occ, steps = phase_occupancy(g, env, sd)
+        out.update(phase_occupancy=occ, occupancy_edges=steps)
+        if edge_chain(g, env).all():
+            ec = periodic_growth_and_occupancy(g, env, sd)
+            out["edge_chain"] = {"log_rho": ec.log_growth, "phase_occupancy": ec.phase_occupancy,
+                                 "residual": ec.residual}
+            out["cross_checks"].update({
+                "edge_chain_vs_product_log_rho": ec.log_growth - log_rho,
+                "phase_occupancy_spectral_vs_twisted_linf":
+                    float(np.abs(occ - ec.phase_occupancy).max()),
+            })
     if g.K == 2 and len(cycle) == 2:
         (M1, m1), (M2, m2) = env.means[list(cycle)].tolist()
         crit = two_patch_periodic_criterion(M1, M2, m1, m2, float(g.D[0, 1]), float(g.D[1, 0]))

@@ -3,8 +3,8 @@
 ``Periodic`` and ``MarkovSwitching`` build a ``Schedule``, and a fixed
 environment is its one-phase case.  A periodic schedule of period P is
 the fixed environment of its edge chain, the space-time chain of P*K
-patches, which the twisted route solves for growth and each phase's
-occupancy.  The same questions reduce to K x K ones through the
+patches, which the twisted route solves phase by phase for growth and each
+phase's occupancy.  The same questions reduce to K x K ones through the
 one-period product of mean matrices: its Perron data carried round the
 cycle, and the return home at multiples of P.  The two-patch two-state
 alternation also has a closed form.  On every schedule the growth
@@ -239,33 +239,37 @@ class EdgeChainResult:
     product: SpectralData
 
 
-def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> MetapopGraph:
-    """The space-time chain of a periodic schedule, as a graph: patch s*K + i
-    is patch i at phase s, with the mean phase s applies, and disperses by D
-    into phase s + 1 mod P (the Kronecker product of the cyclic shift and D).
-    Its mean matrix to the P-th power is block diagonal with each phase's
-    one-period product, so its Perron root is rho(product)^(1/P)."""
-    cycle = _cycle(env, "the edge chain")
-    shift = np.roll(np.eye(len(cycle)), 1, axis=1)
-    return MetapopGraph(m=_patch_means(g, env)[list(cycle)].ravel(), D=np.kron(shift, g.D))
+def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
+    """The space-time chain of a periodic schedule, as its P x K phase means:
+    patch s*K + i is patch i at phase s, with the mean phase s applies, and
+    disperses by D into phase s + 1 mod P (the Kronecker product of the
+    cyclic shift and D, which is never formed).  Its mean matrix to the P-th
+    power is block diagonal with each phase's one-period product, so its
+    Perron root is rho(product)^(1/P)."""
+    return _patch_means(g, env)[list(_cycle(env, "the edge chain"))]
 
 
-def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel) -> EdgeChainResult:
+def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel,
+                                  product: SpectralData | None = None) -> EdgeChainResult:
     """The twisted route on the edge chain of a periodic schedule.
 
-    The chain is irreducible exactly when the one-period product is, and
-    periodic by construction, which the twisted route does not mind.  Its
-    root is the P-th root of the product's, which one K x K eigen-solve
-    gives, so its twisted chain takes one bordered LU solve, not an
-    eigen-solve of P*K patches; the log root is still read off the chain's
+    Survivor occupancy is read only where it settles: the one-period
+    product must be aperiodic, as a fixed graph must be for
+    ``argmax_occupancy``.  The chain also needs positive means; it is
+    irreducible exactly when the product is.  It is solved phase by phase at
+    the product's root (``product``, its Perron data, if already known),
+    which one K x K eigen-solve gives, so the chain costs one bordered LU
+    solve and no matrix of P*K patches.  Its log root is still read off its
     own vectors, so a wrong chain shows in the cross-check.
     """
-    chain = edge_chain(g, env)
-    _require(chain, "edge chain", positive=True)
-    product = growth_rate(periodic_mean_matrix(g, env))
-    P = chain.K // g.K
-    res = _twisted_occupancy(chain, product.rho ** (1.0 / P))
-    occ = res.occupancy.reshape(P, g.K)
+    means = edge_chain(g, env)
+    A = periodic_mean_matrix(g, env)
+    if not means.all():
+        raise ValidationError("edge chain needs positive means; a patch has mean 0")
+    _require(A, "edge chain", aperiodic=True)
+    product = growth_rate(A) if product is None else product
+    res = _twisted_occupancy(g.D, means, product.rho)
+    occ = res.occupancy.reshape(means.shape)
     return EdgeChainResult(res.log_growth, occ / occ.sum(axis=1, keepdims=True), res.residual,
                            product)
 
@@ -273,12 +277,15 @@ def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel) -> Edg
 def phase_occupancy(g: MetapopGraph, env: EnvironmentModel,
                     product: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     """Survivor occupancy of each phase from the one-period product's Perron
-    data, with no eigen-solve.  With A_s the mean matrix of phase s, the
-    vectors l_{s+1} ~ l_s A_s and r_s ~ A_s r_{s+1} (r_P = r_0) are those of
-    the product from phase s, and row s of the P x K first result is l_s r_s
-    normalized.  The K x K second, l_0[i] A_0[i, j] r_1[j] normalized, is
-    the frequency of steps i -> j from phase 0 to phase 1."""
+    data, with no eigen-solve, refused when the product is periodic.  With
+    A_s the mean matrix of phase s, the vectors l_{s+1} ~ l_s A_s and
+    r_s ~ A_s r_{s+1} (r_P = r_0) are those of the product from phase s, and
+    row s of the P x K first result is l_s r_s normalized.  The K x K
+    second, l_0[i] A_0[i, j] r_1[j] normalized, is the frequency of steps
+    i -> j from phase 0 to phase 1."""
     mats = [state_mean_matrix(g, env, s) for s in _cycle(env, "phase occupancy")]
+    if product.periodic_warning:
+        raise ValidationError("phase occupancy needs an aperiodic one-period product")
     P = len(mats)
     left, right = [product.left] * P, [product.right] * P
     for s in range(1, P):

@@ -22,6 +22,7 @@ they can cross-check each other:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -368,30 +369,49 @@ def argmax_occupancy(g: MetapopGraph) -> VariationalResult:
     one LU solve.
     """
     _require(g, "twisted-chain occupancy", aperiodic=True, positive=True)
-    return _twisted_occupancy(g)
+    return _twisted_occupancy(g.D, g.m[None, :])
 
 
-def _twisted_occupancy(g: MetapopGraph, root: float | None = None) -> VariationalResult:
-    """``argmax_occupancy`` on a checked graph, at the Perron ``root`` of D' if known.
+def _twisted_occupancy(D: np.ndarray, means: np.ndarray,
+                       root: float | None = None) -> VariationalResult:
+    """``argmax_occupancy`` on the space-time chain of dispersal ``D`` and the
+    P x K phase ``means``, checked by the caller; one phase is a fixed graph.
 
-    A known root (the edge chain's is the root of the two-step product)
-    turns the eigen-solve of D' into one bordered LU solve
+    Chain patch s*K + i is patch i at phase s, with mean means[s, i], and
+    disperses by D into phase s + 1 mod P.  Its D' and D'' are block cyclic,
+    so their Perron vectors are carried phase by phase from one K x K solve
+    each, at the P-step products, and no P*K x P*K matrix is formed: v D' =
+    r v gives v_{s+1} = (v_s D) m_{s+1} / r round from v_0, the left vector
+    of R = D'_1 ... D'_{P-1} D'_0, and D'' phi = phi gives phi_s = D''_s
+    phi_{s+1} back from phi_0, the fixed vector of D''_0 ... D''_{P-1}.
+    ``root``, the Perron root of R if known (the one-period product's, the
+    same up to rotation), turns its eigen-solve into one bordered LU solve
     (``_bordered_perron``).  The value is still read off v and phi, and it
-    is stationary in v, so it is the log root of D' itself up to second
-    order in an error of ``root``; the residual of v shows that error at
-    first order.
+    is stationary in v, so it is the log root of the chain itself up to
+    second order in an error of ``root``; the residual of v shows that
+    error at first order.  The occupancy is the chain's, over P*K patches.
     """
-    Dp = g.D * g.m[None, :]
+    P = means.shape[0]
+    R = functools.reduce(np.matmul, [D * m[None, :] for m in [*means[1:], means[0]]])
     if root is None:
-        root, v = _perron(Dp.T)
+        root, v0 = _perron(R.T)
     else:
-        v = _bordered_perron(Dp.T, root)
-    vD = v @ g.D
-    residual = float(np.abs(vD * g.m - root * v).max()) / root
-    Dpp = (v[:, None] * g.D) / vD[None, :]
-    _, phi = _perron(Dpp, 1.0)
+        v0 = _bordered_perron(R.T, root)
+    root = root ** (1.0 / P)
+    v, vD = [v0], []
+    for m in means[1:]:
+        vD.append(v[-1] @ D)
+        v.append(vD[-1] * m / root)
+    vD.insert(0, v[-1] @ D)  # vD_s = v_{s-1} D, cyclically
+    Dpp = [(v[s][:, None] * D) / vD[(s + 1) % P][None, :] for s in range(P)]
+    _, phi0 = _perron(functools.reduce(np.matmul, Dpp), 1.0)
+    phi = [phi0] * P
+    for s in range(P - 1, 0, -1):
+        phi[s] = Dpp[s] @ phi[(s + 1) % P]
+    v, vD, phi, m = np.concatenate(v), np.concatenate(vD), np.concatenate(phi) / P, means.ravel()
+    residual = float(np.abs(vD * m - root * v).max()) / root
     cost = float(phi @ (np.log(v) - np.log(vD)))
-    gain = float(phi @ np.log(g.m))
+    gain = float(phi @ np.log(m))
     return VariationalResult(gain - cost, phi, "twisted-eigen", residual=residual)
 
 

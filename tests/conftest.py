@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from sourcesink import MetapopGraph, argmax_occupancy, validate_graph
+from sourcesink import MetapopGraph, argmax_occupancy, edge_chain, validate_graph
 
 
 def random_graph(rng, K, m_range=(0.05, 3.0), zero_frac=0.35, min_spread=0.0):
@@ -70,6 +70,14 @@ def pair_chain(g, env):
     I, J = np.nonzero(g.D > 0)
     B = g.D[np.ix_(J, I)] * g.D[I, J][None, :]
     return MetapopGraph(m=ma[I] * mb[J], D=B), (I, J)
+
+
+def space_time_chain(g, env):
+    """The edge chain of a periodic schedule as a dense graph of P*K patches:
+    patch s*K + i is patch i at phase s and disperses by D into phase
+    s + 1 mod P.  The package solves it block by block and never forms it."""
+    means = edge_chain(g, env)
+    return MetapopGraph(m=means.ravel(), D=np.kron(np.roll(np.eye(len(means)), 1, axis=1), g.D))
 
 
 def pair_chain_answer(g, env, occupancy_of=None):

@@ -361,6 +361,35 @@ def test_periodic_answers_survivor_occupancy_for_a_period_of_three(tmp_path):
     assert "two_patch_criterion" not in rep
 
 
+def test_periodic_answers_a_zero_mean_without_the_edge_chain(tmp_path):
+    # state b kills patch 1: the product and the spectral phase occupancy
+    # stand, but the edge chain needs positive means and is left out
+    cfg = json.loads(json.dumps(PERIOD3))
+    cfg["env"]["means"][1] = [0.2, 0.0]
+    code, out = run(tmp_path, ["periodic", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    mats = [np.array(m)[:, None] * np.full((2, 2), 0.5) for m in cfg["env"]["means"]]
+    rho = max(abs(np.linalg.eigvals(mats[0] @ mats[1] @ mats[2])))
+    assert abs(rep["product_matrix_rho"] - rho) <= 1e-12 and rep["persists"] is False
+    assert len(rep["phase_occupancy"]) == 3 and rep["phase_occupancy"][1][1] == 0.0
+    assert "edge_chain" not in rep
+    assert set(rep["cross_checks"]) == {"even_return_sign_agree"}
+
+
+def test_periodic_reports_no_occupancy_on_a_periodic_product(tmp_path):
+    # a 3-cycle under one state: growth as analyze would give it, but a
+    # survivor's occupancy does not settle, so neither route reports one
+    env = {"states": ["e"], "means": [[2.0, 0.5, 1.0]], "schedule": {"periodic": ["e"]}}
+    graph = {"m": [1.0, 1.0, 1.0], "D": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}
+    code, out = run(tmp_path, ["periodic", "--config",
+                               write_cfg(tmp_path, {"graph": graph, "env": env})])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert abs(rep["log_rho_per_step"]) <= 1e-12  # rho^3 = 2 * 0.5 * 1
+    assert not {"phase_occupancy", "occupancy_edges", "edge_chain"} & set(rep)
+
+
 def test_randenv_on_a_periodic_schedule_is_the_product_rate(tmp_path):
     cfg = write_cfg(tmp_path, PERIOD3)
     code, per = run(tmp_path, ["periodic", "--config", cfg], "per.json")

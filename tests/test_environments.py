@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from sourcesink import (
 )
 from sourcesink import environments
 from sourcesink.environments import LYAPUNOV_BATCHES, LYAPUNOV_BURN_IN, _env_path
+from sourcesink.variational import _twisted_occupancy
 from sourcesink.walks import return_functional
 from conftest import (
     eigen_solve_shapes,
@@ -42,6 +44,7 @@ from conftest import (
     random_fully_mixing,
     random_graph,
     recipe_dispersal,
+    space_time_chain,
     two_patch,
 )
 
@@ -318,7 +321,7 @@ def test_edge_chain_makes_no_eigen_solve_above_k(monkeypatch, P):
     shapes = eigen_solve_shapes(monkeypatch)
     res = periodic_growth_and_occupancy(g, env)
     occ, _ = phase_occupancy(g, env, res.product)
-    assert edge_chain(g, env).K == 9 * P
+    assert edge_chain(g, env).shape == (P, 9)
     assert shapes == [(9, 9)]
     assert res.residual <= 1e-14
     assert np.abs(occ - res.phase_occupancy).max() <= 1e-12
@@ -358,12 +361,12 @@ def test_edge_chain_cross_check_sees_a_wrong_chain(monkeypatch):
     env = alternation(g, rng.uniform(0.3, 2.5, 8), rng.uniform(0.3, 2.5, 8))
     exact = periodic_growth_and_occupancy(g, env)
     chain = edge_chain(g, env)
-    delta = rng.uniform(-1e-6, 1e-6, chain.K)
-    wrong = MetapopGraph(m=chain.m * (1.0 + delta), D=chain.D)
+    delta = rng.uniform(-1e-6, 1e-6, chain.shape)
+    wrong = chain * (1.0 + delta)
     monkeypatch.setattr(environments, "edge_chain", lambda g, env: wrong)
     res = periodic_growth_and_occupancy(g, env)
     moved = res.log_growth - 0.5 * math.log(res.product.rho)
-    first_order = 0.5 * float(exact.phase_occupancy.ravel() @ np.log1p(delta))
+    first_order = 0.5 * float(exact.phase_occupancy.ravel() @ np.log1p(delta.ravel()))
     assert abs(first_order) >= 1e-8
     assert abs(moved - first_order) <= 1e-3 * abs(first_order)
     assert exact.residual <= 1e-14 and res.residual >= 1e-10
@@ -712,24 +715,61 @@ def test_edge_chain_ignores_a_state_the_schedule_never_applies():
             g, EnvironmentModel(("a", "b"), [[4.0, 0.9], [0.0, 0.9]], Periodic((0, 1))))
 
 
-def test_a_periodic_graph_gets_an_answer_when_its_period_is_coprime_to_the_schedules():
+def test_a_periodic_product_gets_no_occupancy_on_either_route():
     # a graph of period d moves its walker one class on per step; a schedule
-    # of period P coprime to d makes the edge chain one class of period dP
+    # of period P coprime to d makes the edge chain irreducible, but the
+    # one-period product keeps period d, so a survivor's occupancy at steps
+    # s mod P never settles: both routes refuse it, as argmax_occupancy
+    # refuses a periodic graph
     rng = np.random.default_rng(39)
-    checked = 0
     for d, P in ((2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (3, 5)):
-        for _ in range(5):
-            b = int(rng.integers(1, 4))
-            D = np.kron(np.roll(np.eye(d), 1, axis=1), np.ones((b, b)))
-            D *= rng.uniform(0.1, 1.0, D.shape)
-            g = MetapopGraph(m=np.ones(d * b), D=D / D.sum(axis=1, keepdims=True))
-            assert validate_graph(g).period == d
-            env = EnvironmentModel(tuple(f"e{s}" for s in range(P)),
-                                   rng.uniform(0.3, 2.5, (P, d * b)), Periodic(tuple(range(P))))
-            assert validate_graph(edge_chain(g, env)).irreducible
-            res = periodic_growth_and_occupancy(g, env)
-            occ, _ = phase_occupancy(g, env, res.product)
-            assert abs(res.log_growth - math.log(res.product.rho) / P) <= 1e-12
-            assert np.abs(occ - res.phase_occupancy).max() <= 1e-12
-            checked += 1
-    assert checked == 30
+        b = int(rng.integers(1, 4))
+        D = np.kron(np.roll(np.eye(d), 1, axis=1), np.ones((b, b)))
+        D *= rng.uniform(0.1, 1.0, D.shape)
+        g = MetapopGraph(m=np.ones(d * b), D=D / D.sum(axis=1, keepdims=True))
+        env = EnvironmentModel(tuple(f"e{s}" for s in range(P)),
+                               rng.uniform(0.3, 2.5, (P, d * b)), Periodic(tuple(range(P))))
+        assert validate_graph(space_time_chain(g, env)).irreducible
+        product = growth_rate(periodic_mean_matrix(g, env))
+        assert product.periodic_warning
+        with pytest.raises(ValidationError, match=f"edge chain needs an aperiodic graph; "
+                                                  f"this one has period {d}"):
+            periodic_growth_and_occupancy(g, env)
+        with pytest.raises(ValidationError, match="phase occupancy needs an aperiodic"):
+            phase_occupancy(g, env, product)
+    # one phase: the edge chain is the graph, refused alike
+    g = MetapopGraph(m=[2.0, 0.5, 1.0], D=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    env = EnvironmentModel(("e",), [g.m], Periodic((0,)))
+    for route in (argmax_occupancy, lambda g: periodic_growth_and_occupancy(g, env)):
+        with pytest.raises(ValidationError, match="needs an aperiodic graph; this one has period 3"):
+            route(g)
+
+
+def test_the_edge_chain_matches_its_dense_space_time_graph():
+    # the reference: the twisted route with its own eigen-solve on the dense
+    # chain of P*K patches, the Kronecker product of the cyclic shift and D
+    for g, env in _period_cases():
+        res = periodic_growth_and_occupancy(g, env)
+        chain = space_time_chain(g, env)
+        dense = _twisted_occupancy(chain.D, chain.m[None, :])
+        occ = dense.occupancy.reshape(res.phase_occupancy.shape)
+        assert abs(res.log_growth - dense.log_growth) <= 1e-12
+        assert np.abs(res.phase_occupancy - occ / occ.sum(axis=1, keepdims=True)).max() <= 1e-12
+
+
+def test_a_long_period_forms_no_matrix_of_the_chain_size():
+    # 365 phases of 50 patches: the dense chain would take 2.7 GB a matrix
+    rng = np.random.default_rng(40)
+    g = random_graph(rng, 50)
+    env = EnvironmentModel(tuple(f"e{s}" for s in range(365)),
+                           rng.uniform(0.9, 1.1, (365, 50)), Periodic(tuple(range(365))))
+    tracemalloc.start()
+    try:
+        res = periodic_growth_and_occupancy(g, env)
+        occ, _ = phase_occupancy(g, env, res.product)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert abs(res.log_growth - math.log(res.product.rho) / 365) <= 1e-12
+    assert np.abs(occ - res.phase_occupancy).max() <= 1e-12

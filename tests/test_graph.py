@@ -22,8 +22,8 @@ from sourcesink import (
 )
 import sourcesink as ss
 from sourcesink import graph
-from sourcesink.environments import Periodic, edge_chain
-from conftest import pair_chain, random_graph, two_patch
+from sourcesink.environments import Periodic
+from conftest import pair_chain, random_graph, space_time_chain, two_patch
 
 
 def test_two_patch_self_loops_are_primitive():
@@ -206,7 +206,7 @@ def _large_graphs():
     env = EnvironmentModel(
         states=("e1", "e2"), means=rng.uniform(0.3, 2.5, (2, 24)), schedule=Periodic((0, 1))
     )
-    graphs = [pair_chain(g, env)[0], edge_chain(g, env)]
+    graphs = [pair_chain(g, env)[0], space_time_chain(g, env)]
     for n, s in ((250, 0.2), (250, 0.0), (249, 0.0)):
         spec = PipelineSpec(n=n, p=1.0 if s == 0.0 else 0.5, L=0.5, s=s,
                             l=(1 - s) / 2, m=0.5, M=2.0)
@@ -392,7 +392,8 @@ def test_graph_arrays_are_immutable():
         g.D.flags.writeable = True
 
 
-# two closed patches; a 3-cycle, whose edge chain is a 3-cycle too; a zero mean
+# two closed patches; a 3-cycle, whose two-step product is a 3-cycle too; a
+# two-cycle, whose two-step product is two closed patches; a zero mean
 REDUCIBLE = MetapopGraph(m=[2.0, 0.5], D=[[1.0, 0.0], [0.0, 1.0]])
 CYCLE3 = MetapopGraph(m=[2.0, 0.5, 1.0], D=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 BIPARTITE = MetapopGraph(m=[2.0, 0.5], D=[[0.0, 1.0], [1.0, 0.0]])
@@ -428,9 +429,9 @@ GATE_CASES = (
     [(name, "reducible", REDUCIBLE, "needs an irreducible graph; this one is not irreducible")
      for name in ROUTES]
     + [(name, "periodic", CYCLE3, "needs an aperiodic graph; this one has period 3")
-       for name in ("max_rate_gap", "argmax_occupancy")]
+       for name in ("max_rate_gap", "argmax_occupancy", "edge_chain")]
     # the edge chain of a two-step alternation on a bipartite graph splits
-    # into two classes; on CYCLE3 it is irreducible and gets an answer
+    # into two classes, as the two-step product does
     + [("edge_chain", "bipartite", BIPARTITE,
         "needs an irreducible graph; this one is not irreducible")]
     + [(name, "zero-mean", ZERO_MEAN, "needs positive means; a patch has mean 0")
