@@ -321,7 +321,10 @@ def _env_path(sched: Schedule, n: int, rng) -> np.ndarray:
     """A length-n path of states: the cycle repeated, or a sample of the
     two-state chain from its start law, whose geometric sojourns (memoryless,
     so the first is a full draw too) are drawn in bulk as whole alternating
-    runs and expanded with repeat."""
+    runs.  Each block of runs becomes steps by marking the step where each
+    run ends and the state flips, and a running XOR of the marks; only the
+    steps still missing are written, so memory follows n, not the mean
+    sojourn 1/alpha, and the draws are those of the whole runs."""
     if sched.cycle is not None:
         return np.resize(np.array(sched.cycle), n)
     leave = sched.T[[0, 1], [1, 0]].tolist()  # off the diagonal: alpha and beta, bit for bit
@@ -332,15 +335,17 @@ def _env_path(sched: Schedule, n: int, rng) -> np.ndarray:
     total = 0
     while total < n:
         k = max(64, int((n - total) * max(leave) // 2) + 64)
-        lens = np.empty(2 * k, dtype=np.int64)
-        lens[0::2] = rng.geometric(leave[cur], size=k)
-        lens[1::2] = rng.geometric(leave[1 - cur], size=k)
-        states = np.empty(2 * k, dtype=np.int8)
-        states[0::2] = cur
-        states[1::2] = 1 - cur
-        pieces.append(np.repeat(states, lens))
-        total += int(lens.sum())
-    return np.concatenate(pieces)[:n]
+        ends = np.empty(2 * k, dtype=np.int64)
+        ends[0::2] = rng.geometric(leave[cur], size=k)
+        ends[1::2] = rng.geometric(leave[1 - cur], size=k)
+        np.cumsum(ends, out=ends)
+        piece = np.zeros(min(int(ends[-1]), n - total), dtype=np.int8)
+        piece[ends[: np.searchsorted(ends, piece.size)]] = 1
+        np.bitwise_xor.accumulate(piece, out=piece)
+        piece ^= cur  # a block holds whole pairs of runs, so each starts in state cur
+        pieces.append(piece)
+        total += int(ends[-1])
+    return np.concatenate(pieces)
 
 
 def lyapunov_estimate(
@@ -349,17 +354,22 @@ def lyapunov_estimate(
     n_steps: int = LYAPUNOV_DEFAULT_STEPS,
     seed: int = 0,
 ) -> LyapunovEstimate:
-    """Growth exponent of the environment by block products.
+    """Growth exponent of the environment by products over word tables.
 
     Along one environment path (``_env_path``; a random one draws from
     stream (seed, 0)), the ordered products of the per-state mean matrices
     are formed over the burn-in of 1000 steps and over each of 100 equal
     batches, and a positive row vector is pushed through them with l1
     renormalization; the log growth over a batch equals the sum of the
-    step-by-step log renormalizers.  The exponent is the total over the
-    batches divided by their steps (log rho(product) / P on a schedule of
-    period P), and the CI comes from the batch means.  When the vector
-    vanishes (possible when a state has zero means), it is -inf with CI 0.
+    step-by-step log renormalizers.  The products are taken over words of
+    L steps, each tabulated once (``_batch_log_growth``): L is the largest
+    length whose table of S^L matrices (S states) fits in a quarter of
+    ``LYAPUNOV_SLAB_BYTES`` and holds no more products than the path has
+    words, so each L steps cost one table product.  The exponent is the
+    total over the batches divided by their steps (log rho(product) / P on
+    a schedule of period P), and the CI comes from the batch means.  When
+    the vector vanishes (possible when a state has zero means), it is -inf
+    with CI 0.
     """
     _require(g, "Lyapunov estimation")
     n_steps, seed = _integer(n_steps, "n_steps"), _integer(seed, "seed", 0)
@@ -380,6 +390,15 @@ def lyapunov_estimate(
     return LyapunovEstimate(gamma=gamma, ci_halfwidth=ci, n_steps=used, seed=seed)
 
 
+def _rescale(P: np.ndarray) -> np.ndarray:
+    """Divide each K x K matrix of P by the sum of its entries, in place, and
+    return the log scales; a zero matrix stays zero with log scale 0."""
+    total = P.reshape(*P.shape[:-2], -1) @ np.ones(P.shape[-2] * P.shape[-1])
+    total = np.where(total > 0.0, total, 1.0)
+    P /= total[..., None, None]
+    return np.log(total)
+
+
 def _ordered_products(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ordered products along axis 1 of A (rows, n, K, K) by pairwise reduction.
 
@@ -388,7 +407,6 @@ def _ordered_products(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     An odd element joins the last pair; a zero product stays zero.
     """
     logs = np.zeros(A.shape[:2])
-    ones = np.ones(A.shape[2] * A.shape[3])
     while A.shape[1] > 1:
         h = A.shape[1] // 2
         P = A[:, 0 : 2 * h : 2] @ A[:, 1 : 2 * h : 2]
@@ -396,40 +414,100 @@ def _ordered_products(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if A.shape[1] % 2:
             P[:, -1] = P[:, -1] @ A[:, -1]
             lg[:, -1] += logs[:, -1]
-        total = P.reshape(*P.shape[:2], -1) @ ones
-        total = np.where(total > 0.0, total, 1.0)
-        P /= total[:, :, None, None]
-        A, logs = P, lg + np.log(total)
+        A, logs = P, lg + _rescale(P)
     return A[:, 0], logs[:, 0]
+
+
+def _word_length(S: int, K: int, n: int) -> int:
+    """Length L of the words ``_batch_log_growth`` tabulates for S states,
+    K x K matrices and a path of n steps: the largest L whose table of S^L
+    products fits in a quarter of ``LYAPUNOV_SLAB_BYTES`` and holds no more
+    products than the path has words (S^L * L <= n), and at least 1.  One
+    state is sized as two: its table has one product per length, so the
+    two bounds alone would let L, and the build's one step per length,
+    grow to the path's length."""
+    S = max(S, 2)
+    L = 1
+    while S ** (L + 1) * K * K * 8 <= LYAPUNOV_SLAB_BYTES // 4 and S ** (L + 1) * (L + 1) <= n:
+        L += 1
+    return L
+
+
+def _word_tables(mats: np.ndarray, lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled products and log scales of every word of each length in
+    ``lengths`` over the S states of ``mats``, stacked in that order and
+    followed by the identity (log scale 0).  Word w of length j has code
+    sum_t w_t S^(j-1-t), and the table of length j + 1 is built from the one
+    of length j by extension, T[w S + s] = T[w] A_s, each rescaled by
+    ``_rescale``.  Only the requested lengths are kept."""
+    S, K = mats.shape[:2]
+    T = mats.copy()
+    logs = _rescale(T)
+    kept = {}
+    for j in range(1, max(lengths) + 1):
+        if j > 1:
+            T = (T[:, None] @ mats[None]).reshape(-1, K, K)
+            logs = np.repeat(logs, S) + _rescale(T)
+        if j in lengths:
+            kept[j] = (T, logs)
+    return (np.concatenate([kept[j][0] for j in lengths] + [np.eye(K)[None]]),
+            np.concatenate([kept[j][1] for j in lengths] + [np.zeros(1)]))
+
+
+def _word_codes(steps: np.ndarray, S: int, out: np.ndarray) -> None:
+    """Write into ``out`` the base-S code of each word along the last axis of
+    ``steps`` (first step most significant), by Horner's rule over its
+    columns."""
+    out[...] = 0
+    for j in range(steps.shape[-1]):
+        out *= S
+        out += steps[..., j]
 
 
 def _batch_log_growth(mats: np.ndarray, w: np.ndarray, burn: int, n_batches: int) -> np.ndarray:
     """Log l1 growth of the row vector (1/K, ..., 1/K) over each batch of w.
 
     ``mats`` holds one K x K mean matrix per state and ``w`` the burn-in
-    steps followed by ``n_batches`` equal batches of state indices.  Each
-    segment (the burn-in, then each batch) is cut into pieces of at most
-    one slab of matrices, padded with identity steps to equal length; the
-    pieces are reduced together by ``_ordered_products``, and only the
-    vector pass over the piece products is sequential.  If the vector
+    steps followed by ``n_batches`` equal batches of state indices.  The
+    kernel reads the path in words of L steps (``_word_length``): it
+    tabulates the scaled product of every word of S states once
+    (``_word_tables``), for length L and for the remainder lengths of the
+    burn-in and of a batch, and codes each segment (the burn-in, then each
+    batch) as its full words plus one remainder word.  The word products of
+    each segment are cut into pieces of at most one slab of matrices,
+    padded with identity words to equal length; the pieces are reduced
+    together by ``_ordered_products``, and only the vector pass over the
+    piece products is sequential.  The table's log scales join the piece
+    scales.  L = 1 reduces the mean matrices themselves.  If the vector
     vanishes, every batch gets -inf.
     """
-    K = mats.shape[1]
-    mats = np.concatenate([mats, np.eye(K)[None]])
-    pad = mats.shape[0] - 1
+    S, K = mats.shape[:2]
+    L = _word_length(S, K, w.size)
+    segments = ((w[:burn], 1), (w[burn:], n_batches))
+    lengths = [L] + sorted({seg.size // n_seg % L for seg, n_seg in segments} - {0})
+    words, word_logs = _word_tables(mats, lengths)
+    offset = dict(zip(lengths, np.cumsum([0] + [S**j for j in lengths]).tolist()))
+    pad = words.shape[0] - 1
     slab = max(1, LYAPUNOV_SLAB_BYTES // (8 * K * K))
     x = np.full(K, 1.0 / K)
-    for seg, n_seg in ((w[:burn], 1), (w[burn:], n_batches)):
-        L = seg.size // n_seg
-        pieces = -(-L // slab)
-        size = -(-L // pieces)
-        idx = np.full((n_seg, pieces * size), pad, dtype=w.dtype)
-        idx[:, :L] = seg.reshape(n_seg, L)
+    for seg, n_seg in segments:
+        q, rest = divmod(seg.size // n_seg, L)
+        steps = seg.reshape(n_seg, -1)
+        n_words = q + (rest > 0)
+        pieces = -(-n_words // slab)
+        size = -(-n_words // pieces)
+        idx = np.full((n_seg, pieces * size), pad, dtype=np.int32)
+        _word_codes(steps[:, : q * L].reshape(n_seg, q, L), S, idx[:, :q])
+        if rest:
+            _word_codes(steps[:, q * L :], S, idx[:, q])
+            idx[:, q] += offset[rest]
         idx = idx.reshape(-1, size)
         logs = np.empty(idx.shape[0])
         rows = max(1, slab // size)
         for r in range(0, idx.shape[0], rows):
-            P, scale = _ordered_products(mats[idx[r : r + rows]])
+            block = idx[r : r + rows]
+            P, scale = _ordered_products(words[block])
+            scale += word_logs[block].sum(axis=1)
             for i in range(P.shape[0]):
                 y = x @ P[i]
                 s = y.sum()

@@ -499,25 +499,33 @@ def _propagate_k_reference(mats, w, burn, batch, n_batches, K):
     return sums, x
 
 
-@pytest.mark.parametrize("K,zero_means", [(1, False), (2, False), (3, False), (8, False),
-                                          (2, True), (3, True), (8, True)])
-def test_lyapunov_block_products_match_step_loop(K, zero_means):
-    # 10_300 steps give batches of 103: odd and not a power of two
+@pytest.mark.parametrize("K,zero_means,n_states,schedule", [
+    *(pytest.param(K, zero_means, 2, MarkovSwitching(0.3, 0.6), id=f"{K}-{zero_means}")
+      for K, zero_means in [(1, False), (2, False), (3, False), (8, False),
+                            (2, True), (3, True), (8, True)]),
+    # three stacked states: a period-3 cycle, and the two-state chain beside
+    # a state it never applies
+    pytest.param(3, False, 3, Periodic((0, 1, 2)), id="3-False-period3"),
+    pytest.param(3, False, 3, MarkovSwitching(0.3, 0.6), id="3-False-markov-of-three"),
+])
+def test_lyapunov_block_products_match_step_loop(K, zero_means, n_states, schedule):
+    # 10_300 steps give batches of 103: odd, not a power of two and not a
+    # multiple of the period 3
     n_steps, seed = 10_300, 21
     rng = np.random.default_rng([K, zero_means])
     D = rng.dirichlet(np.ones(K), size=K)
-    means = rng.uniform(0.1, 3.0, (2, K))
+    means = rng.uniform(0.1, 3.0, (n_states, K))
     if zero_means:
         means[1, 1:] = 0.0
     g = MetapopGraph(m=np.ones(K), D=D)
-    env = EnvironmentModel(states=("e1", "e2"), means=means,
-                           schedule=MarkovSwitching(0.3, 0.6))
+    env = EnvironmentModel(states=tuple(f"e{s + 1}" for s in range(n_states)), means=means,
+                           schedule=schedule)
     ly = lyapunov_estimate(g, env, n_steps=n_steps, seed=seed)
 
     w = _env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN,
                          np.random.default_rng([seed, 0]))
     batch = n_steps // LYAPUNOV_BATCHES
-    mats = [state_mean_matrix(g, env, s).tolist() for s in range(2)]
+    mats = [state_mean_matrix(g, env, s).tolist() for s in range(n_states)]
     sums, _ = _propagate_k_reference(mats, w.tolist(), LYAPUNOV_BURN_IN, batch,
                                      LYAPUNOV_BATCHES, K)
     gamma = sums.sum() / (batch * LYAPUNOV_BATCHES)
@@ -536,6 +544,108 @@ def test_lyapunov_vanishing_vector_gives_minus_infinity():
     assert ly.gamma == -math.inf
     assert ly.ci_halfwidth == 0.0
     assert ly.n_steps == 20_000
+
+
+@pytest.mark.parametrize("slab,L", [(8, 1), (32, 3)])
+def test_lyapunov_does_not_depend_on_the_slab(monkeypatch, slab, L):
+    # a slab of 8 matrices leaves a table of 2 (L = 1, the mean matrices
+    # themselves), one of 32 a table of 8 (L = 3); both cut each batch into
+    # several pieces padded with identity words
+    rng = np.random.default_rng(27)
+    g = MetapopGraph(m=np.ones(3), D=rng.dirichlet(np.ones(3), size=3))
+    env = EnvironmentModel(("e1", "e2"), rng.uniform(0.1, 3.0, (2, 3)), MarkovSwitching(0.3, 0.6))
+    ly = lyapunov_estimate(g, env, n_steps=10_300, seed=4)
+    monkeypatch.setattr(environments, "LYAPUNOV_SLAB_BYTES", slab * 8 * 3 * 3)
+    assert environments._word_length(2, 3, 11_300) == L
+    small = lyapunov_estimate(g, env, n_steps=10_300, seed=4)
+    assert small.gamma == pytest.approx(ly.gamma, rel=1e-12)
+    assert small.ci_halfwidth == pytest.approx(ly.ci_halfwidth, rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [3, 5, 8])
+@pytest.mark.parametrize("schedule", [MarkovSwitching(0.3, 0.6), Periodic((0, 1, 2))],
+                         ids=["markov", "period3"])
+def test_lyapunov_on_a_fully_mixing_graph_is_the_path_mean_of_log_delta_m(K, schedule):
+    # every row of D is delta, so each A_e = m_e delta^T has rank one: after
+    # the first step the vector is delta, and step t grows it by delta . m_{w_t}
+    rng = np.random.default_rng([23, K])
+    g, delta = random_fully_mixing(rng, K)
+    n_states = 3 if schedule.cycle else 2
+    env = EnvironmentModel(tuple(f"e{s}" for s in range(n_states)),
+                           rng.uniform(0.05, 3.0, (n_states, K)), schedule)
+    # batches of 1003 steps, not a multiple of the period
+    n_steps, seed = 100_300, 31
+    ly = lyapunov_estimate(g, env, n_steps=n_steps, seed=seed)
+    w = _env_path(schedule, n_steps + LYAPUNOV_BURN_IN, np.random.default_rng([seed, 0]))
+    used = w[LYAPUNOV_BURN_IN:LYAPUNOV_BURN_IN + ly.n_steps]
+    step_logs = np.log(env.means @ delta)[used]
+    batch_means = step_logs.reshape(LYAPUNOV_BATCHES, -1).mean(axis=1)
+    assert ly.gamma == pytest.approx(step_logs.mean(), rel=1e-12)
+    assert ly.ci_halfwidth == pytest.approx(
+        1.96 * batch_means.std(ddof=1) / math.sqrt(LYAPUNOV_BATCHES), rel=1e-12)
+
+
+@pytest.mark.parametrize("K,n_steps", [(2, 10**6), (8, 10**5)])
+def test_lyapunov_kernel_memory_stays_within_its_slabs(K, n_steps):
+    # the inputs of the benchmark's randenv jobs; the path is drawn before
+    # tracing, so the peak is the kernel's own: word table, codes and slabs
+    rng = np.random.default_rng([29, K])
+    g = MetapopGraph(m=np.ones(K), D=rng.dirichlet(np.ones(K), size=K))
+    env = EnvironmentModel(("e1", "e2"), rng.uniform(0.1, 3.0, (2, K)), MarkovSwitching(0.4, 0.6))
+    mats = np.stack([state_mean_matrix(g, env, s) for s in range(2)])
+    w = _env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN, np.random.default_rng([1, 0]))
+    tracemalloc.start()
+    try:
+        environments._batch_log_growth(mats, w, LYAPUNOV_BURN_IN, LYAPUNOV_BATCHES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6
+
+
+def _env_path_expanding_whole_runs(sched, n, rng):
+    """The two-state sampler as it was before its sojourns were cut at n:
+    every drawn sojourn is expanded, so it allocates about 256 / alpha bytes."""
+    leave = sched.T[[0, 1], [1, 0]].tolist()
+    cur = 0 if rng.random() < sched.start[0] else 1
+    pieces = []
+    total = 0
+    while total < n:
+        k = max(64, int((n - total) * max(leave) // 2) + 64)
+        lens = np.empty(2 * k, dtype=np.int64)
+        lens[0::2] = rng.geometric(leave[cur], size=k)
+        lens[1::2] = rng.geometric(leave[1 - cur], size=k)
+        states = np.empty(2 * k, dtype=np.int8)
+        states[0::2] = cur
+        states[1::2] = 1 - cur
+        pieces.append(np.repeat(states, lens))
+        total += int(lens.sum())
+    return np.concatenate(pieces)[:n]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.4, 0.6), (1.0, 1.0), (1.0, 0.01), (1e-3, 1e-3),
+                                        (1e-5, 2e-5)])
+@pytest.mark.parametrize("n", [2101, 11_000, 101_000])
+def test_env_path_keeps_its_draws_when_cut_at_n(alpha, beta, n):
+    sched = MarkovSwitching(alpha, beta)
+    rng, ref_rng = np.random.default_rng([7, 0]), np.random.default_rng([7, 0])
+    path = _env_path(sched, n, rng)
+    ref = _env_path_expanding_whole_runs(sched, n, ref_rng)
+    assert path.dtype == ref.dtype and np.array_equal(path, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_env_path_memory_follows_the_path_not_the_sojourns():
+    # the old sampler expanded at least 64 sojourn pairs of mean 1e5 here,
+    # about 26 MB for a path of 2101 steps
+    tracemalloc.start()
+    try:
+        path = _env_path(MarkovSwitching(1e-5, 1e-5), 2101, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.shape == (2101,)
+    assert peak <= 1e6
 
 
 def test_even_return_mc_reports_truncation():
