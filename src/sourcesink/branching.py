@@ -76,13 +76,16 @@ class OffspringLaw:
     def __post_init__(self):
         if self.kind not in ("poisson", "geometric", "deterministic", "bernoulli-pair"):
             raise ValidationError(f"unknown offspring law {self.kind!r}")
-        if self.mean < 0:
-            raise ValidationError("offspring mean must be >= 0")
+        if not (math.isfinite(self.mean) and self.mean >= 0):
+            raise ValidationError(f"offspring mean must be finite and >= 0, not {self.mean!r}")
         if self.kind == "deterministic" and abs(self.mean - round(self.mean)) > MEAN_MATCH_TOL:
             raise ValidationError("deterministic law needs an integer mean")
         if self.kind == "bernoulli-pair":
             if self.p0 is None or self.pair_n is None:
                 raise ValidationError("bernoulli-pair needs p0 and pair_n")
+            if not 0.0 <= self.p0 <= 1.0:
+                raise ValidationError(f"bernoulli-pair p0 must lie in [0, 1], not {self.p0!r}")
+            object.__setattr__(self, "pair_n", _integer(self.pair_n, "bernoulli-pair pair_n"))
             implied = (1.0 - self.p0) * self.pair_n
             if abs(implied - self.mean) > MEAN_MATCH_TOL * max(1.0, self.mean):
                 raise ValidationError("bernoulli-pair parameters do not match the mean")

@@ -75,6 +75,8 @@ from .walks import (
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_STATISTICAL = 4
+# the ``--excursions-out`` walk's step cap when the config sets no mc.max_steps
+EXCURSIONS_MAX_STEPS = 10**5
 
 
 def _fmt_float(x: float) -> str:
@@ -207,10 +209,11 @@ def _graph_from_config(cfg: dict) -> MetapopGraph:
     raise ValidationError('config needs one of "graph", "motif" or "pipeline"')
 
 
-def _walk_config(cfg: dict) -> WalkConfig:
+def _walk_config(cfg: dict, max_steps: int = 10**7) -> WalkConfig:
+    """The config's ``mc`` block, with ``max_steps`` where it sets none."""
     mc = cfg.get("mc", {})
     return WalkConfig(
-        max_steps=_number(mc.get("max_steps", 10**7), "mc max_steps", int),
+        max_steps=_number(mc.get("max_steps", max_steps), "mc max_steps", int),
         n_trials=_number(mc.get("n_trials", 10**5), "mc n_trials", int),
         seed=cfg["seed"],
     )
@@ -306,7 +309,8 @@ def cmd_analyze(cfg: dict, args) -> dict:
                    (f"{f1:.17g},{R:.17g},{I:.17g},{RI:.17g}"
                     for f1, R, I, RI in rate_grid_2patch(g)))
     if args.excursions_out:
-        walk = _excursion_walk(g, home, cfg["seed"], _walk_config(cfg).max_steps)
+        walk = _excursion_walk(g, home, cfg["seed"],
+                               _walk_config(cfg, EXCURSIONS_MAX_STEPS).max_steps)
         _write_csv(args.excursions_out, "step,patch", (f"{s},{p}" for s, p in enumerate(walk)))
     return out
 
@@ -406,8 +410,7 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     spec = load_pipeline(cfg["pipeline"])
     rates = pipeline_depleting_rate(spec)
     motif = pipeline_to_motif(spec)
-    g = collapse(motif)
-    e_linear = depleting_rate(g)
+    e_linear = depleting_rate(collapse(motif))
     verdict = type_return_functional(motif)
     criterion = spec.M * (1.0 - spec.p) + rates.e * spec.M * spec.p
     return {

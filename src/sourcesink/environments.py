@@ -263,11 +263,12 @@ def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel,
     own vectors, so a wrong chain shows in the cross-check.
     """
     means = edge_chain(g, env)
-    A = periodic_mean_matrix(g, env)
     if not means.all():
         raise ValidationError("edge chain needs positive means; a patch has mean 0")
-    _require(A, "edge chain", aperiodic=True)
-    product = growth_rate(A) if product is None else product
+    if product is None or product.periodic_warning:  # graph words the refusal
+        A = periodic_mean_matrix(g, env)
+        _require(A, "edge chain", aperiodic=True)
+        product = growth_rate(A)
     res = _twisted_occupancy(g.D, means, product.rho)
     occ = res.occupancy.reshape(means.shape)
     return EdgeChainResult(res.log_growth, occ / occ.sum(axis=1, keepdims=True), res.residual,
@@ -284,8 +285,8 @@ def phase_occupancy(g: MetapopGraph, env: EnvironmentModel,
     second, l_0[i] A_0[i, j] r_1[j] normalized, is the frequency of steps
     i -> j from phase 0 to phase 1."""
     mats = [state_mean_matrix(g, env, s) for s in _cycle(env, "phase occupancy")]
-    if product.periodic_warning:
-        raise ValidationError("phase occupancy needs an aperiodic one-period product")
+    if product.periodic_warning:  # graph words the refusal
+        _require(periodic_mean_matrix(g, env), "phase occupancy", aperiodic=True)
     P = len(mats)
     left, right = [product.left] * P, [product.right] * P
     for s in range(1, P):
@@ -318,15 +319,17 @@ class LyapunovEstimate:
 
 
 def _env_path(sched: Schedule, n: int, rng) -> np.ndarray:
-    """A length-n path of states: the cycle repeated, or a sample of the
-    two-state chain from its start law, whose geometric sojourns (memoryless,
-    so the first is a full draw too) are drawn in bulk as whole alternating
-    runs.  Each block of runs becomes steps by marking the step where each
-    run ends and the state flips, and a running XOR of the marks; only the
-    steps still missing are written, so memory follows n, not the mean
-    sojourn 1/alpha, and the draws are those of the whole runs."""
+    """A length-n path of states, one byte a step for up to 256 states: the
+    cycle repeated, in the smallest unsigned type that holds its largest
+    state index, or a sample of the two-state chain from its start law,
+    whose geometric sojourns (memoryless, so the first is a full draw too)
+    are drawn in bulk as whole alternating runs.  Each block of runs becomes
+    steps by marking the step where each run ends and the state flips, and a
+    running XOR of the marks; only the steps still missing are written, so
+    memory follows n, not the mean sojourn 1/alpha, and the draws are those
+    of the whole runs."""
     if sched.cycle is not None:
-        return np.resize(np.array(sched.cycle), n)
+        return np.resize(np.array(sched.cycle, dtype=np.min_scalar_type(max(sched.cycle))), n)
     leave = sched.T[[0, 1], [1, 0]].tolist()  # off the diagonal: alpha and beta, bit for bit
     if min(leave) <= 0.0:
         raise ValidationError("environment chain must be irreducible (alpha, beta > 0)")

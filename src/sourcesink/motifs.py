@@ -15,7 +15,7 @@ the root ratio factored out so nothing overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +38,15 @@ class Motif:
     class-aggregated dispersal matrix.
 
     Transitivity of the parent graph is the caller's assertion; it cannot
-    be checked from the finite data.
+    be checked from the finite data.  ``graph``, the collapsed graph that
+    validates the motif, is kept, so its analyses share one structure check.
     """
 
     types: tuple[int, ...]
     means_by_type: np.ndarray
     D: np.ndarray
     labels: tuple[str, ...] | None = None
+    graph: MetapopGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         means = _as_array(self.means_by_type, "means_by_type")
@@ -56,10 +58,9 @@ class Motif:
         object.__setattr__(self, "means_by_type", _readonly(means))
         object.__setattr__(self, "types", tuple(types.tolist()))
         # validates shape, stochastic rows and entry ranges
-        collapsed = MetapopGraph(
-            m=[means[t] for t in self.types], D=self.D, labels=self.labels
-        )
-        object.__setattr__(self, "D", collapsed.D)
+        graph = MetapopGraph(m=means[list(self.types)], D=self.D, labels=self.labels)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "D", graph.D)
 
     def to_dict(self) -> dict:
         d = {"types": list(self.types), "means_by_type": self.means_by_type.tolist(),
@@ -81,12 +82,8 @@ def load_motif(source: str | Path | dict) -> Motif:
 
 
 def collapse(motif: Motif) -> MetapopGraph:
-    """The finite metapopulation carried by the motif's classes."""
-    return MetapopGraph(
-        m=[motif.means_by_type[t] for t in motif.types],
-        D=motif.D,
-        labels=motif.labels,
-    )
+    """The finite metapopulation of the motif's classes, kept on the motif."""
+    return motif.graph
 
 
 def _home_patches(motif: Motif) -> list[int]:
@@ -117,9 +114,8 @@ def type_return_functional(motif: Motif) -> PersistenceVerdict:
     in I - A (Berman & Plemmons 1994, ch. 6).  When rho(A_AA) >= 1, R is
     infinite and so is the verdict, since then rho(A) > 1.
     """
-    g = collapse(motif)
-    _require(g, "type-return criterion")
-    R = return_value_matrix(mean_matrix(g), _home_patches(motif))
+    _require(motif.graph, "type-return criterion")
+    R = return_value_matrix(mean_matrix(motif.graph), _home_patches(motif))
     rho = math.inf if np.isinf(R).any() else perron_value(R)
     return _verdict_from_value(rho, "exact-linear-system")
 

@@ -70,6 +70,14 @@ def test_offspring_law_validation():
         OffspringLaw("bernoulli-pair", 1.0, p0=0.5, pair_n=3)
     with pytest.raises(ValidationError):
         OffspringLaw("nope", 1.0)
+    # laws that simulate could not draw from: each passed the mean checks
+    with pytest.raises(ValidationError, match=r"p0 must lie in \[0, 1\], not 1.5"):
+        OffspringLaw("bernoulli-pair", 1.0, p0=1.5, pair_n=-2)
+    with pytest.raises(ValidationError, match="pair_n must be an integer, not 2.5"):
+        OffspringLaw("bernoulli-pair", 1.0, p0=0.6, pair_n=2.5)
+    for kind in ("poisson", "geometric", "deterministic", "bernoulli-pair"):
+        with pytest.raises(ValidationError, match="mean must be finite and >= 0, not nan"):
+            OffspringLaw(kind, math.nan, p0=0.5, pair_n=2)
     law = OffspringLaw("bernoulli-pair", 1.5, p0=0.25, pair_n=2)
     assert not law.fixes_single_offspring()
     assert OffspringLaw("deterministic", 1.0).fixes_single_offspring()

@@ -11,6 +11,7 @@ import pytest
 
 from sourcesink import cli
 from sourcesink.cli import dumps_report, main
+from sourcesink.graph import MetapopGraph, _assumption_report
 from sourcesink.environments import random_env_lower_bound
 from sourcesink.errors import ConvergenceError
 from conftest import eigen_solve_shapes
@@ -572,6 +573,34 @@ COMMAND_CONFIGS = {
 }
 
 
+@pytest.mark.parametrize("command, config, builds, checks", [
+    # the pipeline's motif keeps the one graph that the depleting rate and
+    # the type-return criterion share; periodic checks the graph (even
+    # return) and the product (growth rate), and the occupancy routes read
+    # the product's kept verdict
+    ("pipeline", {"pipeline": {**PIPELINE, "n": 4}}, 1, 1),
+    ("periodic", PERIOD3, 1, 2),
+])
+def test_a_run_builds_and_checks_each_model_once(tmp_path, monkeypatch, command, config,
+                                                 builds, checks):
+    counts = {"builds": 0, "checks": 0}
+    post_init = MetapopGraph.__post_init__
+
+    def built(self):
+        counts["builds"] += 1
+        post_init(self)
+
+    def checked(support, means):
+        counts["checks"] += 1
+        return _assumption_report(support, means)
+
+    monkeypatch.setattr(MetapopGraph, "__post_init__", built)
+    monkeypatch.setattr("sourcesink.graph._assumption_report", checked)
+    code, _ = run(tmp_path, [command, "--config", write_cfg(tmp_path, config)])
+    assert code == 0
+    assert counts == {"builds": builds, "checks": checks}
+
+
 @pytest.mark.parametrize("command", list(COMMAND_CONFIGS))
 def test_every_report_opens_with_the_same_header(tmp_path, command):
     config = COMMAND_CONFIGS[command]
@@ -667,6 +696,19 @@ def test_excursion_sidecar_is_written_as_the_walk_goes(tmp_path, monkeypatch):
     lines = exc.read_text().splitlines()
     assert len(lines) == steps + 2 and lines[-1] == f"{steps},1"
     assert peak < 0.5e6, peak
+
+
+def test_excursion_sidecar_stops_at_its_own_cap_without_mc_max_steps(tmp_path):
+    # the walk from patch 0 stays at patch 1 for about 1e9 steps; with no
+    # mc block the sidecar stops at EXCURSIONS_MAX_STEPS, not at the Monte
+    # Carlo default of 1e7
+    cfg = write_cfg(tmp_path, {"graph": {"m": [2.0, 0.5], "D": [[0, 1], [1e-9, 1 - 1e-9]]}})
+    exc = tmp_path / "exc.csv"
+    code, _ = run(tmp_path, ["analyze", "--config", cfg, "--excursions-out", str(exc)])
+    assert code == 0
+    lines = exc.read_text().splitlines()
+    assert lines[0] == "step,patch" and len(lines) <= 10**5 + 2
+    assert cli.EXCURSIONS_MAX_STEPS == 10**5
 
 
 def test_float_seed_is_read_as_its_integer(tmp_path):

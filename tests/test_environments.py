@@ -648,6 +648,24 @@ def test_env_path_memory_follows_the_path_not_the_sojourns():
     assert peak <= 1e6
 
 
+@pytest.mark.parametrize("n_states, dtype", [(3, np.uint8), (300, np.uint16)])
+def test_a_periodic_path_takes_the_smallest_type_of_its_states(monkeypatch, n_states, dtype):
+    # one byte a step, as the Markov path takes, until the state indices
+    # outgrow it; the estimate is that of the int64 path bit for bit
+    rng = np.random.default_rng(41)
+    g = MetapopGraph(m=np.ones(2), D=rng.dirichlet(np.ones(2), size=2))
+    env = EnvironmentModel(tuple(f"e{s}" for s in range(n_states)),
+                           rng.uniform(0.3, 2.5, (n_states, 2)),
+                           Periodic(tuple(range(n_states))))
+    path = _env_path(env.schedule, 10_000, None)
+    assert path.dtype == dtype
+    assert np.array_equal(path, np.resize(np.arange(n_states), 10_000))
+    ly = lyapunov_estimate(g, env, n_steps=20_000, seed=2)
+    monkeypatch.setattr(environments, "_env_path",
+                        lambda sched, n, rng: _env_path(sched, n, rng).astype(np.int64))
+    assert lyapunov_estimate(g, env, n_steps=20_000, seed=2) == ly
+
+
 def test_even_return_mc_reports_truncation():
     # the even-time return can only come at step 2 before the cap of 3
     p, q = 0.6, 0.3

@@ -424,12 +424,15 @@ ROUTES = {
                           lambda g: ss.lyapunov_estimate(g, _alternation(g), n_steps=2000)),
     "type_return_functional": ("type-return criterion", lambda g: ss.type_return_functional(
         ss.Motif(types=range(g.K), means_by_type=g.m, D=g.D))),
+    # given the product's Perron data, which a reducible product has none of
+    "phase_occupancy": ("phase occupancy", lambda g: ss.phase_occupancy(
+        g, _alternation(g), growth_rate(ss.periodic_mean_matrix(g, _alternation(g))))),
 }
 GATE_CASES = (
     [(name, "reducible", REDUCIBLE, "needs an irreducible graph; this one is not irreducible")
-     for name in ROUTES]
+     for name in ROUTES if name != "phase_occupancy"]
     + [(name, "periodic", CYCLE3, "needs an aperiodic graph; this one has period 3")
-       for name in ("max_rate_gap", "argmax_occupancy", "edge_chain")]
+       for name in ("max_rate_gap", "argmax_occupancy", "edge_chain", "phase_occupancy")]
     # the edge chain of a two-step alternation on a bipartite graph splits
     # into two classes, as the two-step product does
     + [("edge_chain", "bipartite", BIPARTITE,

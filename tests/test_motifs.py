@@ -64,6 +64,17 @@ def test_collapse_rejects_broken_stochasticity():
               D=[[0.5, 0.4], [0.5, 0.5]])
 
 
+def test_collapse_is_the_graph_the_motif_keeps():
+    # row 1 sums to 1 - 1.1e-16, so it renormalizes once, when the motif is
+    # built; a second build would renormalize it again and move last bits
+    D = [[0.1, 0.2, 0.7], [0.2, 0.7, 0.1], [0.7, 0.1, 0.2]]
+    motif = Motif(types=(0, 1, 1), means_by_type=[2.0, 0.5], D=D)
+    assert not np.array_equal(motif.D, D)
+    assert collapse(motif) is collapse(motif)
+    assert np.array_equal(collapse(motif).D, motif.D)
+    assert np.array_equal(collapse(motif).m, [2.0, 0.5, 0.5])
+
+
 def test_type_return_equals_plain_return_for_single_source_patch():
     motif = chessboard_motif()
     v = type_return_functional(motif)
