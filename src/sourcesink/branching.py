@@ -167,7 +167,7 @@ def _checked_laws(g, env, laws, allow_degenerate, home):
     return env, laws
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimReport:
     """Aggregated Monte Carlo outcome of a branching simulation.
 

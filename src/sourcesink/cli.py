@@ -356,21 +356,20 @@ def cmd_periodic(cfg: dict, args) -> dict:
         "even_return": {phase: v.to_dict() for phase, v in ev.items()},
         "cross_checks": {"even_return_sign_agree": all(v.persists == persists for v in ev.values())},
     }
-    # occupancy settles only on an aperiodic product, and the edge chain
-    # needs positive means; it is solved at the product's root, so a run
-    # makes one eigen-solve
-    if not sd.periodic_warning:
-        occ, steps = phase_occupancy(g, env, sd)
-        out.update(phase_occupancy=occ, occupancy_edges=steps)
-        if edge_chain(g, env).all():
-            ec = periodic_growth_and_occupancy(g, env, sd)
-            out["edge_chain"] = {"log_rho": ec.log_growth, "phase_occupancy": ec.phase_occupancy,
-                                 "residual": ec.residual}
-            out["cross_checks"].update({
-                "edge_chain_vs_product_log_rho": ec.log_growth - log_rho,
-                "phase_occupancy_spectral_vs_twisted_linf":
-                    float(np.abs(occ - ec.phase_occupancy).max()),
-            })
+    # occupancy is a time average, so it settles on every irreducible
+    # product, periodic or not; the edge chain needs positive means and is
+    # solved at the product's root, so a run makes one eigen-solve
+    occ, steps = phase_occupancy(g, env, sd)
+    out.update(phase_occupancy=occ, occupancy_edges=steps)
+    if edge_chain(g, env).all():
+        ec = periodic_growth_and_occupancy(g, env, sd)
+        out["edge_chain"] = {"log_rho": ec.log_growth, "phase_occupancy": ec.phase_occupancy,
+                             "residual": ec.residual}
+        out["cross_checks"].update({
+            "edge_chain_vs_product_log_rho": ec.log_growth - log_rho,
+            "phase_occupancy_spectral_vs_twisted_linf":
+                float(np.abs(occ - ec.phase_occupancy).max()),
+        })
     if g.K == 2 and len(cycle) == 2:
         (M1, m1), (M2, m2) = env.means[list(cycle)].tolist()
         crit = two_patch_periodic_criterion(M1, M2, m1, m2, float(g.D[0, 1]), float(g.D[1, 0]))

@@ -6,9 +6,11 @@ the fixed environment of its edge chain, the space-time chain of P*K
 patches, which the twisted route solves phase by phase for growth and each
 phase's occupancy.  The same questions reduce to K x K ones through the
 one-period product of mean matrices: its Perron data carried round the
-cycle, and the return home at multiples of P.  The two-patch two-state
-alternation also has a closed form.  On every schedule the growth
-exponent is the top Lyapunov exponent along the path, estimated by
+cycle, and the return home at multiples of P.  A phase's occupancy is a
+time average over the lineage's steps at that phase, so it settles on
+every irreducible chain and product, periodic or not.  The two-patch
+two-state alternation also has a closed form.  On every schedule the
+growth exponent is the top Lyapunov exponent along the path, estimated by
 simulation, with a closed-form lower bound for two patches under random
 switching.
 """
@@ -25,7 +27,9 @@ import numpy as np
 from .errors import ValidationError
 from .graph import (ROW_SUM_TOL, MetapopGraph, _as_array, _integer, _json_object, _number,
                     _object, _readonly, _require)
-from .spectral import SpectralData, growth_rate
+# growth_rate is not called here; it is kept as a name of this module, which
+# perfbench's tracer self-test rebinds
+from .spectral import SpectralData, _perron_data, growth_rate  # noqa: F401
 from .variational import _twisted_occupancy
 from .walks import PersistenceVerdict, WalkConfig, _phase_verdicts, _verdict_from_value
 
@@ -35,7 +39,7 @@ LYAPUNOV_DEFAULT_STEPS = 10**6
 LYAPUNOV_SLAB_BYTES = 1 << 20  # bytes of matrices the Lyapunov kernel reduces at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """A Markov chain over phases: row-stochastic ``T``, the state ``state[p]``
     that phase p applies, and the law ``start`` of the first phase.
@@ -93,7 +97,7 @@ def MarkovSwitching(alpha: float, beta: float) -> Schedule:
                     start=[nu, 1.0 - nu])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvironmentModel:
     """Named environment states with per-state patch means and a schedule."""
 
@@ -225,7 +229,7 @@ def even_return_functional(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeChainResult:
     """The twisted route on a periodic schedule's edge chain: ``log_growth``
     (the maximum of payoff minus cost, log rho per step), the P x K
@@ -253,22 +257,21 @@ def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel,
                                   product: SpectralData | None = None) -> EdgeChainResult:
     """The twisted route on the edge chain of a periodic schedule.
 
-    Survivor occupancy is read only where it settles: the one-period
-    product must be aperiodic, as a fixed graph must be for
-    ``argmax_occupancy``.  The chain also needs positive means; it is
-    irreducible exactly when the product is.  It is solved phase by phase at
-    the product's root (``product``, its Perron data, if already known),
-    which one K x K eigen-solve gives, so the chain costs one bordered LU
-    solve and no matrix of P*K patches.  Its log root is still read off its
-    own vectors, so a wrong chain shows in the cross-check.
+    The chain needs positive means, and it is irreducible exactly when the
+    one-period product is; its period does not matter, since each phase's
+    occupancy is a time average.  It is solved phase by phase at the
+    product's root (``product``, its Perron data, if already known), which
+    one K x K eigen-solve gives, so the chain costs one bordered LU solve
+    and no matrix of P*K patches.  Its log root is still read off its own
+    vectors, so a wrong chain shows in the cross-check.
     """
     means = edge_chain(g, env)
     if not means.all():
         raise ValidationError("edge chain needs positive means; a patch has mean 0")
-    if product is None or product.periodic_warning:  # graph words the refusal
+    if product is None:
         A = periodic_mean_matrix(g, env)
-        _require(A, "edge chain", aperiodic=True)
-        product = growth_rate(A)
+        _require(A, "edge chain")
+        product = _perron_data(A)
     res = _twisted_occupancy(g.D, means, product.rho)
     occ = res.occupancy.reshape(means.shape)
     return EdgeChainResult(res.log_growth, occ / occ.sum(axis=1, keepdims=True), res.residual,
@@ -278,15 +281,13 @@ def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel,
 def phase_occupancy(g: MetapopGraph, env: EnvironmentModel,
                     product: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     """Survivor occupancy of each phase from the one-period product's Perron
-    data, with no eigen-solve, refused when the product is periodic.  With
-    A_s the mean matrix of phase s, the vectors l_{s+1} ~ l_s A_s and
-    r_s ~ A_s r_{s+1} (r_P = r_0) are those of the product from phase s, and
-    row s of the P x K first result is l_s r_s normalized.  The K x K
-    second, l_0[i] A_0[i, j] r_1[j] normalized, is the frequency of steps
-    i -> j from phase 0 to phase 1."""
+    data, with no eigen-solve, periodic product or not.  With A_s the mean
+    matrix of phase s, the vectors l_{s+1} ~ l_s A_s and r_s ~ A_s r_{s+1}
+    (r_P = r_0) are those of the product from phase s, and row s of the
+    P x K first result is l_s r_s normalized.  The K x K second,
+    l_0[i] A_0[i, j] r_1[j] normalized, is the frequency of steps i -> j
+    from phase 0 to phase 1."""
     mats = [state_mean_matrix(g, env, s) for s in _cycle(env, "phase occupancy")]
-    if product.periodic_warning:  # graph words the refusal
-        _require(periodic_mean_matrix(g, env), "phase occupancy", aperiodic=True)
     P = len(mats)
     left, right = [product.left] * P, [product.right] * P
     for s in range(1, P):

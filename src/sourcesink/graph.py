@@ -8,10 +8,10 @@ reference patch is needed.
 
 This module owns input validation (stochastic rows, non-negative means),
 the structural checks used as preconditions elsewhere (irreducibility,
-aperiodicity, positive means) with every refusal they word (``_require``,
-one call per analysis), the stationary law of the single random walker on
-the graph, and the Perron kernel that the spectral and
-variational modules share: a dense eigen-solve when the Perron root is
+positive means) with every refusal they word (``_require``, one call per
+analysis), the period of the support graph, the stationary law of the
+single random walker on the graph, and the Perron kernel that the spectral
+and variational modules share: a dense eigen-solve when the Perron root is
 unknown, one LU solve when it is known.  A graph's arrays are read-only
 copies, so its structure check is made once and kept on the graph.
 
@@ -104,7 +104,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetapopGraph:
     """K patches with means ``m`` and row-stochastic dispersal matrix ``D``.
 
@@ -275,12 +275,14 @@ def _check_home(g: MetapopGraph, home) -> None:
         raise ValidationError(f"home patch {home} out of range")
 
 
-def _require(g: MetapopGraph | np.ndarray, what: str, *, home=None, aperiodic=False,
+def _require(g: MetapopGraph | np.ndarray, what: str, *, home=None,
              positive=False) -> AssumptionReport:
     """``validate_graph(g)``, refused unless it meets what analysis ``what``
-    needs: an irreducible graph, plus a patch index ``home``, ``aperiodic``
-    and ``positive`` means (a mean matrix's row sums) when asked.  The first
-    failure is a ``ValidationError`` naming ``what``."""
+    needs: an irreducible graph, plus a patch index ``home`` and ``positive``
+    means (a mean matrix's row sums) when asked.  The first failure is a
+    ``ValidationError`` naming ``what``.  No analysis asks for period 1:
+    occupancy is a time average, which settles on every irreducible chain,
+    periodic or not."""
     if home is not None:
         _check_home(g, home)
     report = validate_graph(g)
@@ -288,8 +290,6 @@ def _require(g: MetapopGraph | np.ndarray, what: str, *, home=None, aperiodic=Fa
         raise ValidationError(f"{what} needs positive means; a patch has mean 0")
     if not report.irreducible:
         raise ValidationError(f"{what} needs an irreducible graph; this one is not irreducible")
-    if aperiodic and not report.aperiodic:
-        raise ValidationError(f"{what} needs an aperiodic graph; this one has period {report.period}")
     return report
 
 

@@ -32,7 +32,7 @@ PIPELINE_FIELDS = {"n": int, "p": float, "L": float, "s": float, "l": float,
                    "m": float, "M": float}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Motif:
     """A finite quotient of a transitive graph: patches, types and the
     class-aggregated dispersal matrix.
@@ -46,7 +46,7 @@ class Motif:
     means_by_type: np.ndarray
     D: np.ndarray
     labels: tuple[str, ...] | None = None
-    graph: MetapopGraph = field(init=False, repr=False, compare=False)
+    graph: MetapopGraph = field(init=False, repr=False)
 
     def __post_init__(self):
         means = _as_array(self.means_by_type, "means_by_type")

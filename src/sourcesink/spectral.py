@@ -28,20 +28,19 @@ from .errors import ValidationError
 from .graph import MetapopGraph, _bordered_perron, _perron, _require
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Dominant eigenvalue with both Perron vectors, each normalized to sum 1.
 
-    ``periodic_warning`` is set when the support graph is periodic: ``rho``
-    is still valid but the occupancy interpretation of the eigenvectors is
-    not (it needs aperiodicity).
+    On every irreducible support, periodic or not, ``left * right`` is the
+    survivor occupancy: a time average along the lineage, which settles
+    whether or not the chain's law at a fixed step does.
     """
 
     rho: float
     left: np.ndarray
     right: np.ndarray
     residual: float
-    periodic_warning: bool = False
 
 
 def mean_matrix(g: MetapopGraph) -> np.ndarray:
@@ -64,28 +63,26 @@ def growth_rate(A: np.ndarray) -> SpectralData:
     """Perron data of a mean matrix.
 
     Requires positive means (no zero row) and an irreducible support graph
-    (``graph._require``); a periodic support is allowed but flagged, since
-    then only ``rho`` carries the usual meaning.  ``residual`` is the
-    larger max-norm residual of the two vectors' eigen-equations.
+    (``graph._require``), of any period.  ``residual`` is the larger
+    max-norm residual of the two vectors' eigen-equations.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValidationError("mean matrix must be square and non-empty")
     if np.any(A < 0) or not np.all(np.isfinite(A)):
         raise ValidationError("mean matrix entries must be finite and >= 0")
-    report = _require(A, "growth rate", positive=True)
+    _require(A, "growth rate", positive=True)
+    return _perron_data(A)
+
+
+def _perron_data(A: np.ndarray) -> SpectralData:
+    """``growth_rate`` of a mean matrix whose caller has checked it."""
     rho, right = _perron(A)
     left = _bordered_perron(A.T, rho)
     residual = float(
         max(np.abs(A @ right - rho * right).max(), np.abs(left @ A - rho * left).max())
     )
-    return SpectralData(
-        rho=rho,
-        left=left,
-        right=right,
-        residual=residual,
-        periodic_warning=not report.aperiodic,
-    )
+    return SpectralData(rho=rho, left=left, right=right, residual=residual)
 
 
 def occupancy_spectral(sd: SpectralData) -> np.ndarray:

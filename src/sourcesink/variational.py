@@ -62,7 +62,7 @@ _J_NOISE = 1e-15
 _NEWTON_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateEvaluation:
     """Cost I(f), payoff R(f) and the inner maximizer at one frequency vector.
 
@@ -79,7 +79,7 @@ class RateEvaluation:
     iterations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariationalResult:
     """A solved max of R - I: the growth exponent and where it is attained."""
 
@@ -293,14 +293,15 @@ def max_rate_gap(g: MetapopGraph) -> VariationalResult:
     twisted-chain route to float conditioning (1e-7 even at coupling
     1e-10).  Raises ``ConvergenceError`` with the final gap as residual
     when Newton stalls uncertified, as when the maximizer lies within
-    float resolution of the simplex boundary.
+    float resolution of the simplex boundary.  A graph whose realizable
+    occupancies are tied in lockstep is refused, and so is every periodic
+    graph: each of its d cyclic classes carries mass 1/d.
     """
-    _require(g, "simplex ascent", aperiodic=True, positive=True)
+    _require(g, "simplex ascent", positive=True)
     if not _occupancy_set_is_full_dimensional(g.D):
         raise ValidationError(
-            "the realizable occupancy set of this dispersal matrix is "
-            "lower-dimensional (some frequencies are tied in lockstep); "
-            "the simplex Newton solver cannot move on it -- use argmax_occupancy"
+            "simplex ascent needs a full-dimensional occupancy set; this one is "
+            "lower-dimensional (some frequencies are tied in lockstep) -- use argmax_occupancy"
         )
     k = g.K
     logm = np.log(g.m)
@@ -368,7 +369,7 @@ def argmax_occupancy(g: MetapopGraph) -> VariationalResult:
     unknown Perron root and takes one eigen-solve; D'' has root 1 and takes
     one LU solve.
     """
-    _require(g, "twisted-chain occupancy", aperiodic=True, positive=True)
+    _require(g, "twisted-chain occupancy", positive=True)
     return _twisted_occupancy(g.D, g.m[None, :])
 
 

@@ -208,6 +208,24 @@ def test_survivor_occupancy_converges_to_variational_optimum():
     assert np.all(np.abs(occ - phi) <= np.maximum(ci, 1e-4) + 0.46 / 1600)
 
 
+def test_survivor_occupancy_on_a_periodic_graph_is_the_twisted_optimum():
+    # a bipartite graph: the lineage alternates sides, and its occupancy, a
+    # time average, still settles.  Both horizons are even, so the c/(h+1)
+    # transient is the same at each and two horizons cancel it, weighted as
+    # in criterion 9b.  The runs share their seed, so the two estimates
+    # correlate positively and the CI, which takes their errors as
+    # independent, is the wider one.
+    g = MetapopGraph(m=[3.0, 1.5, 1.4, 1.6],
+                     D=[[0, 0, .5, .5], [0, 0, .3, .7], [.6, .4, 0, 0], [.2, .8, 0, 0]])
+    phi = argmax_occupancy(g).occupancy
+    r2 = simulate(g, horizon=200, n_runs=4000, seed=1)
+    r1 = simulate(g, horizon=100, n_runs=4000, seed=1)
+    w2, w1 = 201 / 100, 101 / 100
+    phi_hat = w2 * r2.occupancy_hat - w1 * r1.occupancy_hat
+    ci = np.hypot(w2 * r2.occupancy_ci, w1 * r1.occupancy_ci)
+    assert np.all(np.abs(phi_hat - phi) <= ci)
+
+
 def test_survivor_occupancy_constant_means_is_stationary():
     g = two_patch(M=0.9, m=0.9, p=0.3, q=0.6)
     # subcritical but alive often enough at a short horizon

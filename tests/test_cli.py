@@ -378,9 +378,10 @@ def test_periodic_answers_a_zero_mean_without_the_edge_chain(tmp_path):
     assert set(rep["cross_checks"]) == {"even_return_sign_agree"}
 
 
-def test_periodic_reports_no_occupancy_on_a_periodic_product(tmp_path):
-    # a 3-cycle under one state: growth as analyze would give it, but a
-    # survivor's occupancy does not settle, so neither route reports one
+def test_periodic_reports_occupancy_on_a_periodic_product(tmp_path):
+    # a 3-cycle under one state: growth as analyze would give it, and a
+    # survivor's occupancy, a time average, is a third in each patch on
+    # both routes
     env = {"states": ["e"], "means": [[2.0, 0.5, 1.0]], "schedule": {"periodic": ["e"]}}
     graph = {"m": [1.0, 1.0, 1.0], "D": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}
     code, out = run(tmp_path, ["periodic", "--config",
@@ -388,7 +389,22 @@ def test_periodic_reports_no_occupancy_on_a_periodic_product(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert abs(rep["log_rho_per_step"]) <= 1e-12  # rho^3 = 2 * 0.5 * 1
-    assert not {"phase_occupancy", "occupancy_edges", "edge_chain"} & set(rep)
+    for occ in (rep["phase_occupancy"], rep["edge_chain"]["phase_occupancy"]):
+        assert np.abs(np.array(occ) - 1 / 3).max() <= 1e-12
+    # every step moves one patch on round the cycle
+    assert np.abs(np.array(rep["occupancy_edges"]) - np.array(graph["D"]) / 3).max() <= 1e-12
+    assert rep["cross_checks"]["phase_occupancy_spectral_vs_twisted_linf"] <= 1e-12
+    assert abs(rep["cross_checks"]["edge_chain_vs_product_log_rho"]) <= 1e-12
+
+
+def test_analyze_refuses_a_periodic_graph_by_its_simplex_route(tmp_path, capsys):
+    # the twisted route answers a bipartite graph, but its cyclic classes
+    # each carry half the occupancy, which the simplex ascent cannot move on
+    graph = {"m": [3.0, 1.5, 1.4, 1.6],
+             "D": [[0, 0, .5, .5], [0, 0, .3, .7], [.6, .4, 0, 0], [.2, .8, 0, 0]]}
+    code, out = run(tmp_path, ["analyze", "--config", write_cfg(tmp_path, {"graph": graph})])
+    assert code == 2 and not out.exists()
+    assert "simplex ascent needs a full-dimensional occupancy set" in capsys.readouterr().err
 
 
 def test_randenv_on_a_periodic_schedule_is_the_product_rate(tmp_path):

@@ -33,7 +33,7 @@ from sourcesink import (
     two_patch_periodic_criterion,
     validate_graph,
 )
-from sourcesink import environments
+from sourcesink import environments, graph
 from sourcesink.environments import LYAPUNOV_BATCHES, LYAPUNOV_BURN_IN, _env_path
 from sourcesink.variational import _twisted_occupancy
 from sourcesink.walks import return_functional
@@ -843,34 +843,70 @@ def test_edge_chain_ignores_a_state_the_schedule_never_applies():
             g, EnvironmentModel(("a", "b"), [[4.0, 0.9], [0.0, 0.9]], Periodic((0, 1))))
 
 
-def test_a_periodic_product_gets_no_occupancy_on_either_route():
+def _dense_phase_occupancy(g, env):
+    """log rho per step and the P x K phase occupancy of the twisted route,
+    with its own eigen-solve, on the dense space-time chain of P*K patches."""
+    chain = space_time_chain(g, env)
+    dense = _twisted_occupancy(chain.D, chain.m[None, :])
+    occ = dense.occupancy.reshape(len(env.schedule.cycle), g.K)
+    return dense.log_growth, occ / occ.sum(axis=1, keepdims=True)
+
+
+def test_a_periodic_product_gets_occupancy_on_both_routes():
     # a graph of period d moves its walker one class on per step; a schedule
-    # of period P coprime to d makes the edge chain irreducible, but the
-    # one-period product keeps period d, so a survivor's occupancy at steps
-    # s mod P never settles: both routes refuse it, as argmax_occupancy
-    # refuses a periodic graph
+    # of period P coprime to d makes the edge chain irreducible, and the
+    # one-period product keeps period d.  A survivor's occupancy at steps
+    # s mod P is a time average, which settles all the same: both routes
+    # answer, and agree with the dense space-time chain
     rng = np.random.default_rng(39)
-    for d, P in ((2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (3, 5)):
-        b = int(rng.integers(1, 4))
-        D = np.kron(np.roll(np.eye(d), 1, axis=1), np.ones((b, b)))
-        D *= rng.uniform(0.1, 1.0, D.shape)
-        g = MetapopGraph(m=np.ones(d * b), D=D / D.sum(axis=1, keepdims=True))
-        env = EnvironmentModel(tuple(f"e{s}" for s in range(P)),
-                               rng.uniform(0.3, 2.5, (P, d * b)), Periodic(tuple(range(P))))
-        assert validate_graph(space_time_chain(g, env)).irreducible
-        product = growth_rate(periodic_mean_matrix(g, env))
-        assert product.periodic_warning
-        with pytest.raises(ValidationError, match=f"edge chain needs an aperiodic graph; "
-                                                  f"this one has period {d}"):
-            periodic_growth_and_occupancy(g, env)
-        with pytest.raises(ValidationError, match="phase occupancy needs an aperiodic"):
-            phase_occupancy(g, env, product)
-    # one phase: the edge chain is the graph, refused alike
+    for d, P in ((2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (3, 5), (2, 1), (3, 1), (4, 7)):
+        for _ in range(20):
+            b = int(rng.integers(1, 4))
+            D = np.kron(np.roll(np.eye(d), 1, axis=1), np.ones((b, b)))
+            D *= rng.uniform(0.1, 1.0, D.shape)
+            g = MetapopGraph(m=np.ones(d * b), D=D / D.sum(axis=1, keepdims=True))
+            env = EnvironmentModel(tuple(f"e{s}" for s in range(P)),
+                                   rng.uniform(0.3, 2.5, (P, d * b)), Periodic(tuple(range(P))))
+            A = periodic_mean_matrix(g, env)
+            assert validate_graph(A).period == d
+            product = growth_rate(A)
+            log_rho, want = _dense_phase_occupancy(g, env)
+            res = periodic_growth_and_occupancy(g, env)
+            occ, steps = phase_occupancy(g, env, product)
+            assert abs(res.log_growth - log_rho) <= 1e-12
+            assert abs(res.log_growth - math.log(product.rho) / P) <= 1e-12
+            assert np.abs(res.phase_occupancy - want).max() <= 1e-12
+            assert np.abs(occ - want).max() <= 1e-12
+            # the steps out of phase 0 land in phase 1 (phase 0 when P = 1)
+            assert np.abs(steps.sum(axis=1) - occ[0]).max() <= 1e-12
+            assert np.abs(steps.sum(axis=0) - occ[1 % P]).max() <= 1e-12
+    # one phase: the edge chain is the graph, a 3-cycle, whose walker
+    # spends a third of its steps in each patch
     g = MetapopGraph(m=[2.0, 0.5, 1.0], D=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     env = EnvironmentModel(("e",), [g.m], Periodic((0,)))
-    for route in (argmax_occupancy, lambda g: periodic_growth_and_occupancy(g, env)):
-        with pytest.raises(ValidationError, match="needs an aperiodic graph; this one has period 3"):
-            route(g)
+    res = periodic_growth_and_occupancy(g, env)
+    assert abs(res.log_growth) <= 1e-12  # rho^3 = 2 * 0.5 * 1
+    for occ in (res.phase_occupancy[0], argmax_occupancy(g).occupancy,
+                occupancy_spectral(growth_rate(mean_matrix(g))),
+                phase_occupancy(g, env, res.product)[0][0]):
+        assert np.abs(occ - 1 / 3).max() <= 1e-12
+
+
+def test_the_edge_chain_checks_the_product_once(monkeypatch):
+    # without the product's Perron data the edge chain checks the product's
+    # structure once, and its refusal still names the edge chain
+    calls = []
+    def counted(*args, _check=graph._assumption_report):
+        calls.append(1)
+        return _check(*args)
+    monkeypatch.setattr(graph, "_assumption_report", counted)
+    g = two_patch()
+    periodic_growth_and_occupancy(g, alternation(g, [4.0, 0.9], [0.2, 0.9]))
+    assert len(calls) == 1
+    reducible = MetapopGraph(m=[2.0, 0.5], D=[[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError,
+                       match="^edge chain needs an irreducible graph; this one is not irreducible$"):
+        periodic_growth_and_occupancy(reducible, alternation(reducible, [2.0, 0.5], [1.0, 1.0]))
 
 
 def test_the_edge_chain_matches_its_dense_space_time_graph():
@@ -878,11 +914,9 @@ def test_the_edge_chain_matches_its_dense_space_time_graph():
     # chain of P*K patches, the Kronecker product of the cyclic shift and D
     for g, env in _period_cases():
         res = periodic_growth_and_occupancy(g, env)
-        chain = space_time_chain(g, env)
-        dense = _twisted_occupancy(chain.D, chain.m[None, :])
-        occ = dense.occupancy.reshape(res.phase_occupancy.shape)
-        assert abs(res.log_growth - dense.log_growth) <= 1e-12
-        assert np.abs(res.phase_occupancy - occ / occ.sum(axis=1, keepdims=True)).max() <= 1e-12
+        log_rho, occ = _dense_phase_occupancy(g, env)
+        assert abs(res.log_growth - log_rho) <= 1e-12
+        assert np.abs(res.phase_occupancy - occ).max() <= 1e-12
 
 
 def test_a_long_period_forms_no_matrix_of_the_chain_size():

@@ -231,8 +231,11 @@ def test_structure_matches_reference_walkers():
         if g.K > 12:
             continue
         if rep.irreducible:
+            # occupancy is a time average, so both routes answer at every period
             sd = growth_rate(mean_matrix(g))
-            assert sd.periodic_warning == (not rep.aperiodic)
+            tw = ss.argmax_occupancy(g)
+            assert abs(math.log(sd.rho) - tw.log_growth) <= 1e-12
+            assert np.abs(ss.occupancy_spectral(sd) - tw.occupancy).max() <= 1e-12
         else:
             with pytest.raises(ValidationError, match="not irreducible"):
                 growth_rate(mean_matrix(g))
@@ -252,6 +255,37 @@ def test_large_supports_structure():
     assert validate_graph(odd_ring).period == 1
     # of 250 patches: every cycle has even length
     assert validate_graph(even_ring).period == 2
+
+
+# a frozen dataclass that holds an array -> a call that builds one
+ARRAY_VALUES = {
+    "MetapopGraph": lambda: MetapopGraph(m=[1, 2], D=[[0.5, 0.5], [0.5, 0.5]]),
+    "Motif": lambda: ss.Motif(types=[0, 1], means_by_type=[1.5, 0.6], D=[[0.5, 0.5], [0.5, 0.5]]),
+    "Schedule": lambda: Periodic((0, 1)),
+    "EnvironmentModel": lambda: _alternation(two_patch()),
+    "SpectralData": lambda: growth_rate(mean_matrix(two_patch())),
+    "RateEvaluation": lambda: ss.rate_function(two_patch(), [0.5, 0.5]),
+    "VariationalResult": lambda: ss.argmax_occupancy(two_patch()),
+    "EdgeChainResult": lambda: ss.periodic_growth_and_occupancy(two_patch(),
+                                                                _alternation(two_patch())),
+    "SimReport": lambda: ss.simulate(two_patch(), horizon=3, n_runs=4, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_VALUES))
+def test_values_holding_arrays_compare_and_hash_by_identity(name):
+    # an array has no single truth value, so value equality would raise;
+    # these compare and hash by identity instead
+    a, b = ARRAY_VALUES[name](), ARRAY_VALUES[name]()
+    assert type(a).__name__ == name
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_assumption_reports_compare_by_value():
+    a, b = ARRAY_VALUES["MetapopGraph"](), ARRAY_VALUES["MetapopGraph"]()
+    assert validate_graph(a) == validate_graph(b)
+    assert len({validate_graph(a), validate_graph(b)}) == 1
 
 
 def test_malformed_row_is_rejected_with_row_index():
@@ -431,8 +465,10 @@ ROUTES = {
 GATE_CASES = (
     [(name, "reducible", REDUCIBLE, "needs an irreducible graph; this one is not irreducible")
      for name in ROUTES if name != "phase_occupancy"]
-    + [(name, "periodic", CYCLE3, "needs an aperiodic graph; this one has period 3")
-       for name in ("max_rate_gap", "argmax_occupancy", "edge_chain", "phase_occupancy")]
+    # every periodic graph ties the mass of its cyclic classes
+    + [("max_rate_gap", "periodic", CYCLE3,
+        "needs a full-dimensional occupancy set; this one is lower-dimensional "
+        "(some frequencies are tied in lockstep) -- use argmax_occupancy")]
     # the edge chain of a two-step alternation on a bipartite graph splits
     # into two classes, as the two-step product does
     + [("edge_chain", "bipartite", BIPARTITE,
@@ -449,6 +485,24 @@ def test_every_route_words_a_structural_refusal_alike_and_names_itself(name, g, 
     with pytest.raises(ValidationError) as e:
         call(g)
     assert str(e.value) == f"{what} {wording}"
+
+
+# route -> its occupancy rows on a graph, each the patch occupancy of one phase
+OCCUPANCY_ROUTES = {
+    "argmax_occupancy": lambda g: ss.argmax_occupancy(g).occupancy[None, :],
+    "edge_chain": lambda g: ss.periodic_growth_and_occupancy(g, _alternation(g)).phase_occupancy,
+    "phase_occupancy": lambda g: ss.phase_occupancy(
+        g, _alternation(g), growth_rate(ss.periodic_mean_matrix(g, _alternation(g))))[0],
+}
+
+
+@pytest.mark.parametrize("name", list(OCCUPANCY_ROUTES))
+def test_every_occupancy_route_answers_on_a_periodic_graph(name):
+    # occupancy is a time average: on a 3-cycle, a third of the steps in
+    # each patch at every phase of a two-step alternation, whose edge chain
+    # is irreducible since 2 and 3 are coprime
+    occ = OCCUPANCY_ROUTES[name](CYCLE3)
+    assert np.abs(occ - 1 / 3).max() <= 1e-12
 
 
 HOME_ROUTES = {

@@ -101,12 +101,15 @@ def test_rho_invariant_under_patch_relabeling():
         assert abs(r1 - r2) < 1e-10 * max(1.0, r1)
 
 
-def test_periodic_support_flagged_but_rho_returned():
-    # two-cycle: rho of [[0, M], [m, 0]] is sqrt(M m)
-    A = mean_matrix(MetapopGraph(m=[2.0, 0.5], D=[[0.0, 1.0], [1.0, 0.0]]))
-    sd = growth_rate(A)
-    assert sd.periodic_warning
+def test_periodic_support_gets_rho_and_occupancy():
+    # two-cycle: rho of [[0, M], [m, 0]] is sqrt(M m), and the walker spends
+    # every other step in each patch
+    g = MetapopGraph(m=[2.0, 0.5], D=[[0.0, 1.0], [1.0, 0.0]])
+    sd = growth_rate(mean_matrix(g))
     assert abs(sd.rho - 1.0) < 1e-9
+    phi = occupancy_spectral(sd)
+    assert np.abs(phi - 0.5).max() <= 1e-12
+    assert np.abs(phi - argmax_occupancy(g).occupancy).max() <= 1e-12
 
 
 def test_reducible_support_rejected():

@@ -294,12 +294,30 @@ def test_occupancy_differs_from_stationary_unless_means_constant():
         assert np.abs(phi - u).max() > 1e-6
 
 
-def test_rejects_periodic_dispersal():
+def test_periodic_dispersal_gets_twisted_occupancy_but_no_simplex_ascent():
+    # occupancy is a time average, so it settles on a periodic graph too:
+    # the twisted route answers it and matches the spectral one.  Each of
+    # the d cyclic classes carries mass 1/d, so the realizable occupancies
+    # are tied and the simplex ascent refuses the graph
     g = MetapopGraph(m=[2.0, 0.5], D=[[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValidationError):
-        max_rate_gap(g)
-    with pytest.raises(ValidationError):
-        argmax_occupancy(g)
+    tw = argmax_occupancy(g)
+    assert abs(tw.log_growth) <= 1e-12  # rho^2 = 2 * 0.5
+    assert np.abs(tw.occupancy - 0.5).max() <= 1e-12
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        d, b = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        D = np.kron(np.roll(np.eye(d), 1, axis=1), np.ones((b, b)))
+        D *= rng.uniform(0.1, 1.0, D.shape)
+        g = MetapopGraph(m=rng.uniform(0.3, 2.5, d * b), D=D / D.sum(axis=1, keepdims=True))
+        assert validate_graph(g).period == d
+        sd = growth_rate(mean_matrix(g))
+        tw = argmax_occupancy(g)
+        assert abs(tw.log_growth - math.log(sd.rho)) <= 1e-12
+        assert np.abs(tw.occupancy - occupancy_spectral(sd)).max() <= 1e-12
+        classes = tw.occupancy.reshape(d, b).sum(axis=1)
+        assert np.abs(classes - 1 / d).max() <= 1e-12
+        with pytest.raises(ValidationError, match="^simplex ascent needs a full-dimensional"):
+            max_rate_gap(g)
 
 
 def test_simplex_route_rejects_lockstep_supports_twisted_handles_them():
