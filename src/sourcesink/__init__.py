@@ -20,7 +20,6 @@ from .branching import (
     survivor_occupancy,
 )
 from .environments import (
-    EdgeChainResult,
     EnvironmentModel,
     LyapunovEstimate,
     MarkovSwitching,

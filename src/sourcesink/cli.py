@@ -265,8 +265,19 @@ def cmd_analyze(cfg: dict, args) -> dict:
     phi_spec = occupancy_spectral(sd)
     verdict = return_functional_exact(g, home)
     tw = argmax_occupancy(g)
-    mg = max_rate_gap(g)
+    try:
+        mg = max_rate_gap(g)
+    except ValidationError:
+        # the graph is irreducible with positive means by now, so its
+        # occupancy set is lower-dimensional (lockstep or periodic): the
+        # simplex route is left out, the other routes answer
+        mg = None
     log_rho = math.log(sd.rho)
+    variational, checks = {"twisted": {"log_rho": tw.log_growth, "phi": tw.occupancy}}, {}
+    if mg is not None:
+        variational["simplex"] = {"log_rho": mg.log_growth, "phi": mg.occupancy,
+                                  "iterations": mg.iterations, "gap": mg.gap}
+        checks["log_rho_minus_simplex_max"] = log_rho - mg.log_growth
     out = {
         "assumptions": dataclasses.asdict(report),
         "spectral": {
@@ -278,21 +289,13 @@ def cmd_analyze(cfg: dict, args) -> dict:
         },
         "stationary": u,
         "return_functional": verdict.to_dict(),
-        "variational": {
-            "twisted": {"log_rho": tw.log_growth, "phi": tw.occupancy},
-            "simplex": {
-                "log_rho": mg.log_growth,
-                "phi": mg.occupancy,
-                "iterations": mg.iterations,
-                "gap": mg.gap,
-            },
-        },
+        "variational": variational,
         "verdict": {
             "persists": verdict.persists,
             "log_rho": log_rho,
         },
         "cross_checks": {
-            "log_rho_minus_simplex_max": log_rho - mg.log_growth,
+            **checks,
             "log_rho_minus_twisted_max": log_rho - tw.log_growth,
             "phi_spectral_vs_twisted_linf": float(
                 np.abs(phi_spec - tw.occupancy).max()
@@ -363,12 +366,12 @@ def cmd_periodic(cfg: dict, args) -> dict:
     out.update(phase_occupancy=occ, occupancy_edges=steps)
     if edge_chain(g, env).all():
         ec = periodic_growth_and_occupancy(g, env, sd)
-        out["edge_chain"] = {"log_rho": ec.log_growth, "phase_occupancy": ec.phase_occupancy,
+        out["edge_chain"] = {"log_rho": ec.log_growth, "phase_occupancy": ec.occupancy,
                              "residual": ec.residual}
         out["cross_checks"].update({
             "edge_chain_vs_product_log_rho": ec.log_growth - log_rho,
             "phase_occupancy_spectral_vs_twisted_linf":
-                float(np.abs(occ - ec.phase_occupancy).max()),
+                float(np.abs(occ - ec.occupancy).max()),
         })
     if g.K == 2 and len(cycle) == 2:
         (M1, m1), (M2, m2) = env.means[list(cycle)].tolist()

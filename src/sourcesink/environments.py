@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .graph import (ROW_SUM_TOL, MetapopGraph, _as_array, _integer, _json_object
 # growth_rate is not called here; it is kept as a name of this module, which
 # perfbench's tracer self-test rebinds
 from .spectral import SpectralData, _perron_data, growth_rate  # noqa: F401
-from .variational import _twisted_occupancy
+from .variational import VariationalResult, _twisted_occupancy
 from .walks import PersistenceVerdict, WalkConfig, _phase_verdicts, _verdict_from_value
 
 LYAPUNOV_BURN_IN = 1000
@@ -229,20 +229,6 @@ def even_return_functional(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeChainResult:
-    """The twisted route on a periodic schedule's edge chain: ``log_growth``
-    (the maximum of payoff minus cost, log rho per step), the P x K
-    ``phase_occupancy`` (row s: the patch occupancy at steps s mod P) and the
-    max-norm ``residual`` / root of the twisted Perron vector, solved at the
-    root of ``product``, the one-period product's Perron data."""
-
-    log_growth: float
-    phase_occupancy: np.ndarray
-    residual: float
-    product: SpectralData
-
-
 def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
     """The space-time chain of a periodic schedule, as its P x K phase means:
     patch s*K + i is patch i at phase s, with the mean phase s applies, and
@@ -254,8 +240,10 @@ def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
 
 
 def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel,
-                                  product: SpectralData | None = None) -> EdgeChainResult:
-    """The twisted route on the edge chain of a periodic schedule.
+                                  product: SpectralData | None = None) -> VariationalResult:
+    """The twisted route on the edge chain of a periodic schedule: log rho
+    per step, and a P x K ``occupancy`` whose row s is the patch occupancy at
+    steps s mod P.
 
     The chain needs positive means, and it is irreducible exactly when the
     one-period product is; its period does not matter, since each phase's
@@ -274,8 +262,7 @@ def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel,
         product = _perron_data(A)
     res = _twisted_occupancy(g.D, means, product.rho)
     occ = res.occupancy.reshape(means.shape)
-    return EdgeChainResult(res.log_growth, occ / occ.sum(axis=1, keepdims=True), res.residual,
-                           product)
+    return replace(res, occupancy=occ / occ.sum(axis=1, keepdims=True))
 
 
 def phase_occupancy(g: MetapopGraph, env: EnvironmentModel,

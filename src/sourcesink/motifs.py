@@ -179,7 +179,9 @@ def pipeline_depleting_rate(spec: PipelineSpec) -> PipelineRates:
 
     lam > 1 > mu solve m*r*x^2 - (1 - m*s)*x + m*l = 0; the rate combines
     the roots' n-th powers with the left/right entry split.  Everything is
-    evaluated through the ratio mu/lam < 1, so large n cannot overflow.
+    evaluated through the ratio mu/lam < 1, so large n cannot overflow.  At
+    a double root lam = mu (neutral sinks, m = 1 and l = r, have one at 1)
+    the rate is the limit of that expression as mu/lam -> 1.
     """
     m, s, l, r, n = spec.m, spec.s, spec.l, spec.r, spec.n
     L, Rr = spec.L, spec.R
@@ -196,10 +198,14 @@ def pipeline_depleting_rate(spec: PipelineSpec) -> PipelineRates:
     lam = ((1.0 - m * s) + math.sqrt(disc)) / (2.0 * m * r)
     # product of roots = l / r; dividing avoids cancellation in the small root
     mu = l / (r * lam) if l > 0 else 0.0
+    lamm = lam ** -(n + 1)
+    if disc == 0.0:
+        term1 = n / ((n + 1) * lam) * (L + Rr * lam * lam)
+        term2 = lam / (n + 1) * (Rr * lamm + L * lam ** (n - 1))
+        return PipelineRates(e=term1 + term2, lam=lam, mu=mu)
     t = mu / lam
     tn = t**n
     tn1 = t ** (n + 1)
-    lamm = lam ** -(n + 1)
     term1 = (1.0 - tn) / (lam * (1.0 - tn1)) * (L + Rr * lam * mu)
     term2 = (lam - mu) * (Rr * lamm + L * (mu**n) / lam) / (1.0 - tn1)
     return PipelineRates(e=term1 + term2, lam=lam, mu=mu)

@@ -78,9 +78,6 @@ def test_offspring_law_validation():
     for kind in ("poisson", "geometric", "deterministic", "bernoulli-pair"):
         with pytest.raises(ValidationError, match="mean must be finite and >= 0, not nan"):
             OffspringLaw(kind, math.nan, p0=0.5, pair_n=2)
-    law = OffspringLaw("bernoulli-pair", 1.5, p0=0.25, pair_n=2)
-    assert not law.fixes_single_offspring()
-    assert OffspringLaw("deterministic", 1.0).fixes_single_offspring()
 
 
 def test_law_means_must_match_graph():
@@ -105,19 +102,40 @@ def test_sample_brood_respects_means():
 
 
 def test_deterministic_single_offspring_population_is_constant():
+    # the one process outside the persistence dichotomy is still answered:
+    # every run keeps exactly one individual
     g = two_patch(M=1.0, m=1.0)
     laws = [[OffspringLaw("deterministic", 1.0)] * 2]
-    rep = simulate(g, laws=laws, horizon=40, n_runs=200, seed=1,
-                   allow_degenerate=True)
+    rep = simulate(g, laws=laws, horizon=40, n_runs=200, seed=1)
     assert rep.survival_prob == 1.0
-    assert abs(rep.growth_rate_hat) < 1e-12
+    assert rep.growth_rate_hat == 0.0
+    assert (patch_series(g, laws=laws, horizon=10, n_runs=5).sum(axis=2) == 1).all()
+    assert extinction_probability(g, laws=laws, n_runs=50, max_generations=20) == (0.0, 0.0)
 
 
-def test_degenerate_law_rejected_by_default():
-    g = two_patch(M=1.0, m=1.0)
-    laws = [[OffspringLaw("deterministic", 1.0)] * 2]
-    with pytest.raises(ValidationError):
-        simulate(g, laws=laws, horizon=5, n_runs=10)
+# patch 0 leaves exactly one child, patch 1 a Poisson(2) brood: a real
+# branching process with rho = 1.5, whatever patch it starts from
+MIXED = MetapopGraph(m=[1.0, 2.0], D=[[0.5, 0.5], [0.5, 0.5]])
+MIXED_LAWS = [[OffspringLaw("deterministic", 1.0), OffspringLaw("poisson", 2.0)]]
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_one_child_patch_grows_at_log_rho(start):
+    # by generation 100 every survivor has passed the escape cap and grows
+    # by the mean matrix, whose rank-one D gives the Perron direction at once
+    for seed in range(3):
+        rep = simulate(MIXED, laws=MIXED_LAWS, horizon=200, n_runs=300, seed=seed,
+                       start_patch=start)
+        assert rep.n_survived > 0 and rep.n_escaped == rep.n_survived
+        assert abs(rep.growth_rate_hat - math.log(1.5)) <= 1e-12
+
+
+def test_one_child_patch_survival_matches_extinction():
+    q, q_ci = extinction_probability(MIXED, laws=MIXED_LAWS, n_runs=2000, seed=1)
+    rep = simulate(MIXED, laws=MIXED_LAWS, horizon=200, n_runs=2000, seed=2,
+                   track_lineage=False)
+    assert 0.0 < q < 1.0
+    assert abs(rep.survival_prob - (1.0 - q)) <= rep.survival_ci + q_ci
 
 
 def test_supercritical_growth_and_survival():

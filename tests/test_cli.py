@@ -397,14 +397,40 @@ def test_periodic_reports_occupancy_on_a_periodic_product(tmp_path):
     assert abs(rep["cross_checks"]["edge_chain_vs_product_log_rho"]) <= 1e-12
 
 
-def test_analyze_refuses_a_periodic_graph_by_its_simplex_route(tmp_path, capsys):
-    # the twisted route answers a bipartite graph, but its cyclic classes
-    # each carry half the occupancy, which the simplex ascent cannot move on
+def test_analyze_answers_a_periodic_graph_without_its_simplex_route(tmp_path):
+    # a bipartite graph's cyclic classes each carry half the occupancy, which
+    # the simplex ascent cannot move on, so its keys are left out; the
+    # spectral, return and twisted routes answer and agree
     graph = {"m": [3.0, 1.5, 1.4, 1.6],
              "D": [[0, 0, .5, .5], [0, 0, .3, .7], [.6, .4, 0, 0], [.2, .8, 0, 0]]}
     code, out = run(tmp_path, ["analyze", "--config", write_cfg(tmp_path, {"graph": graph})])
-    assert code == 2 and not out.exists()
-    assert "simplex ascent needs a full-dimensional occupancy set" in capsys.readouterr().err
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert list(rep["variational"]) == ["twisted"]
+    assert "log_rho_minus_simplex_max" not in rep["cross_checks"]
+    assert rep["cross_checks"]["phi_spectral_vs_twisted_linf"] <= 1e-12
+    assert abs(rep["cross_checks"]["log_rho_minus_twisted_max"]) <= 1e-12
+    assert rep["cross_checks"]["spectral_vs_return_sign_agree"] is True
+    assert (rep["spectral"]["rho"] > 1.0) == rep["return_functional"]["persists"]
+    # the refusals that remain: a reducible graph and a zero mean
+    for bad in ({"m": [2.0, 0.5], "D": [[1, 0], [0, 1]]},
+                {"m": [2.0, 0.0], "D": [[0.5, 0.5], [0.5, 0.5]]}):
+        code, out = run(tmp_path, ["analyze", "--config", write_cfg(tmp_path, {"graph": bad})],
+                        "bad.json")
+        assert code == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("s, l", [(0.0, 0.5), (0.1, 0.45), (0.2, 0.4), (0.5, 0.25)])
+def test_pipeline_of_neutral_sinks_answers(tmp_path, s, l):
+    # m = 1 and l = r give the quadratic a double root at 1
+    pipe = {"n": 7, "p": 0.5, "L": 0.5, "s": s, "l": l, "m": 1.0, "M": 2.0}
+    code, out = run(tmp_path, ["pipeline", "--config", write_cfg(tmp_path, {"pipeline": pipe})])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["lambda"] == rep["mu"] == 1.0
+    assert abs(rep["e"] - 1.0) <= 1e-12
+    assert abs(rep["cross_checks"]["e_closed_minus_linear"]) <= 1e-12
+    assert abs(rep["cross_checks"]["criterion_minus_return"]) <= 1e-12
 
 
 def test_randenv_on_a_periodic_schedule_is_the_product_rate(tmp_path):

@@ -247,15 +247,20 @@ def test_repeated_schedules_keep_verdicts_and_first_phase_keys():
         assert list(phases((0, 1, 0))) == ["e1", "e2"]
 
 
+def _product(g, env):
+    """Perron data of the one-period product of mean matrices."""
+    return growth_rate(periodic_mean_matrix(g, env))
+
+
 def test_edge_chain_matches_product_spectral():
     g, env = coupled_sinks()
-    res = periodic_growth_and_occupancy(g, env)
-    assert abs(res.log_growth - 0.5 * math.log(res.product.rho)) < 1e-9
-    assert res.phase_occupancy.shape == (2, 2)
-    assert np.abs(res.phase_occupancy.sum(axis=1) - 1.0).max() < 1e-9
-    assert np.all(res.phase_occupancy >= 0)
-    occ, steps = phase_occupancy(g, env, res.product)
-    assert np.abs(occ - res.phase_occupancy).max() < 1e-9
+    res, product = periodic_growth_and_occupancy(g, env), _product(g, env)
+    assert abs(res.log_growth - 0.5 * math.log(product.rho)) < 1e-9
+    assert res.occupancy.shape == (2, 2)
+    assert np.abs(res.occupancy.sum(axis=1) - 1.0).max() < 1e-9
+    assert np.all(res.occupancy >= 0)
+    occ, steps = phase_occupancy(g, env, product)
+    assert np.abs(occ - res.occupancy).max() < 1e-9
     assert np.all(steps >= 0)
 
 
@@ -282,8 +287,8 @@ def test_edge_chain_fully_mixing_closed_forms():
         expect = np.outer(delta * mA, delta * mB)
         expect /= expect.sum()
         marginals = [expect.sum(axis=1), expect.sum(axis=0)]
-        assert np.abs(res.phase_occupancy - marginals).max() < 1e-8
-        occ, steps = phase_occupancy(g, env, res.product)
+        assert np.abs(res.occupancy - marginals).max() < 1e-8
+        occ, steps = phase_occupancy(g, env, _product(g, env))
         assert np.abs(occ - marginals).max() < 1e-8
         assert np.abs(steps - expect).max() < 1e-8
 
@@ -293,7 +298,7 @@ def test_edge_chain_respects_simplex_method():
     g, env = coupled_sinks()
     log_rho, _, _ = pair_chain_answer(g, env, max_rate_gap)
     tw = periodic_growth_and_occupancy(g, env)
-    assert abs(log_rho - 0.5 * math.log(tw.product.rho)) < 1e-6
+    assert abs(log_rho - 0.5 * math.log(_product(g, env).rho)) < 1e-6
     assert max_rate_gap(pair_chain(g, env)[0]).method == "simplex-optimize"
 
 
@@ -306,8 +311,8 @@ def test_edge_chain_simplex_method_on_weakly_coupled_graph():
     log_rho, edges, marginals = pair_chain_answer(g, env, max_rate_gap)
     tw = periodic_growth_and_occupancy(g, env)
     assert abs(log_rho - tw.log_growth) <= 1e-10
-    assert np.abs(marginals - tw.phase_occupancy).max() <= 1e-6
-    assert np.abs(edges - phase_occupancy(g, env, tw.product)[1]).max() <= 1e-6
+    assert np.abs(marginals - tw.occupancy).max() <= 1e-6
+    assert np.abs(edges - phase_occupancy(g, env, _product(g, env))[1]).max() <= 1e-6
 
 
 @pytest.mark.parametrize("P", [2, 3])
@@ -320,11 +325,11 @@ def test_edge_chain_makes_no_eigen_solve_above_k(monkeypatch, P):
                            Periodic(tuple(range(P))))
     shapes = eigen_solve_shapes(monkeypatch)
     res = periodic_growth_and_occupancy(g, env)
-    occ, _ = phase_occupancy(g, env, res.product)
-    assert edge_chain(g, env).shape == (P, 9)
     assert shapes == [(9, 9)]
+    occ, _ = phase_occupancy(g, env, _product(g, env))
+    assert edge_chain(g, env).shape == (P, 9)
     assert res.residual <= 1e-14
-    assert np.abs(occ - res.phase_occupancy).max() <= 1e-12
+    assert np.abs(occ - res.occupancy).max() <= 1e-12
 
 
 def test_edge_chain_at_the_product_root_on_hard_alternations():
@@ -342,10 +347,11 @@ def test_edge_chain_at_the_product_root_on_hard_alternations():
         env = alternation(g, *means)
         res = periodic_growth_and_occupancy(g, env)
         log_rho, edges, marginals = pair_chain_answer(g, env)
-        assert abs(res.log_growth - 0.5 * math.log(res.product.rho)) <= 1e-12
+        product = _product(g, env)
+        assert abs(res.log_growth - 0.5 * math.log(product.rho)) <= 1e-12
         assert abs(res.log_growth - log_rho) <= 1e-12
-        occ, steps = phase_occupancy(g, env, res.product)
-        assert np.abs(res.phase_occupancy - marginals).max() <= 1e-12
+        occ, steps = phase_occupancy(g, env, product)
+        assert np.abs(res.occupancy - marginals).max() <= 1e-12
         assert np.abs(occ - marginals).max() <= 1e-12
         assert np.abs(steps - edges).max() <= 1e-12
 
@@ -365,8 +371,8 @@ def test_edge_chain_cross_check_sees_a_wrong_chain(monkeypatch):
     wrong = chain * (1.0 + delta)
     monkeypatch.setattr(environments, "edge_chain", lambda g, env: wrong)
     res = periodic_growth_and_occupancy(g, env)
-    moved = res.log_growth - 0.5 * math.log(res.product.rho)
-    first_order = 0.5 * float(exact.phase_occupancy.ravel() @ np.log1p(delta.ravel()))
+    moved = res.log_growth - 0.5 * math.log(_product(g, env).rho)
+    first_order = 0.5 * float(exact.occupancy.ravel() @ np.log1p(delta.ravel()))
     assert abs(first_order) >= 1e-8
     assert abs(moved - first_order) <= 1e-3 * abs(first_order)
     assert exact.residual <= 1e-14 and res.residual >= 1e-10
@@ -389,11 +395,11 @@ def _period_cases():
 def test_spectral_and_twisted_phase_occupancy_agree_for_every_period():
     for g, env in _period_cases():
         res = periodic_growth_and_occupancy(g, env)
-        P = len(env.schedule.cycle)
-        occ, steps = phase_occupancy(g, env, res.product)
-        assert res.phase_occupancy.shape == occ.shape == (P, g.K)
-        assert abs(res.log_growth - math.log(res.product.rho) / P) <= 1e-12
-        assert np.abs(occ - res.phase_occupancy).max() <= 1e-12
+        P, product = len(env.schedule.cycle), _product(g, env)
+        occ, steps = phase_occupancy(g, env, product)
+        assert res.occupancy.shape == occ.shape == (P, g.K)
+        assert abs(res.log_growth - math.log(product.rho) / P) <= 1e-12
+        assert np.abs(occ - res.occupancy).max() <= 1e-12
         assert np.abs(steps.sum(axis=1) - occ[0]).max() <= 1e-12
         assert np.abs(steps.sum(axis=0) - occ[1]).max() <= 1e-12
 
@@ -407,10 +413,10 @@ def test_a_repeated_schedule_keeps_the_rate_and_phase_rows():
                                                                          Periodic(order)))
                        for order in ((0, 1), (0, 1, 0, 1)))
         assert abs(twice.log_growth - once.log_growth) <= 1e-12
-        assert np.abs(twice.phase_occupancy - np.tile(once.phase_occupancy, (2, 1))).max() <= 1e-12
+        assert np.abs(twice.occupancy - np.tile(once.occupancy, (2, 1))).max() <= 1e-12
         env = EnvironmentModel(("a", "b"), means, Periodic((0, 1, 0, 1)))
-        occ, _ = phase_occupancy(g, env, twice.product)
-        assert np.abs(occ - np.tile(once.phase_occupancy, (2, 1))).max() <= 1e-12
+        occ, _ = phase_occupancy(g, env, _product(g, env))
+        assert np.abs(occ - np.tile(once.occupancy, (2, 1))).max() <= 1e-12
 
 
 def test_a_one_state_schedule_is_the_fixed_environment_on_both_routes():
@@ -419,13 +425,13 @@ def test_a_one_state_schedule_is_the_fixed_environment_on_both_routes():
         g = random_graph(rng, int(rng.integers(2, 9)))
         env = EnvironmentModel(("e",), [g.m], Periodic((0,)))
         res = periodic_growth_and_occupancy(g, env)
-        sd = growth_rate(mean_matrix(g))
-        assert res.product.rho == sd.rho
-        occ, _ = phase_occupancy(g, env, res.product)
+        sd, product = growth_rate(mean_matrix(g)), _product(g, env)
+        assert product.rho == sd.rho
+        occ, _ = phase_occupancy(g, env, product)
         assert np.array_equal(occ[0], occupancy_spectral(sd))
         tw = argmax_occupancy(g)
         assert abs(res.log_growth - tw.log_growth) <= 1e-12
-        assert np.abs(res.phase_occupancy[0] - tw.occupancy).max() <= 1e-12
+        assert np.abs(res.occupancy[0] - tw.occupancy).max() <= 1e-12
 
 
 def test_lyapunov_constant_environment_recovers_log_rho():
@@ -836,7 +842,7 @@ def test_edge_chain_ignores_a_state_the_schedule_never_applies():
     got, want = (periodic_growth_and_occupancy(g, env) for env in (with_c, without_c))
     assert got.log_growth == want.log_growth
     assert abs(got.log_growth - 0.149) < 5e-4
-    assert np.array_equal(got.phase_occupancy, want.phase_occupancy)
+    assert np.array_equal(got.occupancy, want.occupancy)
     assert got.residual == want.residual
     with pytest.raises(ValidationError, match="positive means"):
         periodic_growth_and_occupancy(
@@ -875,7 +881,7 @@ def test_a_periodic_product_gets_occupancy_on_both_routes():
             occ, steps = phase_occupancy(g, env, product)
             assert abs(res.log_growth - log_rho) <= 1e-12
             assert abs(res.log_growth - math.log(product.rho) / P) <= 1e-12
-            assert np.abs(res.phase_occupancy - want).max() <= 1e-12
+            assert np.abs(res.occupancy - want).max() <= 1e-12
             assert np.abs(occ - want).max() <= 1e-12
             # the steps out of phase 0 land in phase 1 (phase 0 when P = 1)
             assert np.abs(steps.sum(axis=1) - occ[0]).max() <= 1e-12
@@ -886,9 +892,9 @@ def test_a_periodic_product_gets_occupancy_on_both_routes():
     env = EnvironmentModel(("e",), [g.m], Periodic((0,)))
     res = periodic_growth_and_occupancy(g, env)
     assert abs(res.log_growth) <= 1e-12  # rho^3 = 2 * 0.5 * 1
-    for occ in (res.phase_occupancy[0], argmax_occupancy(g).occupancy,
+    for occ in (res.occupancy[0], argmax_occupancy(g).occupancy,
                 occupancy_spectral(growth_rate(mean_matrix(g))),
-                phase_occupancy(g, env, res.product)[0][0]):
+                phase_occupancy(g, env, _product(g, env))[0][0]):
         assert np.abs(occ - 1 / 3).max() <= 1e-12
 
 
@@ -916,7 +922,7 @@ def test_the_edge_chain_matches_its_dense_space_time_graph():
         res = periodic_growth_and_occupancy(g, env)
         log_rho, occ = _dense_phase_occupancy(g, env)
         assert abs(res.log_growth - log_rho) <= 1e-12
-        assert np.abs(res.phase_occupancy - occ).max() <= 1e-12
+        assert np.abs(res.occupancy - occ).max() <= 1e-12
 
 
 def test_a_long_period_forms_no_matrix_of_the_chain_size():
@@ -927,11 +933,11 @@ def test_a_long_period_forms_no_matrix_of_the_chain_size():
                            rng.uniform(0.9, 1.1, (365, 50)), Periodic(tuple(range(365))))
     tracemalloc.start()
     try:
-        res = periodic_growth_and_occupancy(g, env)
-        occ, _ = phase_occupancy(g, env, res.product)
+        res, product = periodic_growth_and_occupancy(g, env), _product(g, env)
+        occ, _ = phase_occupancy(g, env, product)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
-    assert abs(res.log_growth - math.log(res.product.rho) / 365) <= 1e-12
-    assert np.abs(occ - res.phase_occupancy).max() <= 1e-12
+    assert abs(res.log_growth - math.log(product.rho) / 365) <= 1e-12
+    assert np.abs(occ - res.occupancy).max() <= 1e-12

@@ -266,8 +266,6 @@ ARRAY_VALUES = {
     "SpectralData": lambda: growth_rate(mean_matrix(two_patch())),
     "RateEvaluation": lambda: ss.rate_function(two_patch(), [0.5, 0.5]),
     "VariationalResult": lambda: ss.argmax_occupancy(two_patch()),
-    "EdgeChainResult": lambda: ss.periodic_growth_and_occupancy(two_patch(),
-                                                                _alternation(two_patch())),
     "SimReport": lambda: ss.simulate(two_patch(), horizon=3, n_runs=4, seed=0),
 }
 
@@ -490,7 +488,7 @@ def test_every_route_words_a_structural_refusal_alike_and_names_itself(name, g, 
 # route -> its occupancy rows on a graph, each the patch occupancy of one phase
 OCCUPANCY_ROUTES = {
     "argmax_occupancy": lambda g: ss.argmax_occupancy(g).occupancy[None, :],
-    "edge_chain": lambda g: ss.periodic_growth_and_occupancy(g, _alternation(g)).phase_occupancy,
+    "edge_chain": lambda g: ss.periodic_growth_and_occupancy(g, _alternation(g)).occupancy,
     "phase_occupancy": lambda g: ss.phase_occupancy(
         g, _alternation(g), growth_rate(ss.periodic_mean_matrix(g, _alternation(g))))[0],
 }

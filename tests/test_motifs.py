@@ -240,6 +240,26 @@ def test_pipeline_matches_linear_system_over_grid():
         assert abs(e_closed - e_linear) < 1e-10
 
 
+NEUTRAL_SINKS = [(0.0, 0.5), (0.1, 0.45), (0.2, 0.4), (0.5, 0.25)]  # (s, l) with l = r
+
+
+@pytest.mark.parametrize("s, l", NEUTRAL_SINKS)
+@pytest.mark.parametrize("n", [1, 7, 250])
+@pytest.mark.parametrize("L", [0.5, 0.2])
+def test_pipeline_double_root_matches_linear_system(s, l, n, L):
+    # m = 1 and l = r: the quadratic has the double root lam = mu = 1, where
+    # the closed form takes its limit mu/lam -> 1
+    spec = PipelineSpec(n=n, p=0.5, L=L, s=s, l=l, m=1.0, M=2.0)
+    r = pipeline_depleting_rate(spec)
+    assert r.lam == r.mu == 1.0
+    assert abs(r.e - depleting_rate(collapse(pipeline_to_motif(spec)))) <= 1e-12
+    # just off the double root the distinct-root formula agrees as closely
+    near = PipelineSpec(n=n, p=0.5, L=L, s=s, l=l, m=1.0 - 1e-9, M=2.0)
+    assert pipeline_depleting_rate(near).lam > 1.0
+    assert abs(pipeline_depleting_rate(near).e
+               - depleting_rate(collapse(pipeline_to_motif(near)))) <= 1e-12
+
+
 def test_pipeline_criterion_matches_type_return():
     spec = PipelineSpec(n=3, p=0.5, L=0.5, s=0.0, l=0.5, m=0.5, M=2.0)
     e = pipeline_depleting_rate(spec).e
