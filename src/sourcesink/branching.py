@@ -9,15 +9,20 @@ walking the flows backward: an individual's reproduction is independent
 of its ancestry, so the backward patch kernel at generation t is just the
 flow into its patch, column-normalized.  Flows are stored per edge: the
 edges of a graph are each dispersal row's positive entries plus its last
-entry (``_Edges``), and each generation keeps, for the runs it stepped, a
-(runs, edges) array of integer flows (uint32 when they fit), plus the
-escaped runs' expected counts from which their flows are rebuilt, all
-packed into a few large blocks (``_Record``).  The backward pass
-rebuilds only the inflow of the patch a lineage is in.
+entry (``_Edges``), and each generation keeps only what the backward pass
+reads: for the runs it stepped, a (runs, edges) array of integer flows
+(uint32 when they fit) and their indices when that set shrank, plus the
+escaped runs' expected counts from which their flows are rebuilt and,
+under a Markov schedule alone, their states, all packed into a few large
+blocks (``_Record``).  The backward pass rebuilds only the inflow of the
+patch a lineage is in.
 
 Runs whose population exceeds the escape cap are declared survivors and
 switch to propagation by conditional means (relative fluctuations at that
 size are below 1e-3), so growth-rate windows beyond the cap stay defined.
+They form a block with one row per patch and a column per run in escape
+order, which only grows; the backward pass takes lineages in that order,
+so each generation's escaped lineages are a prefix read straight from it.
 
 One driver, ``_steps``, runs the generation loop of every entry point:
 it draws each run's environment state, then steps the live runs (alive,
@@ -57,6 +62,8 @@ from .walks import CHUNK
 ESCAPE_CAP = 10**7
 MEAN_MATCH_TOL = 1e-12
 RECORD_BLOCK = 1 << 20  # bytes in each block of a lineage chunk's ``_Record``
+UINT32_MAX = int(np.iinfo(np.uint32).max)
+SHORT_ROW = 8  # rows of fewer patches are summed by vector loops over their columns
 
 
 @dataclass(frozen=True)
@@ -192,16 +199,20 @@ def _env_states_for_gen(env, t, states, rng):
     elif t == 0:
         states[:] = rng.random(states.size) >= env.schedule.start[0]
     else:
-        states ^= rng.random(states.size) < env.schedule.T[[0, 1], [1, 0]][states]
+        states ^= rng.random(states.size) < env.schedule.leave.take(states)
     return states
 
 
 def _add_columns(X):
-    """``X.sum(axis=1)`` of an integer array as K - 1 vector adds.
+    """``X.sum(axis=1)`` as K - 1 vector adds.
 
     numpy's reduction over a short axis costs about ten times the adds at
-    K = 2; integer sums are exact, so the order does not matter.
+    K = 2; integer sums are exact, so the order does not matter, and numpy
+    adds each float row of a C-contiguous array in order if it is shorter
+    than ``SHORT_ROW``, pairwise if not, so longer float rows take its sum.
     """
+    if X.dtype.kind == "f" and X.shape[1] >= SHORT_ROW:
+        return np.ascontiguousarray(X).sum(axis=1)
     out = X[:, 0].copy()
     for i in range(1, X.shape[1]):
         out += X[:, i]
@@ -237,14 +248,14 @@ class _Edges:
 
     @functools.cached_property
     def into(self) -> np.ndarray:
-        """``into[j]`` numbers, in source order, the edge from each patch
-        into patch j, or edge ``n`` where there is none: a flow record keeps
-        one column of zeros past the last edge, so ``into`` rebuilds the
-        dense K-vector of a patch's inflow from one run's edge flows.  Only
+        """``into[i, j]`` numbers the edge from patch i into patch j, or is
+        edge ``n`` where there is none: a flow record keeps one column of
+        zeros past the last edge, so column j of ``into`` rebuilds the dense
+        K-vector of patch j's inflow from one run's edge flows.  Only
         lineage reads it, so it is built on first use."""
         K = len(self.span)
         into = np.full((K, K), self.n)
-        into[self.dst, self.src] = np.arange(self.n)
+        into[self.src, self.dst] = np.arange(self.n)
         return into
 
 
@@ -264,15 +275,16 @@ def _generation(Z, states, laws, edges, rng, flows=None):
     order = None
     groups = [(laws[0], slice(None))]
     if len(laws) > 1:
-        order = np.argsort(states, kind="stable")
-        ranked = states[order]
+        # in the smallest type that holds every state, numpy sorts by radix
+        order = np.argsort(states.astype(np.min_scalar_type(len(laws) - 1)), kind="stable")
+        ranked = states.take(order)
         if ranked[0] == ranked[-1]:
             groups, order = [(laws[ranked[0]], slice(None))], None
         else:
             cuts = np.searchsorted(ranked, np.arange(len(laws) + 1))
             groups = [(laws[s], slice(cuts[s], cuts[s + 1]))
                       for s in range(len(laws)) if cuts[s] < cuts[s + 1]]
-            Z = Z[order]
+            Z = Z.take(order, axis=0)
     counts = np.zeros(Z.shape, dtype=np.int64)
     for row, rows in groups:
         dest, at = counts[rows], (rows if order is None else order[rows])
@@ -312,21 +324,22 @@ def _steps(Z, env, laws, edges, rng, escape_cap, keep_flows=False):
         buf = np.empty((Z.shape[0], edges.n + 1), dtype=np.int64)
         buf[:, -1] = 0
     for t in count():
-        keep = (totals > 0) & (totals <= escape_cap)
-        if not keep.all():
-            live, Zl, totals = live[keep], Zl[keep], totals[keep]
+        if live.size:
+            keep = (totals > 0) & (totals <= escape_cap)
+            if not keep.all():
+                live, Zl, totals = live[keep], Zl.compress(keep, axis=0), totals[keep]
         states = _env_states_for_gen(env, t, states, rng)
         flows = None
         if live.size:
             flows = None if buf is None else buf[:live.size]
-            Zl = _generation(Zl, states[live], laws, edges, rng, flows)
+            Zl = _generation(Zl, states.take(live), laws, edges, rng, flows)
             totals = _add_columns(Zl)
             Z[live] = Zl
         yield states, live, flows, totals
 
 
 class _Record:
-    """Copies of arrays packed in order into large byte blocks.
+    """Arrays packed in order into large byte blocks.
 
     A lineage chunk keeps a few arrays per generation until its backward
     pass; packed, they are a few large allocations, reused by the next
@@ -341,32 +354,36 @@ class _Record:
         self.clear()
 
     def clear(self) -> None:
-        """Drop every copy; later copies reuse the blocks from the first."""
+        """Drop every array; later ones reuse the blocks from the first."""
         self.at, self.pos = 0, 0
 
-    def put(self, a: np.ndarray, dtype=None) -> np.ndarray:
-        """A packed copy of ``a``, as ``dtype`` (default ``a.dtype``)."""
-        dtype = np.dtype(dtype or a.dtype)
-        n = a.size * dtype.itemsize
+    def empty(self, shape, dtype=float) -> np.ndarray:
+        """A packed array, not initialized."""
+        dtype = np.dtype(dtype)
+        n = math.prod(shape) * dtype.itemsize
         while self.at < len(self.blocks) and self.pos + n > len(self.blocks[self.at]):
             self.at, self.pos = self.at + 1, 0
         if self.at == len(self.blocks):
             self.blocks.append(np.empty(max(RECORD_BLOCK, n), dtype=np.uint8))
-        out = self.blocks[self.at][self.pos:self.pos + n].view(dtype).reshape(a.shape)
+        out = np.ndarray(shape, dtype, buffer=self.blocks[self.at], offset=self.pos)
+        self.pos += -(-n // 8) * 8  # keep every array 8-byte aligned
+        return out
+
+    def put(self, a: np.ndarray, dtype=None) -> np.ndarray:
+        """A packed copy of ``a``, as ``dtype`` (default ``a.dtype``)."""
+        out = self.empty(a.shape, dtype or a.dtype)
         out[...] = a
-        self.pos += -(-n // 8) * 8  # keep every copy 8-byte aligned
         return out
 
 
-def _propagate(Zf, A):
-    """Expected counts one generation on: ``Zf[r] @ A[r]`` (or ``@ A``).
-
-    Sums over the source patch in order, one vector add each, which is
-    the order ``(Zf[:, :, None] * A).sum(axis=1)`` takes, bit for bit.
-    """
-    out = Zf[:, 0, None] * A[..., 0, :]
-    for i in range(1, Zf.shape[1]):
-        out += Zf[:, i, None] * A[..., i, :]
+def _propagate(Zf, A, out=None):
+    """Expected counts one generation on: column r of ``Zf`` (one row per
+    patch) times ``A[:, :, r]`` (or ``A[:, :, 0]`` for every run), summed
+    over the source patch in order, one vector add each, which is the order
+    ``(Zf.T[:, :, None] * A[s]).sum(axis=1)`` takes, bit for bit."""
+    out = np.multiply(A[0], Zf[0], out=out)
+    for i in range(1, Zf.shape[0]):
+        out += A[i] * Zf[i]
     return out
 
 
@@ -376,54 +393,62 @@ def _run_chunk(g, env, laws, edges, horizon, n_runs, rng, start_patch, escape_ca
 
     Integer counts while the population is below the escape cap; above it,
     counts continue as expected values in floats (and the run is marked
-    escaped), in a block of the escaped runs in the order they escaped.
+    escaped), in a block with one row per patch and a column per escaped
+    run, in the order they escaped.
     Of the total sizes only the growth window [horizon/2, horizon] of the
     surviving runs is returned, since that is all ``simulate`` reads.
     With lineage (given the ``_Record`` to keep it in, which the chunk
-    clears first), each generation keeps its live runs, their per-edge
-    flows from the driver (as uint32 when their largest total fits, else
-    int64), and the escaped block before the step with the block's states.
+    clears first), each generation keeps its live runs (copied again only
+    when they changed), their per-edge flows from the driver (as uint32
+    when their largest total fits, else int64), and the escaped block
+    before the step with the block's states, both made in the record: one
+    state per run under a Markov schedule, else the one state of the step.
     """
     K = g.K
     Z = np.zeros((n_runs, K), dtype=np.int64)
     Z[:, start_patch] = 1
     esc = np.zeros(0, dtype=np.intp)
-    Zf = np.zeros((0, K))
-    want_lineage = record is not None
+    Zf = np.zeros((K, 0))
+    markov = env.schedule.cycle is None
     history = []
-    if want_lineage:
+    alloc = np.empty if record is None else record.empty
+    if record is not None:
         record.clear()
     lo = horizon // 2
-    sizes = np.zeros((n_runs, horizon - lo + 1))
+    sizes = np.zeros((horizon - lo + 1, n_runs))  # one row per generation of the window
     if lo == 0:
-        sizes[:, 0] = 1.0
+        sizes[0] = 1.0
     A = np.stack([state_mean_matrix(g, env, s) for s in range(env.n_states)])
-    steps = _steps(Z, env, laws, edges, rng, escape_cap, want_lineage)
+    At = A.transpose(1, 2, 0).copy()  # At[i, j, s] = A[s, i, j], state last as in the block
+    steps = _steps(Z, env, laws, edges, rng, escape_cap, record is not None)
+    stepped = kept = None
     for t, (states, live, born, totals) in zip(range(horizon), steps):
-        s = states[esc]
-        if want_lineage:
+        s = states.take(esc, out=alloc(esc.shape, np.intp)) if markov and esc.size else states[0]
+        if record is not None:
+            if live is not stepped:
+                stepped, kept = live, record.put(live)
             flows = None if born is None else record.put(
-                born, np.uint32 if totals.max() <= np.iinfo(np.uint32).max else np.int64)
-            history.append((record.put(live), flows, record.put(Zf), record.put(s)))
+                born, np.uint32 if totals.max() <= UINT32_MAX else np.int64)
+            history.append((kept, flows, Zf, s))
         if esc.size:
-            # with one state every escaped run takes A[0], by broadcasting
-            Zf = _propagate(Zf, A[0] if len(A) == 1 else A[s])
+            Zf = _propagate(Zf, At.take(s, axis=2) if markov else At[:, :, s, None],
+                            alloc(Zf.shape))
         if t + 1 >= lo:
-            sizes[esc, t + 1 - lo] = Zf.sum(axis=1)
-            sizes[live, t + 1 - lo] = totals
+            sizes[t + 1 - lo, esc] = _add_columns(Zf.T)
+            sizes[t + 1 - lo, live] = totals
         newly = live[totals > escape_cap]
         if newly.size:
             esc = np.concatenate([esc, newly])
-            Zf = np.concatenate([Zf, Z[newly]])
+            Zf = np.concatenate([Zf, Z.take(newly, axis=0).T], axis=1, out=alloc((K, esc.size)))
     escaped = np.zeros(n_runs, dtype=bool)
     escaped[esc] = True
     final = Z.astype(float)
-    final[esc] = Zf
+    final[esc] = Zf.T
     alive = final.sum(axis=1) > 0
     lineage_freq = None
-    if want_lineage:
+    if record is not None:
         lineage_freq = _backward_lineages(history, final, alive, esc, A, edges, rng)
-    return alive, escaped, sizes[alive], lineage_freq
+    return alive, escaped, sizes[:, alive].T, lineage_freq
 
 
 def _backward_lineages(history, final, alive, esc, A, edges, rng):
@@ -434,45 +459,54 @@ def _backward_lineages(history, final, alive, esc, A, edges, rng):
     ancestor's patch at each earlier generation follows the column-
     normalized dispersal flow of that generation: the dense K-vector of
     inflow into its patch, in source order, rebuilt from a live run's edge
-    flows through ``edges.into``, or ``Zf[i] * A[s, i, cur]`` of an escaped
-    one.  The uniforms of all the draws come from one ``rng.random`` call,
-    in the order one call per draw would take them.  Frequencies count the
-    horizon + 1 points of the lineage.
+    flows through ``edges.into``, or ``Zf[:, r] * A[s, :, cur]`` of an
+    escaped one.  Lineages go in escape order, escaped survivors first:
+    the block only grows and its runs all survive unless their expected
+    counts die out, so each generation's escaped lineages are a prefix
+    whose columns are its recorded block, read with no mask or gather.
+    The uniforms of all the draws come from one ``rng.random`` call, in
+    the order one call per draw in run order would take them, with their
+    columns permuted; the tallies go back to run order.  Frequencies count
+    the horizon + 1 points of the lineage.
     """
     n, K = final.shape
-    idx = np.flatnonzero(alive)
-    if idx.size == 0:
+    surv = np.flatnonzero(alive)
+    if surv.size == 0:
         return np.zeros((0, K))
-    u = rng.random((len(history) + 1, idx.size))
-    path = np.empty((len(history) + 1, idx.size), dtype=np.intp)
-    probs = final[idx]
-    probs = probs / probs.sum(axis=1, keepdims=True)
-    path[0] = cur = _categorical_rows(probs, u[0])
-    # each survivor's place in the escaped block, n if it never escaped;
-    # the block only grows, so at generation t it holds the first len(Zf)
-    block = np.full(n, n)
-    block[esc] = np.arange(esc.size)
-    block = block[idx]
-    cols = np.empty((idx.size, K))
+    held = alive[esc]  # an escaped run whose expected counts died out holds no lineage
+    every = held.all()
+    runs = np.concatenate([esc[held], np.setdiff1d(surv, esc, assume_unique=True)])
+    col = np.searchsorted(surv, runs)  # each lineage's survivor, in run order
+    u = rng.random((len(history) + 1, surv.size)).take(col, axis=1)
+    path = np.empty((len(history) + 1, surv.size), dtype=np.intp)
+    probs = final.take(runs, axis=0)
+    path[0] = cur = _categorical_rows(probs / probs.sum(axis=1, keepdims=True), u[0])
+    inflow = A.transpose(1, 0, 2).reshape(K, -1)  # inflow[i, s * K + j] = A[s, i, j]
+    cols = np.empty((K, surv.size))
+    # row[r]: where live run r's flows start, set for each new (larger) live set
+    row, stepped = np.empty(n, dtype=np.intp), None
     for t, (live, born, Zf, s) in enumerate(reversed(history), 1):
-        was_esc = block < len(Zf)
-        was_live = ~was_esc
-        if was_live.any():
-            at = np.searchsorted(live, idx[was_live])
-            cols[was_live] = born[at[:, None], edges.into[cur[was_live]]]
-        if was_esc.any():
-            at = block[was_esc]
-            cols[was_esc] = Zf[at] * A[s[at], :, cur[was_esc]]
-        colsum = cols.sum(axis=1, keepdims=True)
-        # a lineage reaches a patch with no inflow only by rounding in the
-        # last category of a draw; guard the division
-        safe = colsum[:, 0] > 0
-        probs = np.where(safe[:, None], cols / np.where(colsum == 0, 1.0, colsum), 1.0 / K)
-        path[t] = cur = _categorical_rows(probs, u[t])
+        if not every:
+            Zf, s = Zf[:, held[:Zf.shape[1]]], s[held[:len(s)]] if np.ndim(s) else s
+        m = Zf.shape[1]
+        if m:
+            np.multiply(Zf, inflow.take(s * K + cur[:m], axis=1), out=cols[:, :m])
+        if m < surv.size:
+            if live is not stepped:
+                stepped = live
+                row[live] = np.arange(0, live.size * born.shape[1], born.shape[1])
+            cols[:, m:] = born.take(row.take(runs[m:]) + edges.into.take(cur[m:], axis=1))
+        colsum = _add_columns(cols.T)
+        if not colsum.all():
+            # a lineage reaches a patch with no inflow only by rounding in
+            # the last category of a draw; it moves to a uniform patch
+            none = colsum == 0
+            cols[:, none], colsum[none] = 1.0, K
+        path[t] = cur = _categorical_rows(np.divide(cols, colsum, out=cols).T, u[t])
     del u
     # one count per (survivor, patch) pair over all the points of the paths
-    at = (path + np.arange(idx.size) * K).ravel()
-    tallies = np.bincount(at, minlength=idx.size * K).reshape(idx.size, K)
+    at = (path + col * K).ravel()
+    tallies = np.bincount(at, minlength=surv.size * K).reshape(surv.size, K)
     return tallies / float(len(history) + 1)
 
 
@@ -480,9 +514,17 @@ def _categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One categorical draw per row of a probability matrix, by uniforms ``u``.
 
     Counts the partial row sums (``np.cumsum`` order) below each uniform;
-    the last partial sum is taken as 1, so it is never counted.
+    the last partial sum is taken as 1, so it is never counted.  Rows
+    shorter than ``SHORT_ROW`` are walked column by column, which costs a
+    fraction of numpy's ``cumsum`` over a short axis.
     """
-    return (np.cumsum(probs[:, :-1], axis=1) < u[:, None]).sum(axis=1)
+    if probs.shape[1] >= SHORT_ROW:
+        return (np.cumsum(probs[:, :-1], axis=1) < u[:, None]).sum(axis=1)
+    out, total = np.zeros(u.size, dtype=np.intp), np.zeros(u.size)
+    for k in range(probs.shape[1] - 1):
+        total += probs[:, k]
+        out += total < u
+    return out
 
 
 def simulate(

@@ -415,9 +415,10 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     e_linear = depleting_rate(collapse(motif))
     verdict = type_return_functional(motif)
     criterion = spec.M * (1.0 - spec.p) + rates.e * spec.M * spec.p
+    # complex roots are left out
+    roots = {} if rates.lam is None else {"lambda": rates.lam, "mu": rates.mu}
     return {
-        "lambda": rates.lam,
-        "mu": rates.mu,
+        **roots,
         "e": rates.e,
         "e_linear_system": e_linear,
         "criterion_value": criterion,
@@ -425,7 +426,9 @@ def cmd_pipeline(cfg: dict, args) -> dict:
         "return_functional": verdict.to_dict(),
         "motif": motif.to_dict(),
         "cross_checks": {
-            "e_closed_minus_linear": rates.e - e_linear,
+            "e_closed_minus_linear": None
+            if math.isinf(rates.e) and math.isinf(e_linear)
+            else rates.e - e_linear,
             "criterion_minus_return": criterion - verdict.value
             if math.isfinite(verdict.value)
             else None,

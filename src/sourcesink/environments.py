@@ -46,7 +46,9 @@ class Schedule:
 
     ``cycle``, set once, holds the states of one period from the start if
     ``T`` is a permutation and ``start`` one phase.  Otherwise it is None: the
-    chain draws, and must for now be the two-state chain (phase i, state i).
+    chain draws, and must for now be the two-state chain (phase i, state i),
+    whose probabilities of leaving each state, ``T[0, 1]`` and ``T[1, 0]``
+    bit for bit, ``leave`` holds (None for a cycle).
     """
 
     T: np.ndarray
@@ -74,6 +76,8 @@ class Schedule:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "state", tuple(self.state))
         object.__setattr__(self, "cycle", cycle)
+        leave = None if cycle is not None else _readonly(T[[0, 1], [1, 0]])
+        object.__setattr__(self, "leave", leave)
 
 
 def Periodic(order) -> Schedule:
@@ -318,7 +322,7 @@ def _env_path(sched: Schedule, n: int, rng) -> np.ndarray:
     of the whole runs."""
     if sched.cycle is not None:
         return np.resize(np.array(sched.cycle, dtype=np.min_scalar_type(max(sched.cycle))), n)
-    leave = sched.T[[0, 1], [1, 0]].tolist()  # off the diagonal: alpha and beta, bit for bit
+    leave = sched.leave.tolist()
     if min(leave) <= 0.0:
         raise ValidationError("environment chain must be irreducible (alpha, beta > 0)")
     cur = 0 if rng.random() < sched.start[0] else 1

@@ -24,7 +24,8 @@ from .errors import ValidationError
 from .graph import (MetapopGraph, _as_array, _json_object, _labels, _number, _readonly,
                     _require)
 from .spectral import mean_matrix, perron_value
-from .walks import PersistenceVerdict, _verdict_from_value, return_value_matrix
+from .walks import (CRITICAL_RADIUS_TOL, PersistenceVerdict, _verdict_from_value,
+                    return_value_matrix)
 
 PROB_TOL = 1e-12
 # the pipeline's JSON keys and the type each is read as
@@ -167,21 +168,27 @@ def load_pipeline(source: str | Path | dict) -> PipelineSpec:
 
 @dataclass(frozen=True)
 class PipelineRates:
-    """Closed-form sink sojourn factor with the quadratic's two roots."""
+    """Closed-form sink sojourn factor with the quadratic's two roots
+    (None when they are complex)."""
 
     e: float
-    lam: float
-    mu: float
+    lam: float | None
+    mu: float | None
 
 
 def pipeline_depleting_rate(spec: PipelineSpec) -> PipelineRates:
     """Closed-form depleting rate of a pipeline of n identical sinks.
 
-    lam > 1 > mu solve m*r*x^2 - (1 - m*s)*x + m*l = 0; the rate combines
-    the roots' n-th powers with the left/right entry split.  Everything is
-    evaluated through the ratio mu/lam < 1, so large n cannot overflow.  At
-    a double root lam = mu (neutral sinks, m = 1 and l = r, have one at 1)
-    the rate is the limit of that expression as mu/lam -> 1.
+    lam and mu solve m*r*x^2 - (1 - m*s)*x + m*l = 0; the rate combines
+    the roots' n-th powers with the left/right entry split.  Real roots
+    have lam > 1 > mu and everything is evaluated through the ratio
+    mu/lam < 1, so large n cannot overflow.  At a double root lam = mu
+    (neutral sinks, m = 1 and l = r, have one at 1) the rate is the limit
+    of that expression as mu/lam -> 1.  Complex roots (every m > 1 with
+    l = r has them) are conjugate, and the same expression in them is real
+    while the sink block is subcritical, m*(s + 2*sqrt(l*r)*cos(pi/(n+1)))
+    < 1; at and past that bound (within ``CRITICAL_RADIUS_TOL``, as the
+    linear route counts it) the rate is inf, as is an overflow.
     """
     m, s, l, r, n = spec.m, spec.s, spec.l, spec.r, spec.n
     L, Rr = spec.L, spec.R
@@ -194,21 +201,29 @@ def pipeline_depleting_rate(spec: PipelineSpec) -> PipelineRates:
         raise ValidationError("need m*s < 1 for the sojourn factor to exist")
     disc = (1.0 - m * s) ** 2 - 4.0 * m * m * r * l
     if disc < 0:
-        raise ValidationError("quadratic has no real roots; check parameters")
+        rho = m * (s + 2.0 * math.sqrt(l * r) * math.cos(math.pi / (n + 1)))  # the sink block's
+        if rho >= 1.0 - CRITICAL_RADIUS_TOL:
+            return PipelineRates(e=math.inf, lam=None, mu=None)
+        lam = complex(1.0 - m * s, math.sqrt(-disc)) / (2.0 * m * r)
+        e = _sojourn(lam, lam.conjugate(), n, L, Rr).real
+        return PipelineRates(e=e if math.isfinite(e) else math.inf, lam=None, mu=None)
     lam = ((1.0 - m * s) + math.sqrt(disc)) / (2.0 * m * r)
     # product of roots = l / r; dividing avoids cancellation in the small root
     mu = l / (r * lam) if l > 0 else 0.0
-    lamm = lam ** -(n + 1)
     if disc == 0.0:
         term1 = n / ((n + 1) * lam) * (L + Rr * lam * lam)
-        term2 = lam / (n + 1) * (Rr * lamm + L * lam ** (n - 1))
+        term2 = lam / (n + 1) * (Rr * lam ** -(n + 1) + L * lam ** (n - 1))
         return PipelineRates(e=term1 + term2, lam=lam, mu=mu)
+    return PipelineRates(e=_sojourn(lam, mu, n, L, Rr), lam=lam, mu=mu)
+
+
+def _sojourn(lam, mu, n, L, Rr):
+    """The closed form in distinct roots lam and mu, real or conjugate."""
     t = mu / lam
-    tn = t**n
     tn1 = t ** (n + 1)
-    term1 = (1.0 - tn) / (lam * (1.0 - tn1)) * (L + Rr * lam * mu)
-    term2 = (lam - mu) * (Rr * lamm + L * (mu**n) / lam) / (1.0 - tn1)
-    return PipelineRates(e=term1 + term2, lam=lam, mu=mu)
+    term1 = (1.0 - t**n) / (lam * (1.0 - tn1)) * (L + Rr * lam * mu)
+    term2 = (lam - mu) * (Rr * lam ** -(n + 1) + L * (mu**n) / lam) / (1.0 - tn1)
+    return term1 + term2
 
 
 def pipeline_to_motif(spec: PipelineSpec) -> Motif:

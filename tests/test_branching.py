@@ -23,6 +23,7 @@ from sourcesink import (
 from sourcesink.branching import (
     _Edges,
     _Record,
+    _backward_lineages,
     _env_states_for_gen,
     _generation,
     _run_chunk,
@@ -742,3 +743,84 @@ def test_fixed_environment_is_the_one_state_periodic_schedule(monkeypatch):
         runs[env is None] = (sims, series.tolist(), q, [r.bit_generator.state for r in made])
     assert runs[True] == runs[False]
     assert len(runs[True][3]) > 4
+
+
+def _markov_k8(lethal):
+    """A two-state Markov schedule on K = 8 sparse dispersal rows: mixed
+    laws, or Poisson laws whose second state is lethal on every patch."""
+    K = 8
+    rows = _law_rows(K)
+    if lethal:
+        rows = [[OffspringLaw("poisson", m) for m in (1.8,) * K],
+                [OffspringLaw("poisson", 0.0)] * K]
+    means = [[law.mean for law in row] for row in rows]
+    schedule = MarkovSwitching(0.03, 0.5) if lethal else MarkovSwitching(0.3, 0.3)
+    env = EnvironmentModel(states=("e1", "e2"), means=means, schedule=schedule)
+    return MetapopGraph(m=np.ones(K), D=_sparse_dispersal(K)), env, rows
+
+
+@pytest.mark.parametrize("lethal", [False, True])
+def test_escape_ordered_lineages_match_the_reference_loop(lethal):
+    # survivors escape out of run order, and no run is live in the second
+    # half of the horizon, so most of the backward pass reads escaped
+    # lineages only; under the lethal state some escaped runs die out and
+    # hold no lineage
+    g, env, laws = _markov_k8(lethal)
+    horizon, cap, n = 80, 50, 300
+    ref_rng, rng = np.random.default_rng(60), np.random.default_rng(60)
+    alive, escaped, sizes, freq = _reference_run_chunk(g, env, laws, horizon, n, ref_rng, 0,
+                                                       cap, True)
+    got = _run_chunk(g, env, laws, _Edges(g.D), horizon, n, rng, 0, cap, _Record())
+    assert np.array_equal(got[0], alive) and np.array_equal(got[1], escaped)
+    assert np.array_equal(got[2], sizes[horizon // 2:, alive].T)
+    assert np.array_equal(got[3], freq[alive])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the generation each run passed the cap (0 if it never did), in run order
+    passed = np.argmax(sizes > cap, axis=0)
+    assert (np.diff(passed[escaped]) < 0).any()
+    until = np.where(escaped, passed, horizon)
+    stepped = (sizes[:-1] > 0) & (np.arange(horizon)[:, None] < until)
+    assert not stepped[horizon // 2:].any()
+    assert alive.any() and (escaped & ~alive).any() == lethal
+
+
+def test_a_simulation_of_two_lineage_chunks_matches_the_reference_chunk_by_chunk():
+    # chunk c draws from stream (seed, c); the two chunks share one record
+    g, env, laws = _markov_k8(False)
+    horizon, cap, seed = 24, 50, 61
+    sizes = [CHUNK, 200]
+    record, refs = _Record(), []
+    for c, size in enumerate(sizes):
+        ref_rng, rng = np.random.default_rng([seed, c]), np.random.default_rng([seed, c])
+        alive, escaped, window, freq = _reference_run_chunk(g, env, laws, horizon, size,
+                                                            ref_rng, 0, cap, True)
+        got = _run_chunk(g, env, laws, _Edges(g.D), horizon, size, rng, 0, cap, record)
+        assert np.array_equal(got[0], alive) and np.array_equal(got[1], escaped)
+        assert np.array_equal(got[2], window[horizon // 2:, alive].T)
+        assert np.array_equal(got[3], freq[alive])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        refs.append((alive, escaped, window[horizon // 2:, alive].T, freq[alive]))
+    rep = simulate(g, laws, horizon=horizon, n_runs=sum(sizes), seed=seed, env=env,
+                   escape_cap=cap)
+    assert rep.n_survived == sum(r[0].sum() for r in refs)
+    assert rep.n_escaped == sum(r[1].sum() for r in refs)
+    assert np.array_equal(rep.occupancy_hat, np.concatenate([r[3] for r in refs]).mean(axis=0))
+    ys = np.log(np.concatenate([r[2] for r in refs]).T)
+    tc = np.arange(horizon // 2, horizon + 1) - (horizon // 2 + horizon) / 2
+    assert rep.growth_rate_hat == float(((tc @ ys) / float(tc @ tc)).mean())
+
+
+def test_a_lineage_in_a_patch_without_inflow_moves_uniformly():
+    # only rounding in the last category of a draw puts a lineage where no
+    # flow came in; its ancestor's patch is then drawn uniformly.  One live
+    # run, one generation whose recorded flows are all zero, and a final
+    # count in patch 1 only
+    D = np.full((2, 2), 0.5)
+    edges = _Edges(D)
+    history = [(np.array([0]), np.zeros((1, edges.n + 1), dtype=np.uint32), np.zeros((2, 0)), 0)]
+    for seed in range(8):
+        freq = _backward_lineages(history, np.array([[0.0, 3.0]]), np.array([True]),
+                                  np.zeros(0, dtype=np.intp), D[None], edges,
+                                  np.random.default_rng(seed))
+        u = np.random.default_rng(seed).random((2, 1))[1, 0]
+        assert freq.tolist() == ([[0.5, 0.5]] if u <= 0.5 else [[0.0, 1.0]])

@@ -433,6 +433,22 @@ def test_pipeline_of_neutral_sinks_answers(tmp_path, s, l):
     assert abs(rep["cross_checks"]["criterion_minus_return"]) <= 1e-12
 
 
+@pytest.mark.parametrize("m, e", [(1.05, 2.76943333), (1.2, math.inf)])
+def test_pipeline_with_conjugate_roots_answers(tmp_path, m, e):
+    # sinks with m > 1 and l = r: the roots are complex, so the report
+    # leaves them out; at m = 1.2 the sink block is supercritical
+    pipe = {"n": 7, "p": 0.5, "L": 0.5, "s": 0.2, "l": 0.4, "m": m, "M": 2.0}
+    code, out = run(tmp_path, ["pipeline", "--config", write_cfg(tmp_path, {"pipeline": pipe})])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert "lambda" not in rep and "mu" not in rep
+    diff = rep["cross_checks"]["e_closed_minus_linear"]
+    if math.isinf(e):
+        assert rep["e"] == rep["e_linear_system"] == "inf" and diff is None
+    else:
+        assert abs(rep["e"] - e) <= 1e-8 and abs(diff) <= 1e-9
+
+
 def test_randenv_on_a_periodic_schedule_is_the_product_rate(tmp_path):
     cfg = write_cfg(tmp_path, PERIOD3)
     code, per = run(tmp_path, ["periodic", "--config", cfg], "per.json")

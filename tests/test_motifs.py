@@ -260,6 +260,31 @@ def test_pipeline_double_root_matches_linear_system(s, l, n, L):
                - depleting_rate(collapse(pipeline_to_motif(near)))) <= 1e-12
 
 
+CONJUGATE_SINKS = [(0.2, 0.4), (0.0, 0.5), (0.5, 0.25)]  # (s, l) with l = r
+
+
+@pytest.mark.parametrize("s, l", CONJUGATE_SINKS)
+@pytest.mark.parametrize("n", [3, 7, 20])
+def test_pipeline_on_conjugate_roots_matches_linear_system(s, l, n):
+    # every m > 1 with l = r gives the quadratic conjugate roots; the
+    # closed form in them is the linear route's rate while the sink block
+    # is subcritical, and inf where the linear route is inf
+    finite = infinite = 0
+    for m in 1.0 + np.geomspace(5e-4, 0.2, 40):
+        spec = PipelineSpec(n=n, p=0.5, L=0.3, s=s, l=l, m=float(m), M=2.0)
+        rates = pipeline_depleting_rate(spec)
+        assert rates.lam is None and rates.mu is None
+        linear = depleting_rate(collapse(pipeline_to_motif(spec)))
+        rho = m * (s + 2 * math.sqrt(l * spec.r) * math.cos(math.pi / (n + 1)))
+        assert math.isinf(rates.e) == math.isinf(linear) == (rho >= 1)
+        if math.isinf(linear):
+            infinite += 1
+        else:
+            finite += 1
+            assert abs(rates.e - linear) <= 1e-9 * linear
+    assert finite >= 5 and (infinite > 0 or n == 3)
+
+
 def test_pipeline_criterion_matches_type_return():
     spec = PipelineSpec(n=3, p=0.5, L=0.5, s=0.0, l=0.5, m=0.5, M=2.0)
     e = pipeline_depleting_rate(spec).e
