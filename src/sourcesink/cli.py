@@ -55,6 +55,7 @@ from .graph import (
     validate_graph,
 )
 from .motifs import (
+    _home_patches,
     collapse,
     load_motif,
     load_pipeline,
@@ -276,7 +277,8 @@ def cmd_analyze(cfg: dict, args) -> dict:
     variational, checks = {"twisted": {"log_rho": tw.log_growth, "phi": tw.occupancy}}, {}
     if mg is not None:
         variational["simplex"] = {"log_rho": mg.log_growth, "phi": mg.occupancy,
-                                  "iterations": mg.iterations, "gap": mg.gap}
+                                  "iterations": mg.iterations,
+                                  "inner_steps": mg.inner_steps, "gap": mg.gap}
         checks["log_rho_minus_simplex_max"] = log_rho - mg.log_growth
     out = {
         "assumptions": dataclasses.asdict(report),
@@ -429,8 +431,9 @@ def cmd_pipeline(cfg: dict, args) -> dict:
             "e_closed_minus_linear": None
             if math.isinf(rates.e) and math.isinf(e_linear)
             else rates.e - e_linear,
+            # sinks with m > 1 are homes too; then R is not the source's return value
             "criterion_minus_return": criterion - verdict.value
-            if math.isfinite(verdict.value)
+            if math.isfinite(verdict.value) and _home_patches(motif) == [0]
             else None,
         },
     }

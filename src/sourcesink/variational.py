@@ -89,6 +89,7 @@ class VariationalResult:
     iterations: int = 0
     gap: float | None = None  # certified value error bound (simplex route)
     residual: float | None = None  # max-norm residual / root of D' at v (twisted route)
+    inner_steps: int = 0  # inner Newton steps over the ascent (simplex route)
 
 
 def payoff(g: MetapopGraph, f) -> float:
@@ -146,7 +147,8 @@ def _inner_solve(Dss, fs, v0, bound):
     and plain Newton as g -> 0.  The gauge direction (all ones) is removed
     by pinning the heaviest coordinate.  Steps backtrack on the objective
     (Armijo 0.25) until the decrement g . d drops below float resolution,
-    after which full steps are taken.  Stops once the relative residual
+    after which full steps are taken; the accepted trial's v and v Dss
+    carry over to the next step.  Stops once the relative residual
     max_j |v_j (Dss (fs / v Dss))_j / fs_j - 1| is within ``INNER_RES_TOL``
     and returns (cost, v, steps taken); the cost is +inf once the objective
     climbs past ``bound`` (no circulation on the support can carry f).
@@ -155,16 +157,11 @@ def _inner_solve(Dss, fs, v0, bound):
     """
     s = fs.size
     xi = _clamp(np.log(fs if v0 is None else v0))
-    free = np.arange(s) != int(np.argmax(fs))
-    eye = np.eye(s - 1)
-
-    def objective(xi):
-        return float(fs @ (xi - np.log(np.exp(xi) @ Dss)))
-
-    obj = objective(xi)
+    free = np.flatnonzero(np.arange(s) != int(np.argmax(fs)))
+    v = np.exp(xi)
+    vD = v @ Dss
+    obj = float(fs @ (xi - np.log(vD)))
     for it in range(_NEWTON_MAX_ITER + 1):
-        v = np.exp(xi)
-        vD = v @ Dss
         denom = Dss @ (fs / vD)
         rel = float(np.abs(v * denom / fs - 1.0).max())
         if rel <= INNER_RES_TOL:
@@ -172,37 +169,44 @@ def _inner_solve(Dss, fs, v0, bound):
         if it == _NEWTON_MAX_ITER:
             break
         g = (fs - v * denom)[free]
-        H = _inner_hessian(Dss, fs, v, vD, denom)[np.ix_(free, free)]
+        A = -_inner_hessian(Dss, fs, v, vD, denom).take(free, 0).take(free, 1)
+        A.flat[::s] += float(np.abs(g).max()) ** 2  # lam I - H on the free block
         d = np.zeros(s)
-        d[free] = np.linalg.solve(float(np.abs(g).max()) ** 2 * eye - H, g)
-        decrement = float(g @ d[free])
+        d[free] = step = np.linalg.solve(A, g)
+        decrement = float(g @ step)
         polish = decrement <= _POLISH_DECREMENT
         t = 1.0
         while t >= 1e-12:
             xi_new = _clamp(xi + t * d)
-            obj_new = objective(xi_new)
+            v_new = np.exp(xi_new)
+            vD_new = v_new @ Dss
+            obj_new = float(fs @ (xi_new - np.log(vD_new)))
             if math.isfinite(obj_new) and (polish or obj_new >= obj + 0.25 * t * decrement):
                 break
             t *= 0.5
         else:
             break
-        xi, obj = xi_new, obj_new
+        xi, obj, v, vD = xi_new, obj_new, v_new, vD_new
         if obj > bound:
-            return math.inf, np.exp(xi), it + 1
+            return math.inf, v, it + 1
     raise ConvergenceError("inner rate-function solve did not converge", residual=rel)
 
 
-def _cost(D: np.ndarray, f: np.ndarray, v0: np.ndarray | None = None):
-    """(I(f), inner vector, inner steps) on a checked graph, warm-started from a
-    full-length ``v0`` when given."""
-    sup = np.where(f > 0)[0]
-    Dss = D[np.ix_(sup, sup)]
-    fs = f[sup]
-    if np.any(Dss.sum(axis=0) == 0.0):
+def _cost_bound(D: np.ndarray) -> float:
+    """The inner objective above which ``_inner_solve`` calls f unrealizable."""
+    return math.log(1.0 / float(D[D > 0].min())) + 5.0
+
+
+def _cost(D: np.ndarray, f: np.ndarray, bound: float, v0: np.ndarray | None = None):
+    """(I(f), inner vector, inner steps) on a checked graph (irreducible, so a full
+    support has inflow everywhere), ``bound`` = ``_cost_bound(D)``, from ``v0`` if given."""
+    sup = np.flatnonzero(f)
+    full = sup.size == f.size
+    Dss = D if full else D[np.ix_(sup, sup)]
+    if not full and np.any(Dss.sum(axis=0) == 0.0):
         # a supported patch with no inflow from the support: unrealizable
         return math.inf, _embed(np.ones(sup.size), sup, f.size), 0
-    bound = math.log(1.0 / float(D[D > 0].min())) + 5.0
-    cost, vs, iters = _inner_solve(Dss, fs, None if v0 is None else v0[sup], bound)
+    cost, vs, iters = _inner_solve(Dss, f[sup], None if v0 is None else v0[sup], bound)
     if -1e-12 < cost < 0.0:
         cost = 0.0
     return cost, _embed(vs, sup, f.size), iters
@@ -224,7 +228,7 @@ def rate_function(g: MetapopGraph, f) -> RateEvaluation:
     """
     _require(g, "rate function")
     f = as_frequencies(f, g.K)
-    cost, v, iters = _cost(g.D, f)
+    cost, v, iters = _cost(g.D, f, _cost_bound(g.D))
     sup = np.where(v > 0)[0]
     v_gauged = v.copy()
     if math.isfinite(cost):
@@ -270,8 +274,8 @@ def _rate_hessian(D: np.ndarray, f: np.ndarray, v: np.ndarray, vD: np.ndarray) -
     coordinate is pinned: the all-ones direction is the gauge null space of
     both H and C.
     """
-    k = f.size
-    C = np.eye(k) - D.T * v[None, :] / vD[:, None]
+    C = D.T * -v[None, :] / vD[:, None]
+    C[np.diag_indices(f.size)] += 1.0
     H = _inner_hessian(D, f, v, vD, D @ (f / vD))
     Cp = C[:, :-1]
     return -Cp @ np.linalg.solve(H[:-1, :-1], Cp.T)
@@ -284,7 +288,11 @@ def max_rate_gap(g: MetapopGraph) -> VariationalResult:
     step solves [hess I, 1; 1^T, 0] [d; mu] = [grad J; 0] for J = R - I
     (``_rate_hessian``), caps the step at 0.99 of the way to the simplex
     boundary and backtracks on J; once the Newton decrement d^T hess I d
-    is too small for J to resolve, it takes full steps.  It stops when
+    is too small for J to resolve, it takes full steps.  A trial point's
+    inner solve starts from v f_new / f, which follows the inner maximizer
+    (v = f at the stationary law) as f moves; the cost bound is computed
+    once, and ``inner_steps`` totals the steps of the inner solves that
+    returned.  It stops when
     the concavity duality gap max(grad J) - f . grad J is within
     ``OUTER_GAP_TOL`` and the decrement or the step is below its tolerance, or
     at a float plateau with the gap certified.  The gap alone is not
@@ -305,9 +313,13 @@ def max_rate_gap(g: MetapopGraph) -> VariationalResult:
         )
     k = g.K
     logm = np.log(g.m)
+    bound = _cost_bound(g.D)
+    inner_steps = 0
 
     def evaluate(f, v_warm):
-        cost, v, _ = _cost(g.D, f, v_warm)
+        nonlocal inner_steps
+        cost, v, steps = _cost(g.D, f, bound, v_warm)
+        inner_steps += steps
         return float(f @ logm) - cost, v
 
     f = stationary_distribution(g)
@@ -328,7 +340,7 @@ def max_rate_gap(g: MetapopGraph) -> VariationalResult:
         decrement = float(d @ hess @ d)
         pinned = decrement <= _DECREMENT_TOL or np.abs(d).max() <= _STEP_TOL
         if gap <= OUTER_GAP_TOL and pinned:
-            return VariationalResult(obj, f, "simplex-optimize", it, gap)
+            return VariationalResult(obj, f, "simplex-optimize", it, gap, inner_steps=inner_steps)
         if not math.isfinite(decrement):
             break
         neg = d < 0.0
@@ -340,7 +352,7 @@ def max_rate_gap(g: MetapopGraph) -> VariationalResult:
             f_new = f + t * d
             f_new /= f_new.sum()
             try:
-                obj_new, v_new = evaluate(f_new, v)
+                obj_new, v_new = evaluate(f_new, v * (f_new / f))
             except ConvergenceError:
                 obj_new = -math.inf
             if math.isfinite(obj_new) and (
@@ -351,7 +363,7 @@ def max_rate_gap(g: MetapopGraph) -> VariationalResult:
         else:
             # float plateau: no step raises J any more
             if gap <= OUTER_GAP_TOL:
-                return VariationalResult(obj, f, "simplex-optimize", it, gap)
+                return VariationalResult(obj, f, "simplex-optimize", it, gap, inner_steps=inner_steps)
             break
         f, obj, v = f_new, obj_new, v_new
     raise ConvergenceError(

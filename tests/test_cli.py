@@ -185,6 +185,16 @@ def test_analyze_cross_checks(tmp_path):
     assert simplex["iterations"] >= 1 and 0.0 <= simplex["gap"] <= 1e-7
 
 
+def test_analyze_reports_the_inner_steps_of_the_simplex_route(tmp_path):
+    graph = {"m": [2.0, 0.5], "D": [[0.7, 0.3], [0.4, 0.6]]}
+    cfg = write_cfg(tmp_path, {"graph": graph, "seed": 3})
+    code, out = run(tmp_path, ["analyze", "--config", cfg])
+    assert code == 0
+    simplex = json.loads(out.read_text())["variational"]["simplex"]
+    assert list(simplex) == ["log_rho", "phi", "iterations", "inner_steps", "gap"]
+    assert simplex["inner_steps"] >= simplex["iterations"]
+
+
 def test_analyze_weakly_coupled_answers_fast(tmp_path):
     eps = 1e-5
     graph = {"m": [2.0, 2.0, 0.5],
@@ -447,6 +457,20 @@ def test_pipeline_with_conjugate_roots_answers(tmp_path, m, e):
         assert rep["e"] == rep["e_linear_system"] == "inf" and diff is None
     else:
         assert abs(rep["e"] - e) <= 1e-8 and abs(diff) <= 1e-9
+
+
+def test_pipeline_with_source_sinks_leaves_out_the_criterion_check(tmp_path):
+    # with m > 1 every sink is a home of the type-return walker, so its
+    # value (1.41 here) is not the source's return value that the criterion
+    # M (1 - p) + M p e = 3.77 computes: the check is left out
+    pipe = {"n": 7, "p": 0.5, "L": 0.5, "s": 0.2, "l": 0.4, "m": 1.05, "M": 2.0}
+    code, out = run(tmp_path, ["pipeline", "--config", write_cfg(tmp_path, {"pipeline": pipe})])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["cross_checks"]["criterion_minus_return"] is None
+    assert abs(rep["criterion_value"] - 3.76943333) <= 1e-8
+    assert abs(rep["return_functional"]["R"] - 1.40996253) <= 1e-8
+    assert rep["persists"] is (rep["criterion_value"] > 1.0)
 
 
 def test_randenv_on_a_periodic_schedule_is_the_product_rate(tmp_path):

@@ -410,3 +410,172 @@ def test_sanov_rate_matches_simulated_tail():
         rate_hat = sanov_lattice_rate(visits, f0, n1, n2)
         target = rate_function(g, [f0, 1.0 - f0]).cost
         assert abs(rate_hat - target) / target < 0.15
+
+
+def _reference_inner_solve(Dss, fs, v0, bound):
+    # the inner loop before its trims (the objective recomputed from xi after
+    # each accepted step, the free block by np.ix_, lam I - H from a fresh
+    # identity): the trimmed loop must match it bit for bit
+    s = fs.size
+    xi = variational._clamp(np.log(fs if v0 is None else v0))
+    free = np.arange(s) != int(np.argmax(fs))
+    eye = np.eye(s - 1)
+
+    def objective(xi):
+        return float(fs @ (xi - np.log(np.exp(xi) @ Dss)))
+
+    obj = objective(xi)
+    for it in range(variational._NEWTON_MAX_ITER + 1):
+        v = np.exp(xi)
+        vD = v @ Dss
+        denom = Dss @ (fs / vD)
+        rel = float(np.abs(v * denom / fs - 1.0).max())
+        if rel <= variational.INNER_RES_TOL:
+            return obj, v, it
+        if it == variational._NEWTON_MAX_ITER:
+            break
+        g = (fs - v * denom)[free]
+        H = variational._inner_hessian(Dss, fs, v, vD, denom)[np.ix_(free, free)]
+        d = np.zeros(s)
+        d[free] = np.linalg.solve(float(np.abs(g).max()) ** 2 * eye - H, g)
+        decrement = float(g @ d[free])
+        polish = decrement <= variational._POLISH_DECREMENT
+        t = 1.0
+        while t >= 1e-12:
+            xi_new = variational._clamp(xi + t * d)
+            obj_new = objective(xi_new)
+            if math.isfinite(obj_new) and (polish or obj_new >= obj + 0.25 * t * decrement):
+                break
+            t *= 0.5
+        else:
+            break
+        xi, obj = xi_new, obj_new
+        if obj > bound:
+            return math.inf, np.exp(xi), it + 1
+    raise ConvergenceError("inner rate-function solve did not converge", residual=rel)
+
+
+def _reference_cost(D, f, v0):
+    # the support slice, the no-inflow check and the bound, then the reference loop
+    sup = np.where(f > 0)[0]
+    Dss = D[np.ix_(sup, sup)]
+    v = np.zeros(f.size)
+    if np.any(Dss.sum(axis=0) == 0.0):
+        v[sup] = 1.0
+        return math.inf, v, 0
+    bound = math.log(1.0 / float(D[D > 0].min())) + 5.0
+    cost, v[sup], steps = _reference_inner_solve(Dss, f[sup], None if v0 is None else v0[sup], bound)
+    return (0.0 if -1e-12 < cost < 0.0 else cost), v, steps
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except ConvergenceError as err:
+        return ("raised", err.residual)
+
+
+def _assert_same_outcome(got, expect):
+    if expect[0] == "raised":
+        assert got == expect
+        return
+    assert got[0] == expect[0]  # both +inf, or the same float
+    assert np.array_equal(got[1], expect[1])
+    assert got[2] == expect[2]
+
+
+def test_trimmed_inner_solve_matches_the_reference_loop():
+    rng = np.random.default_rng(61)
+    partial = 0
+    for _ in range(24):
+        K = int(rng.integers(2, 65))
+        g = random_graph(rng, K)
+        bound = variational._cost_bound(g.D)
+        f = rng.dirichlet(np.ones(K))
+        drop = rng.random(K) < 0.3
+        drop[int(rng.integers(K))] = False
+        fp = np.where(drop, 0.0, f)
+        fp /= fp.sum()
+        partial += int(drop.any())
+        for freq in (f, fp):
+            for v0 in (None, freq * np.exp(0.3 * rng.standard_normal(K))):
+                expect = _outcome(_reference_cost, g.D, freq, v0)
+                got = _outcome(variational._cost, g.D, freq, bound, v0)
+                _assert_same_outcome(got, expect)
+                assert math.isfinite(got[0])  # every patch keeps a self-loop
+    assert partial >= 12
+
+
+def test_trimmed_inner_solve_matches_the_reference_past_the_cost_bound():
+    # patch 0 disperses only to patch 1, which is entered only from patch 0,
+    # so a walk visits them in lockstep; with f_0 = 2 f_1 no circulation
+    # carries f: the ascent climbs past the cost bound (+inf), or on most
+    # larger graphs stalls first and raises, on both sides alike
+    rng = np.random.default_rng(62)
+    unbounded = 0
+    for _ in range(12):
+        K = int(rng.integers(2, 65))
+        D = random_graph(rng, K).D.copy()
+        D[:, 1] = 0.0
+        D[0] = 0.0
+        D[0, 1] = 1.0
+        D[1:] /= D[1:].sum(axis=1, keepdims=True)
+        f = rng.dirichlet(np.ones(K))
+        f[0] = 2.0 * f[1]
+        f /= f.sum()
+        bound = variational._cost_bound(D)
+        expect = _outcome(_reference_inner_solve, D, f, None, bound)
+        got = _outcome(variational._inner_solve, D, f, None, bound)
+        _assert_same_outcome(got, expect)
+        unbounded += got[0] == math.inf
+    assert unbounded >= 2
+
+
+def test_scaled_start_follows_the_inner_maximizer_along_the_ascent_path():
+    # from f to f' on the segment from the stationary law u to the argmax phi,
+    # the inner solve started at v f'/f (v the inner vector at f) gives the
+    # cost of the one started at v, in fewer steps overall and at most one
+    # more on any pair
+    rng = np.random.default_rng(63)
+    old_total = new_total = 0
+    for _ in range(30):
+        g = random_graph(rng, int(rng.integers(2, 65)))
+        bound = variational._cost_bound(g.D)
+        u = stationary_distribution(g)
+        phi = argmax_occupancy(g).occupancy
+        for a, b in ((0.0, 0.3), (0.3, 0.6), (0.6, 0.9)):
+            f, f_next = u + a * (phi - u), u + b * (phi - u)
+            v = variational._cost(g.D, f, bound)[1]
+            old_cost, _, old_steps = variational._cost(g.D, f_next, bound, v)
+            new_cost, _, new_steps = variational._cost(g.D, f_next, bound, v * (f_next / f))
+            assert abs(new_cost - old_cost) <= 1e-12
+            assert new_steps <= old_steps + 1
+            old_total += old_steps
+            new_total += new_steps
+    assert new_total < old_total
+
+
+def test_fully_mixing_ascent_takes_no_inner_steps():
+    # with identical dispersal rows the inner maximizer at f is v = f, so both
+    # the stationary start and every scaled start are already exact
+    rng = np.random.default_rng(64)
+    for _ in range(5):
+        g, _ = random_fully_mixing(rng, int(rng.integers(2, 9)))
+        res = max_rate_gap(g)
+        assert res.iterations >= 1 and res.inner_steps == 0
+
+
+def test_max_rate_gap_counts_the_inner_steps_of_every_evaluation(monkeypatch):
+    steps = []
+    cost = variational._cost
+
+    def counted(*args):
+        out = cost(*args)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(variational, "_cost", counted)
+    g = random_graph(np.random.default_rng(65), 12)
+    res = max_rate_gap(g)
+    assert len(steps) >= res.iterations  # the start and every trial point
+    assert res.inner_steps == sum(steps) > 0
