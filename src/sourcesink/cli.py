@@ -266,20 +266,8 @@ def cmd_analyze(cfg: dict, args) -> dict:
     phi_spec = occupancy_spectral(sd)
     verdict = return_functional_exact(g, home)
     tw = argmax_occupancy(g)
-    try:
-        mg = max_rate_gap(g)
-    except ValidationError:
-        # the graph is irreducible with positive means by now, so its
-        # occupancy set is lower-dimensional (lockstep or periodic): the
-        # simplex route is left out, the other routes answer
-        mg = None
+    mg = max_rate_gap(g)
     log_rho = math.log(sd.rho)
-    variational, checks = {"twisted": {"log_rho": tw.log_growth, "phi": tw.occupancy}}, {}
-    if mg is not None:
-        variational["simplex"] = {"log_rho": mg.log_growth, "phi": mg.occupancy,
-                                  "iterations": mg.iterations,
-                                  "inner_steps": mg.inner_steps, "gap": mg.gap}
-        checks["log_rho_minus_simplex_max"] = log_rho - mg.log_growth
     out = {
         "assumptions": dataclasses.asdict(report),
         "spectral": {
@@ -291,13 +279,16 @@ def cmd_analyze(cfg: dict, args) -> dict:
         },
         "stationary": u,
         "return_functional": verdict.to_dict(),
-        "variational": variational,
+        "variational": {"twisted": {"log_rho": tw.log_growth, "phi": tw.occupancy},
+                        "simplex": {"log_rho": mg.log_growth, "phi": mg.occupancy,
+                                    "iterations": mg.iterations,
+                                    "inner_steps": mg.inner_steps, "gap": mg.gap}},
         "verdict": {
             "persists": verdict.persists,
             "log_rho": log_rho,
         },
         "cross_checks": {
-            **checks,
+            "log_rho_minus_simplex_max": log_rho - mg.log_growth,
             "log_rho_minus_twisted_max": log_rho - tw.log_growth,
             "phi_spectral_vs_twisted_linf": float(
                 np.abs(phi_spec - tw.occupancy).max()

@@ -136,19 +136,20 @@ def _inner_hessian(Dss, fs, v, vD, denom):
     return H
 
 
-def _inner_solve(Dss, fs, v0, bound):
+def _inner_solve(Dss, fs, v0, bound, tails=None):
     """Solve the inner supremum on the support of f.
 
     Regularized Newton ascent of the concave objective fs . (xi - log(v Dss))
     in xi = log v, started from v0 or else from v = fs (the exact maximizer
     at the stationary law).  With g the gradient and H the Hessian, each
     step solves (lam I - H) d = g with lam = max g^2 (Mishchenko, SIAM J.
-    Optim. 33, 2023): defined where H is singular, as on lockstep supports,
-    and plain Newton as g -> 0.  The gauge direction (all ones) is removed
-    by pinning the heaviest coordinate.  Steps backtrack on the objective
-    (Armijo 0.25) until the decrement g . d drops below float resolution,
-    after which full steps are taken; the accepted trial's v and v Dss
-    carry over to the next step.  Stops once the relative residual
+    Optim. 33, 2023): defined where H is singular, and plain Newton as
+    g -> 0.  Each class indicator of ``tails`` (``_ties``; one class if
+    None) is a null direction, so each class pins its heaviest coordinate.
+    Steps backtrack on the objective (Armijo 0.25) until the decrement
+    g . d drops below float resolution, after which full steps are taken;
+    the accepted trial's v and v Dss carry over to the next step.  Stops
+    once the relative residual
     max_j |v_j (Dss (fs / v Dss))_j / fs_j - 1| is within ``INNER_RES_TOL``
     and returns (cost, v, steps taken); the cost is +inf once the objective
     climbs past ``bound`` (no circulation on the support can carry f).
@@ -157,7 +158,9 @@ def _inner_solve(Dss, fs, v0, bound):
     """
     s = fs.size
     xi = _clamp(np.log(fs if v0 is None else v0))
-    free = np.flatnonzero(np.arange(s) != int(np.argmax(fs)))
+    keep = np.ones(s, dtype=bool)
+    keep[np.argmax(fs if tails is None else tails * fs, axis=-1)] = False
+    free = np.flatnonzero(keep)
     v = np.exp(xi)
     vD = v @ Dss
     obj = float(fs @ (xi - np.log(vD)))
@@ -170,7 +173,7 @@ def _inner_solve(Dss, fs, v0, bound):
             break
         g = (fs - v * denom)[free]
         A = -_inner_hessian(Dss, fs, v, vD, denom).take(free, 0).take(free, 1)
-        A.flat[::s] += float(np.abs(g).max()) ** 2  # lam I - H on the free block
+        A.flat[::free.size + 1] += float(np.abs(g).max()) ** 2  # lam I - H on the free block
         d = np.zeros(s)
         d[free] = step = np.linalg.solve(A, g)
         decrement = float(g @ step)
@@ -197,16 +200,19 @@ def _cost_bound(D: np.ndarray) -> float:
     return math.log(1.0 / float(D[D > 0].min())) + 5.0
 
 
-def _cost(D: np.ndarray, f: np.ndarray, bound: float, v0: np.ndarray | None = None):
+def _cost(D: np.ndarray, f: np.ndarray, bound: float, v0: np.ndarray | None = None, ties=None):
     """(I(f), inner vector, inner steps) on a checked graph (irreducible, so a full
-    support has inflow everywhere), ``bound`` = ``_cost_bound(D)``, from ``v0`` if given."""
+    support has inflow everywhere), ``bound`` = ``_cost_bound(D)``, from ``v0`` if given,
+    ``ties`` = ``_ties(D)`` or computed; one pin per tail class on a tied full support."""
     sup = np.flatnonzero(f)
     full = sup.size == f.size
     Dss = D if full else D[np.ix_(sup, sup)]
-    if not full and np.any(Dss.sum(axis=0) == 0.0):
-        # a supported patch with no inflow from the support: unrealizable
+    rows, tails = _ties(D) if ties is None else ties
+    # unrealizable: a supported patch with no inflow from the support, or f off the tied slice
+    if (not full and np.any(Dss.sum(axis=0) == 0.0)) or (rows.size and abs(rows @ f).max() > 1e-12):
         return math.inf, _embed(np.ones(sup.size), sup, f.size), 0
-    cost, vs, iters = _inner_solve(Dss, f[sup], None if v0 is None else v0[sup], bound)
+    cost, vs, iters = _inner_solve(Dss, f[sup], None if v0 is None else v0[sup], bound,
+                                   tails if full and rows.size else None)
     if -1e-12 < cost < 0.0:
         cost = 0.0
     return cost, _embed(vs, sup, f.size), iters
@@ -243,100 +249,106 @@ def rate_function(g: MetapopGraph, f) -> RateEvaluation:
     )
 
 
-def _occupancy_set_is_full_dimensional(D: np.ndarray) -> bool:
-    """Whether realizable long-run occupancies fill the whole simplex.
+def _ties(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact linear ties of realizable occupancies, and the tail classes.
 
-    Long-run occupancies are exactly the vertex marginals of circulations
-    on the support graph (non-negative edge flows with balanced in/out
-    mass at every vertex).  If the marginal image of the circulation space
-    has rank < K, some frequencies are tied by exact linear relations
-    (e.g. a patch fed only by an out-degree-one patch visits in lockstep
-    with it) and the feasible set is a lower-dimensional slice.
-
-    That rank is rank([balance; marginal]) - rank(balance).  For an
-    irreducible D, rank(balance) = K - 1, and the stacked rows span the
-    out- and in-incidence rows, whose rank is 2K - c, where c counts the
-    components of the bipartite graph with one link from tail i to head
-    K + j per edge i -> j.  So the set is full-dimensional iff that graph
-    is connected, which one breadth-first search over its 2K x 2K
-    adjacency [[0, S], [S^T, 0]] decides.
+    Realizable long-run occupancies are the vertex marginals of circulations
+    on the support graph.  Link tail i to head K + j per edge i -> j: in a
+    component of that bipartite graph with tails T and heads H, the flow out
+    of T is the flow into H, so (1_T - 1_H) . f = 0 (e.g. a patch fed only by
+    an out-degree-one patch visits in lockstep with it).  Returns these rows
+    but the last (they sum to zero; K minus their count is the rank of the
+    marginal image, none on a one-component graph) and each component's tail
+    indicator; the tails partition the patches.  One breadth-first search
+    over the adjacency [[0, S], [S^T, 0]] per component.
     """
     S = D > 0
-    Z = np.zeros_like(S)
-    return bool((_levels(np.block([[Z, S], [S.T, Z]]), 0) >= 0).all())
+    k = S.shape[0]
+    B = np.zeros((2 * k, 2 * k), dtype=bool)
+    B[:k, k:], B[k:, :k] = S, S.T
+    seen, comps = np.zeros(2 * k, dtype=bool), []
+    while not seen[:k].all():
+        comps.append(_levels(B, int(np.argmin(seen))) >= 0)
+        seen |= comps[-1]
+    C = np.array(comps)
+    return C[:-1, :k] - C[:-1, k:].astype(float), C[:, :k]
 
 
-def _rate_hessian(D: np.ndarray, f: np.ndarray, v: np.ndarray, vD: np.ndarray) -> np.ndarray:
+def _rate_hessian(D: np.ndarray, f: np.ndarray, v: np.ndarray, vD: np.ndarray,
+                  free: np.ndarray) -> np.ndarray:
     """Hessian -C H^-1 C^T of I at an interior f, by implicit differentiation.
 
     H is the inner Hessian in xi = log v at the optimum and C[i, k] =
-    d(xi_i - log (vD)_i)/d xi_k = delta_ik - v_k D_ki / (vD)_i.  The last
-    coordinate is pinned: the all-ones direction is the gauge null space of
-    both H and C.
+    d(xi_i - log (vD)_i)/d xi_k = delta_ik - v_k D_ki / (vD)_i.  Each tail
+    class indicator of ``_ties`` is a null direction of H, which C maps to a
+    tie row, so one coordinate per class is pinned: only ``free`` ones enter.
     """
-    C = D.T * -v[None, :] / vD[:, None]
-    C[np.diag_indices(f.size)] += 1.0
+    Ct = D * -v[:, None] / vD[None, :]  # C^T
+    Ct[np.diag_indices(f.size)] += 1.0
     H = _inner_hessian(D, f, v, vD, D @ (f / vD))
-    Cp = C[:, :-1]
-    return -Cp @ np.linalg.solve(H[:-1, :-1], Cp.T)
+    Cp = Ct.take(free, 0)
+    return -Cp.T @ np.linalg.solve(H.take(free, 0).take(free, 1), Cp)
 
 
 def max_rate_gap(g: MetapopGraph) -> VariationalResult:
-    """Maximize R - I over the simplex by damped Newton steps.
+    """Maximize R - I over the realizable occupancies by damped Newton steps.
 
     Starts at the stationary law (always feasible, always interior).  Each
-    step solves [hess I, 1; 1^T, 0] [d; mu] = [grad J; 0] for J = R - I
-    (``_rate_hessian``), caps the step at 0.99 of the way to the simplex
+    step solves [hess I, 1, T^T; 1^T, 0, 0; T, 0, 0] [d; mu; lam] =
+    [grad J; 0; 0] for J = R - I (``_rate_hessian``) and the tie rows T of
+    ``_ties`` (every periodic graph has some: each of its d cyclic classes
+    carries mass 1/d), caps the step at 0.99 of the way to the simplex
     boundary and backtracks on J; once the Newton decrement d^T hess I d
     is too small for J to resolve, it takes full steps.  A trial point's
     inner solve starts from v f_new / f, which follows the inner maximizer
-    (v = f at the stationary law) as f moves; the cost bound is computed
-    once, and ``inner_steps`` totals the steps of the inner solves that
-    returned.  It stops when
-    the concavity duality gap max(grad J) - f . grad J is within
-    ``OUTER_GAP_TOL`` and the decrement or the step is below its tolerance, or
-    at a float plateau with the gap certified.  The gap alone is not
-    enough: on weakly coupled graphs it is below ``OUTER_GAP_TOL`` at the
-    stationary start, far from the maximizer.  The occupancy matches the
-    twisted-chain route to float conditioning (1e-7 even at coupling
-    1e-10).  Raises ``ConvergenceError`` with the final gap as residual
-    when Newton stalls uncertified, as when the maximizer lies within
-    float resolution of the simplex boundary.  A graph whose realizable
-    occupancies are tied in lockstep is refused, and so is every periodic
-    graph: each of its d cyclic classes carries mass 1/d.
+    (v = f at the stationary law) as f moves; the ties and the cost bound
+    are computed once, and ``inner_steps`` totals the steps of the inner
+    solves that returned.  It stops when the concavity duality gap
+    max(c) - f . c of c = grad J - T^T lam is within ``OUTER_GAP_TOL`` and
+    the decrement or the step is below its tolerance, or at a float plateau
+    with the gap certified.  The gap alone is not enough: on weakly coupled
+    graphs it is below ``OUTER_GAP_TOL`` at the stationary start, far from
+    the maximizer.  The occupancy matches the twisted-chain route to float
+    conditioning (1e-7 even at coupling 1e-10).  Raises ``ConvergenceError``
+    with the final gap as residual when Newton stalls uncertified, as when
+    the maximizer lies within float resolution of the simplex boundary.
     """
     _require(g, "simplex ascent", positive=True)
-    if not _occupancy_set_is_full_dimensional(g.D):
-        raise ValidationError(
-            "simplex ascent needs a full-dimensional occupancy set; this one is "
-            "lower-dimensional (some frequencies are tied in lockstep) -- use argmax_occupancy"
-        )
     k = g.K
     logm = np.log(g.m)
     bound = _cost_bound(g.D)
+    ties = rows, tails = _ties(g.D)
+    free = np.delete(np.arange(k), k - 1 - np.argmax(tails[:, ::-1], axis=1))  # pin classes' last
+    # keeps f on the slice: off it by delta, a class pinned at f_i has inner residual delta / f_i
+    lift = np.linalg.solve(rows @ rows.T, rows).T
     inner_steps = 0
 
     def evaluate(f, v_warm):
         nonlocal inner_steps
-        cost, v, steps = _cost(g.D, f, bound, v_warm)
+        cost, v, steps = _cost(g.D, f, bound, v_warm, ties)
         inner_steps += steps
         return float(f @ logm) - cost, v
 
     f = stationary_distribution(g)
+    f = f - lift @ (rows @ f)
     obj, v = evaluate(f, None)
-    kkt = np.zeros((k + 1, k + 1))
+    kkt = np.zeros((k + 1 + len(rows),) * 2)
     kkt[:k, k] = kkt[k, :k] = 1.0
+    kkt[k + 1:, :k] = rows
+    kkt[:k, k + 1:] = rows.T
     gap = decrement = math.inf
     for it in range(1, _NEWTON_MAX_ITER + 1):
         vD = v @ g.D
         grad = logm - (np.log(v) - np.log(vD))
-        gap = float(grad.max() - f @ grad)
         try:
-            hess = _rate_hessian(g.D, f, v, vD)
+            hess = _rate_hessian(g.D, f, v, vD, free)
             kkt[:k, :k] = hess
-            d = np.linalg.solve(kkt, np.append(grad, 0.0))[:k]
+            sol = np.linalg.solve(kkt, np.append(grad, np.zeros(len(kkt) - k)))
         except np.linalg.LinAlgError:
             break
+        d = sol[:k] - lift @ (rows @ sol[:k])
+        cert = grad - sol[k + 1:] @ rows
+        gap = float(cert.max() - f @ cert)
         decrement = float(d @ hess @ d)
         pinned = decrement <= _DECREMENT_TOL or np.abs(d).max() <= _STEP_TOL
         if gap <= OUTER_GAP_TOL and pinned:
@@ -432,10 +444,12 @@ def rate_grid_2patch(g: MetapopGraph, n: int = 99) -> list[tuple[float, float, f
     """Rows (f1, R, I, R - I) on an interior grid; the K=2 landscape dump."""
     if g.K != 2:
         raise ValidationError("the rate grid is defined for two-patch graphs only")
+    _require(g, "rate function")
+    bound, ties = _cost_bound(g.D), _ties(g.D)
     rows = []
     for i in range(1, n + 1):
         f1 = i / (n + 1)
         f = np.array([f1, 1.0 - f1])
-        ev = rate_function(g, f)
-        rows.append((f1, ev.payoff_value, ev.cost, ev.payoff_value - ev.cost))
+        cost, R = _cost(g.D, f, bound, None, ties)[0], payoff(g, f)
+        rows.append((f1, R, cost, R - cost))
     return rows

@@ -1,9 +1,9 @@
 """Shared instance generators and estimators for the test suite.
 
 Random graphs are drawn with positive self-loop mass on every patch: that
-guarantees aperiodicity and, more importantly, keeps the set of realizable
-occupancy frequencies full-dimensional, which the simplex Newton solver needs
-(degenerate supports are exercised separately).
+guarantees aperiodicity and keeps the set of realizable occupancy
+frequencies full-dimensional, so the simplex Newton solver meets no ties
+(tied, lockstep and periodic supports are exercised separately).
 """
 
 import math

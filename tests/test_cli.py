@@ -236,6 +236,19 @@ def test_analyze_emits_grid_and_excursions(tmp_path):
     assert elines[-1].endswith(",0")  # excursions close at home
 
 
+def test_analyze_grid_on_the_two_cycle_is_finite_only_on_its_tie(tmp_path):
+    # a walk on the two-cycle spends half its steps in each patch, so I is
+    # +inf on the grid except at f1 = 0.5
+    cfg = write_cfg(tmp_path, {"graph": {"m": [2.0, 0.5], "D": [[0, 1], [1, 0]]}})
+    grid = tmp_path / "grid.csv"
+    code, out = run(tmp_path, ["analyze", "--config", cfg, "--grid-out", str(grid)])
+    assert code == 0
+    rows = list(csv.DictReader(grid.open()))
+    assert len(rows) == 99
+    assert [r["f1"] for r in rows if math.isfinite(float(r["I"]))] == ["0.5"]
+    assert abs(json.loads(out.read_text())["variational"]["simplex"]["log_rho"]) <= 1e-12
+
+
 def test_simulate_zero_survivors_exits_4(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "graph": {"m": [0.2, 0.1], "D": [[0.5, 0.5], [0.5, 0.5]]},
@@ -407,17 +420,20 @@ def test_periodic_reports_occupancy_on_a_periodic_product(tmp_path):
     assert abs(rep["cross_checks"]["edge_chain_vs_product_log_rho"]) <= 1e-12
 
 
-def test_analyze_answers_a_periodic_graph_without_its_simplex_route(tmp_path):
-    # a bipartite graph's cyclic classes each carry half the occupancy, which
-    # the simplex ascent cannot move on, so its keys are left out; the
-    # spectral, return and twisted routes answer and agree
+def test_analyze_answers_a_periodic_graph_by_every_route(tmp_path):
+    # a bipartite graph's cyclic classes each carry half the occupancy; the
+    # simplex ascent holds that tie as a constraint, so the report has the
+    # same keys as on any other graph, and every route answers and agrees
     graph = {"m": [3.0, 1.5, 1.4, 1.6],
              "D": [[0, 0, .5, .5], [0, 0, .3, .7], [.6, .4, 0, 0], [.2, .8, 0, 0]]}
     code, out = run(tmp_path, ["analyze", "--config", write_cfg(tmp_path, {"graph": graph})])
     assert code == 0
     rep = json.loads(out.read_text())
-    assert list(rep["variational"]) == ["twisted"]
-    assert "log_rho_minus_simplex_max" not in rep["cross_checks"]
+    assert list(rep["variational"]) == ["twisted", "simplex"]
+    assert abs(rep["cross_checks"]["log_rho_minus_simplex_max"]) <= 1e-12
+    simplex = np.array(rep["variational"]["simplex"]["phi"])
+    assert abs(simplex[:2].sum() - 0.5) <= 1e-12
+    assert np.abs(simplex - rep["variational"]["twisted"]["phi"]).max() <= 1e-10
     assert rep["cross_checks"]["phi_spectral_vs_twisted_linf"] <= 1e-12
     assert abs(rep["cross_checks"]["log_rho_minus_twisted_max"]) <= 1e-12
     assert rep["cross_checks"]["spectral_vs_return_sign_agree"] is True

@@ -463,10 +463,6 @@ ROUTES = {
 GATE_CASES = (
     [(name, "reducible", REDUCIBLE, "needs an irreducible graph; this one is not irreducible")
      for name in ROUTES if name != "phase_occupancy"]
-    # every periodic graph ties the mass of its cyclic classes
-    + [("max_rate_gap", "periodic", CYCLE3,
-        "needs a full-dimensional occupancy set; this one is lower-dimensional "
-        "(some frequencies are tied in lockstep) -- use argmax_occupancy")]
     # the edge chain of a two-step alternation on a bipartite graph splits
     # into two classes, as the two-step product does
     + [("edge_chain", "bipartite", BIPARTITE,
@@ -488,6 +484,8 @@ def test_every_route_words_a_structural_refusal_alike_and_names_itself(name, g, 
 # route -> its occupancy rows on a graph, each the patch occupancy of one phase
 OCCUPANCY_ROUTES = {
     "argmax_occupancy": lambda g: ss.argmax_occupancy(g).occupancy[None, :],
+    # the simplex ascent holds the ties of the three cyclic classes
+    "max_rate_gap": lambda g: ss.max_rate_gap(g).occupancy[None, :],
     "edge_chain": lambda g: ss.periodic_growth_and_occupancy(g, _alternation(g)).occupancy,
     "phase_occupancy": lambda g: ss.phase_occupancy(
         g, _alternation(g), growth_rate(ss.periodic_mean_matrix(g, _alternation(g))))[0],

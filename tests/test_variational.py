@@ -20,7 +20,7 @@ from sourcesink import (
     validate_graph,
 )
 from sourcesink import variational
-from sourcesink.variational import _occupancy_set_is_full_dimensional, _rate_hessian
+from sourcesink.variational import _rate_hessian, _ties
 from conftest import (
     eigen_solve_shapes,
     random_fully_mixing,
@@ -98,6 +98,23 @@ def test_rate_function_infinite_on_two_cycle_boundary():
     assert math.isinf(ev.cost)
 
 
+def lockstep_graphs(seed, n):
+    # patch 0 disperses only to patch 1, which is entered only from patch 0,
+    # so a walk visits them in lockstep: f_0 = f_1 on every realizable f.
+    # Yields each dispersal matrix with an interior f that has f_0 = 2 f_1
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        K = int(rng.integers(2, 65))
+        D = random_graph(rng, K).D.copy()
+        D[:, 1] = 0.0
+        D[0] = 0.0
+        D[0, 1] = 1.0
+        D[1:] /= D[1:].sum(axis=1, keepdims=True)
+        f = rng.dirichlet(np.ones(K))
+        f[0] = 2.0 * f[1]
+        yield D, f / f.sum()
+
+
 def test_rate_function_infinite_off_lockstep_slice():
     # patch 1 feeds only patch 0 and patch 0 only patch 1's inflow:
     # occupancies of the two patches are forced equal, so f=(0.7,0.3)
@@ -108,6 +125,15 @@ def test_rate_function_infinite_off_lockstep_slice():
     assert ev.cost < math.inf  # balanced pair frequencies are realizable
     ev2 = rate_function(g, [0.4, 0.5, 0.1])
     assert math.isinf(ev2.cost)
+    # larger lockstep graphs: +inf off the slice before any inner step, and
+    # a finite cost in a few steps once f_0 = f_1
+    for D, f in lockstep_graphs(62, 12):
+        g = MetapopGraph(m=np.ones(len(f)), D=D)
+        off = rate_function(g, f)
+        assert math.isinf(off.cost) and off.iterations == 0
+        f[0] = f[1]
+        on = rate_function(g, f / f.sum())
+        assert math.isfinite(on.cost) and on.iterations <= 8
 
 
 @pytest.mark.parametrize("f", [(0.4, 0.3, 0.3), (0.6, 0.2, 0.2)])
@@ -184,7 +210,7 @@ def test_rate_hessian_matches_finite_differences_of_gradient():
         g = random_graph(rng, K)
         f = 0.5 * rng.dirichlet(np.ones(K)) + 0.5 / K
         v = rate_function(g, f).v_star
-        hess = _rate_hessian(g.D, f, v, v @ g.D)
+        hess = _rate_hessian(g.D, f, v, v @ g.D, np.arange(K - 1))
         W = np.eye(K) - f[None, :]
         fd = np.column_stack(
             [(_grad_rate(g, f + h * w) - _grad_rate(g, f - h * w)) / (2 * h) for w in W]
@@ -294,15 +320,16 @@ def test_occupancy_differs_from_stationary_unless_means_constant():
         assert np.abs(phi - u).max() > 1e-6
 
 
-def test_periodic_dispersal_gets_twisted_occupancy_but_no_simplex_ascent():
-    # occupancy is a time average, so it settles on a periodic graph too:
-    # the twisted route answers it and matches the spectral one.  Each of
-    # the d cyclic classes carries mass 1/d, so the realizable occupancies
-    # are tied and the simplex ascent refuses the graph
+def test_periodic_dispersal_gets_both_occupancy_routes():
+    # occupancy is a time average, so it settles on a periodic graph too.
+    # Each of the d cyclic classes carries mass 1/d, so the realizable
+    # occupancies are tied: the simplex ascent keeps those ties as
+    # constraints and answers with the twisted and spectral routes
     g = MetapopGraph(m=[2.0, 0.5], D=[[0.0, 1.0], [1.0, 0.0]])
     tw = argmax_occupancy(g)
     assert abs(tw.log_growth) <= 1e-12  # rho^2 = 2 * 0.5
     assert np.abs(tw.occupancy - 0.5).max() <= 1e-12
+    assert np.array_equal(max_rate_gap(g).occupancy, [0.5, 0.5])
     rng = np.random.default_rng(41)
     for _ in range(300):
         d, b = int(rng.integers(2, 6)), int(rng.integers(1, 4))
@@ -312,30 +339,55 @@ def test_periodic_dispersal_gets_twisted_occupancy_but_no_simplex_ascent():
         assert validate_graph(g).period == d
         sd = growth_rate(mean_matrix(g))
         tw = argmax_occupancy(g)
+        mg = max_rate_gap(g)
         assert abs(tw.log_growth - math.log(sd.rho)) <= 1e-12
         assert np.abs(tw.occupancy - occupancy_spectral(sd)).max() <= 1e-12
-        classes = tw.occupancy.reshape(d, b).sum(axis=1)
-        assert np.abs(classes - 1 / d).max() <= 1e-12
-        with pytest.raises(ValidationError, match="^simplex ascent needs a full-dimensional"):
-            max_rate_gap(g)
+        assert abs(mg.log_growth - math.log(sd.rho)) <= 1e-12
+        assert np.abs(mg.occupancy - tw.occupancy).max() <= 1e-8
+        assert mg.gap <= variational.OUTER_GAP_TOL
+        for occ in (tw.occupancy, mg.occupancy):
+            classes = occ.reshape(d, b).sum(axis=1)
+            assert np.abs(classes - 1 / d).max() <= 1e-12
 
 
-def test_simplex_route_rejects_lockstep_supports_twisted_handles_them():
+LOCKSTEP3 = [[0.9458, 0.0, 0.0542], [0.4056, 0.0, 0.5944], [0.0, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize("m, D", [
     # patch 1 is entered only from patch 2, which has out-degree one, so
-    # realizable occupancies satisfy f_1 = f_2 exactly: a lower-dimensional
-    # slice the multiplicative ascent cannot stay on
-    D = [[0.9458, 0.0, 0.0542], [0.4056, 0.0, 0.5944], [0.0, 1.0, 0.0]]
-    g = MetapopGraph(m=[2.52, 1.70, 1.54], D=np.array(D) / np.array(D).sum(1)[:, None])
-    with pytest.raises(ValidationError, match="lower-dimensional"):
-        max_rate_gap(g)
+    # realizable occupancies satisfy f_1 = f_2 exactly
+    ([2.52, 1.70, 1.54], LOCKSTEP3),
+    # bipartite: each half carries mass 1/2
+    ([3.0, 1.5, 1.4, 1.6], [[0, 0, .5, .5], [0, 0, .3, .7], [.6, .4, 0, 0], [.2, .8, 0, 0]]),
+    # period 3: classes {0, 1}, {2, 3}, {4}
+    ([2.0, 0.5, 1.3, 0.9, 1.7], [[0, 0, .4, .6, 0], [0, 0, .1, .9, 0], [0, 0, 0, 0, 1],
+                                 [0, 0, 0, 0, 1], [.3, .7, 0, 0, 0]]),
+    # three ties, and five occupancies near 1e-8 at the argmax: a start or step
+    # off the tied slice by rounding (6e-16) stalls the inner solve there
+    ([2.46, 0.55, 1.77, 1.37, 0.34, 1.56, 1.06, 1.63, 0.39],
+     {(0, 8): 1.0, (1, 4): 1.0, (2, 6): 1.0, (3, 2): 0.3996, (3, 5): 0.109, (3, 7): 0.4914,
+      (4, 3): 0.0066, (4, 4): 0.9934, (5, 1): 1.0, (6, 0): 1.0, (7, 4): 0.1064, (7, 7): 0.8936,
+      (8, 1): 0.1663, (8, 5): 0.8337}),
+], ids=["lockstep3", "bipartite", "period3", "near-boundary"])
+def test_simplex_route_answers_tied_occupancy_sets(m, D):
+    if isinstance(D, dict):
+        entries, D = D, np.zeros((len(m), len(m)))
+        for ij, x in entries.items():
+            D[ij] = x
+    g = MetapopGraph(m=m, D=D / np.sum(D, axis=1, keepdims=True))
+    rows, _ = _ties(g.D)
+    assert len(rows) >= 1
+    mg = max_rate_gap(g)
     tw = argmax_occupancy(g)
     lr = math.log(growth_rate(mean_matrix(g)).rho)
-    assert abs(tw.log_growth - lr) < 1e-9
-    assert abs(tw.occupancy[1] - tw.occupancy[2]) < 1e-9  # lockstep pair
+    assert abs(mg.log_growth - lr) <= 1e-12
+    assert abs(mg.log_growth - tw.log_growth) <= 1e-12
+    assert np.abs(mg.occupancy - tw.occupancy).max() <= 1e-10
+    assert np.abs(rows @ mg.occupancy).max() <= 1e-12  # on the tied slice
 
 
-def _null_space_full_dimensional(D):
-    # reference: marginal image of an explicit null-space basis of balance
+def _null_space_rank(D):
+    # reference: rank of the marginal image of an explicit null-space basis of balance
     k = D.shape[0]
     edges = np.argwhere(D > 0)
     balance = np.zeros((k, len(edges)))
@@ -348,10 +400,8 @@ def _null_space_full_dimensional(D):
     null_mask = np.concatenate([s, np.zeros(len(edges) - s.size)]) <= 1e-10
     null_basis = vt[null_mask.nonzero()[0], :].T
     if null_basis.size == 0:
-        return False
-    image = marginal @ null_basis
-    rank = int(np.linalg.matrix_rank(image, tol=1e-10))
-    return rank == k
+        return 0
+    return int(np.linalg.matrix_rank(marginal @ null_basis, tol=1e-10))
 
 
 def _sparse_irreducible(rng, K):
@@ -367,22 +417,27 @@ def _sparse_irreducible(rng, K):
 
 
 def test_full_dimension_rank_identity_matches_null_space_basis():
+    # _ties gives K - rank(marginal image) rows, each holding on every
+    # circulation's marginal, and tail classes that partition the patches
+    def check(D):
+        rows, tails = _ties(D)
+        assert len(rows) == D.shape[0] - _null_space_rank(D)
+        assert np.array_equal(tails.sum(axis=0), np.ones(D.shape[0]))
+        if len(rows):
+            f = argmax_occupancy(MetapopGraph(m=np.ones(D.shape[0]), D=D)).occupancy
+            assert np.abs(rows @ f).max() <= 1e-12
+        return len(rows)
+
     rng = np.random.default_rng(12)
     graphs = [random_graph(rng, int(rng.integers(2, 13))).D for _ in range(20)]
-    lockstep = [
-        [[0.9458, 0.0, 0.0542], [0.4056, 0.0, 0.5944], [0.0, 1.0, 0.0]],
-        [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
-    ]
+    lockstep = [LOCKSTEP3, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]]
     graphs += [np.array(D) for D in lockstep]
-    for D in graphs:
-        assert _occupancy_set_is_full_dimensional(D) == _null_space_full_dimensional(D)
-    assert all(_occupancy_set_is_full_dimensional(D) for D in graphs[:20])
-    assert not any(_occupancy_set_is_full_dimensional(D) for D in graphs[20:])
+    ties = [check(D) for D in graphs]
+    assert ties == [0] * 20 + [1, 1]
     sparse_rng = np.random.default_rng(14)
     sparse = [_sparse_irreducible(sparse_rng, int(sparse_rng.integers(3, 9))) for _ in range(60)]
-    full = [_occupancy_set_is_full_dimensional(D) for D in sparse]
-    assert full == [_null_space_full_dimensional(D) for D in sparse]
-    assert 2 < full.count(False) < len(sparse)
+    ties = [check(D) for D in sparse]
+    assert 2 < len(ties) - ties.count(0) < len(sparse)
 
 
 def test_rejects_zero_means():
@@ -507,23 +562,15 @@ def test_trimmed_inner_solve_matches_the_reference_loop():
 
 
 def test_trimmed_inner_solve_matches_the_reference_past_the_cost_bound():
-    # patch 0 disperses only to patch 1, which is entered only from patch 0,
-    # so a walk visits them in lockstep; with f_0 = 2 f_1 no circulation
-    # carries f: the ascent climbs past the cost bound (+inf), or on most
-    # larger graphs stalls first and raises, on both sides alike
-    rng = np.random.default_rng(62)
+    # on the lockstep graphs with f_0 = 2 f_1 no circulation carries f: the
+    # cost is +inf from the tie check, before any inner step.  The
+    # one-pin solve that a partial support takes still gets such inputs, and
+    # climbs past the cost bound (+inf), or on most larger graphs stalls
+    # first and raises, as the reference loop does
     unbounded = 0
-    for _ in range(12):
-        K = int(rng.integers(2, 65))
-        D = random_graph(rng, K).D.copy()
-        D[:, 1] = 0.0
-        D[0] = 0.0
-        D[0, 1] = 1.0
-        D[1:] /= D[1:].sum(axis=1, keepdims=True)
-        f = rng.dirichlet(np.ones(K))
-        f[0] = 2.0 * f[1]
-        f /= f.sum()
+    for D, f in lockstep_graphs(62, 12):
         bound = variational._cost_bound(D)
+        assert variational._cost(D, f, bound)[::2] == (math.inf, 0)
         expect = _outcome(_reference_inner_solve, D, f, None, bound)
         got = _outcome(variational._inner_solve, D, f, None, bound)
         _assert_same_outcome(got, expect)
