@@ -54,7 +54,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .environments import EnvironmentModel, Periodic, _patch_means, state_mean_matrix
+from .environments import EnvironmentModel, Periodic, _patch_means
 from .errors import StatisticalError, ValidationError
 from .graph import MetapopGraph, _check_home, _integer
 from .walks import CHUNK
@@ -418,7 +418,7 @@ def _run_chunk(g, env, laws, edges, horizon, n_runs, rng, start_patch, escape_ca
     sizes = np.zeros((horizon - lo + 1, n_runs))  # one row per generation of the window
     if lo == 0:
         sizes[0] = 1.0
-    A = np.stack([state_mean_matrix(g, env, s) for s in range(env.n_states)])
+    A = _patch_means(g, env)[:, :, None] * g.D
     At = A.transpose(1, 2, 0).copy()  # At[i, j, s] = A[s, i, j], state last as in the block
     steps = _steps(Z, env, laws, edges, rng, escape_cap, record is not None)
     stepped = kept = None

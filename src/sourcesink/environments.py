@@ -31,7 +31,7 @@ from .graph import (ROW_SUM_TOL, MetapopGraph, _as_array, _integer, _json_object
 # perfbench's tracer self-test rebinds
 from .spectral import SpectralData, _perron_data, growth_rate  # noqa: F401
 from .variational import VariationalResult, _twisted_occupancy
-from .walks import PersistenceVerdict, WalkConfig, _phase_verdicts, _verdict_from_value
+from .walks import PersistenceVerdict, WalkConfig, _phase_verdict, _verdict_from_value
 
 LYAPUNOV_BURN_IN = 1000
 LYAPUNOV_BATCHES = 100
@@ -167,11 +167,12 @@ def state_mean_matrix(g: MetapopGraph, env: EnvironmentModel, state: int) -> np.
     return _patch_means(g, env)[state][:, None] * g.D
 
 
-def _cycle(env: EnvironmentModel, what: str) -> tuple[int, ...]:
-    """The states of one period of ``env``'s schedule, which ``what`` needs."""
+def _phase_means(g: MetapopGraph, env: EnvironmentModel, what: str) -> np.ndarray:
+    """The P x K patch means of one period of ``env``'s schedule, row t those
+    of step t, on ``g``; ``what`` needs a periodic schedule."""
     if env.schedule.cycle is None:
         raise ValidationError(f"{what} needs a periodic schedule")
-    return env.schedule.cycle
+    return _patch_means(g, env)[list(env.schedule.cycle)]
 
 
 def periodic_mean_matrix(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
@@ -181,8 +182,8 @@ def periodic_mean_matrix(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
     matrix A(e1) A(e2); longer schedules generalize by taking the product
     in schedule order.
     """
-    cycle = _cycle(env, "periodic mean matrix")
-    return functools.reduce(np.matmul, [state_mean_matrix(g, env, s) for s in cycle])
+    means = _phase_means(g, env, "periodic mean matrix")
+    return functools.reduce(np.matmul, means[:, :, None] * g.D)
 
 
 def two_patch_periodic_criterion(
@@ -222,15 +223,14 @@ def even_return_functional(
     whose mean matrix is the ordered one-period product, so the
     fixed-environment return machinery applies to it directly.  Results
     are keyed by the state that starts each phase (the value depends on
-    the phase; the persistence verdict does not); a state that starts
-    several phases reports its first.  The values are exact when ``cfg``
-    is None, else Monte Carlo estimates with ``cfg``'s trials and seed.
+    the phase; the persistence verdict does not).  Each key is computed
+    once, from the first phase its state starts: the schedule rotated to
+    begin there.  The values are exact when ``cfg`` is None, else Monte
+    Carlo estimates with ``cfg``'s trials and seed.
     """
-    cycle = _cycle(env, "even-return analysis")
-    out: dict[str, PersistenceVerdict] = {}
-    for s, v in zip(cycle, _phase_verdicts(g, _patch_means(g, env)[list(cycle)], home, cfg)):
-        out.setdefault(env.states[s], v)
-    return out
+    means, cycle = _phase_means(g, env, "even-return analysis"), env.schedule.cycle
+    return {env.states[s]: _phase_verdict(g, np.roll(means, -cycle.index(s), axis=0), home, cfg)
+            for s in dict.fromkeys(cycle)}
 
 
 def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
@@ -240,7 +240,7 @@ def edge_chain(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
     cyclic shift and D, which is never formed).  Its mean matrix to the P-th
     power is block diagonal with each phase's one-period product, so its
     Perron root is rho(product)^(1/P)."""
-    return _patch_means(g, env)[list(_cycle(env, "the edge chain"))]
+    return _phase_means(g, env, "the edge chain")
 
 
 def periodic_growth_and_occupancy(g: MetapopGraph, env: EnvironmentModel,
@@ -278,7 +278,7 @@ def phase_occupancy(g: MetapopGraph, env: EnvironmentModel,
     P x K first result is l_s r_s normalized.  The K x K second,
     l_0[i] A_0[i, j] r_1[j] normalized, is the frequency of steps i -> j
     from phase 0 to phase 1."""
-    mats = [state_mean_matrix(g, env, s) for s in _cycle(env, "phase occupancy")]
+    mats = _phase_means(g, env, "phase occupancy")[:, :, None] * g.D
     P = len(mats)
     left, right = [product.left] * P, [product.right] * P
     for s in range(1, P):
@@ -374,7 +374,7 @@ def lyapunov_estimate(
     w = _env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN, rng)
     batch = n_steps // LYAPUNOV_BATCHES
     used = batch * LYAPUNOV_BATCHES
-    mats = np.stack([state_mean_matrix(g, env, s) for s in range(env.n_states)])
+    mats = _patch_means(g, env)[:, :, None] * g.D
     sums = _batch_log_growth(mats, w[: LYAPUNOV_BURN_IN + used], LYAPUNOV_BURN_IN,
                              LYAPUNOV_BATCHES)
     if np.isneginf(sums).any():

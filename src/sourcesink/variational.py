@@ -202,17 +202,20 @@ def _cost_bound(D: np.ndarray) -> float:
 
 def _cost(D: np.ndarray, f: np.ndarray, bound: float, v0: np.ndarray | None = None, ties=None):
     """(I(f), inner vector, inner steps) on a checked graph (irreducible, so a full
-    support has inflow everywhere), ``bound`` = ``_cost_bound(D)``, from ``v0`` if given,
-    ``ties`` = ``_ties(D)`` or computed; one pin per tail class on a tied full support."""
+    support has inflow everywhere), ``bound`` = ``_cost_bound(D)``, from ``v0`` if given.
+    The ties are those of the support: ``ties`` = ``_ties(D)`` on a full one if given,
+    else computed; one pin per tail class on a tied support."""
     sup = np.flatnonzero(f)
     full = sup.size == f.size
-    Dss = D if full else D[np.ix_(sup, sup)]
-    rows, tails = _ties(D) if ties is None else ties
-    # unrealizable: a supported patch with no inflow from the support, or f off the tied slice
-    if (not full and np.any(Dss.sum(axis=0) == 0.0)) or (rows.size and abs(rows @ f).max() > 1e-12):
+    Dss, fs = (D, f) if full else (D[np.ix_(sup, sup)], f[sup])
+    # unrealizable: a supported patch with no inflow from the support, or f off a tie of the support
+    if not full and np.any(Dss.sum(axis=0) == 0.0):
         return math.inf, _embed(np.ones(sup.size), sup, f.size), 0
-    cost, vs, iters = _inner_solve(Dss, f[sup], None if v0 is None else v0[sup], bound,
-                                   tails if full and rows.size else None)
+    rows, tails = ties if full and ties is not None else _ties(Dss)
+    if rows.size and abs(rows @ fs).max() > 1e-12:
+        return math.inf, _embed(np.ones(sup.size), sup, f.size), 0
+    cost, vs, iters = _inner_solve(Dss, fs, None if v0 is None else v0[sup], bound,
+                                   tails if rows.size else None)
     if -1e-12 < cost < 0.0:
         cost = 0.0
     return cost, _embed(vs, sup, f.size), iters

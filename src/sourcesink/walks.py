@@ -16,7 +16,7 @@ Since max x = ||(I - B)^-1||_inf >= 1 / (1 - rho(B)), a block within
 ``CRITICAL_RADIUS_TOL`` of criticality shows as max x >= 1 /
 ``CRITICAL_RADIUS_TOL`` and counts as divergent.
 
-The criterion is written once, in ``_phase_verdicts``, for a schedule of
+The criterion is written once, in ``_phase_verdict``, for a schedule of
 patch means that repeats with period P: the walker's return then counts
 only at multiples of P, and the expectation is that of the one-period
 product of mean matrices.  A fixed environment is the case P = 1.
@@ -156,7 +156,7 @@ def return_functional(A: np.ndarray, home: int) -> float:
 
 def return_functional_exact(g: MetapopGraph, home: int = 0) -> PersistenceVerdict:
     """Exact excursion criterion by linear solve on the away sub-matrix."""
-    return _phase_verdicts(g, g.m[None, :], home)[0]
+    return _phase_verdict(g, g.m[None, :], home)
 
 
 def _excursions(
@@ -222,34 +222,25 @@ def return_functional_mc(
     product and are counted in ``truncated_mass``.  The CI is the 95%
     normal-approximation halfwidth.
     """
-    return _phase_verdicts(g, g.m[None, :], home, cfg or WalkConfig())[0]
+    return _phase_verdict(g, g.m[None, :], home, cfg or WalkConfig())
 
 
-def _phase_verdicts(
+def _phase_verdict(
     g: MetapopGraph, means: np.ndarray, home: int, cfg: WalkConfig | None = None
-) -> list[PersistenceVerdict]:
-    """The return criterion of a periodic schedule, one verdict per starting phase.
+) -> PersistenceVerdict:
+    """The return criterion of a periodic schedule.
 
     Row t of ``means`` (P x K) holds the patch means of step t of the
-    period; a fixed environment is the one-row case.  Verdict s is for the
-    schedule rotated to start at row s, the walker returning home at a
-    multiple of P: the exact value of the one-period product of mean
-    matrices when ``cfg`` is None, else the Monte Carlo estimate.
+    period; a fixed environment is the one-row case.  The walker returns
+    home at a multiple of P: the value is exact, that of the one-period
+    product of mean matrices, when ``cfg`` is None, else the Monte Carlo
+    estimate.
     """
     _require(g, "persistence criterion", home=home)
-    rotated = [np.roll(means, -s, axis=0) for s in range(means.shape[0])]
     if cfg is None:
-        return [
-            _verdict_from_value(
-                return_functional(functools.reduce(np.matmul, rows[:, :, None] * g.D), home),
-                "exact-linear-system",
-            )
-            for rows in rotated
-        ]
-    return [
-        _mc_verdict(*_excursions(g.D, rows, home, cfg.n_trials, cfg.seed, cfg.max_steps))
-        for rows in rotated
-    ]
+        A = functools.reduce(np.matmul, means[:, :, None] * g.D)
+        return _verdict_from_value(return_functional(A, home), "exact-linear-system")
+    return _mc_verdict(*_excursions(g.D, means, home, cfg.n_trials, cfg.seed, cfg.max_steps))
 
 
 def depleting_rate(g: MetapopGraph) -> float:

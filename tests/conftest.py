@@ -57,6 +57,23 @@ def hard_graphs(n, seed=2026):
         yield MetapopGraph(m=m, D=recipe_dispersal(rng, g.D))
 
 
+def scaled_coupling_graphs(n, seed=2026):
+    """``n`` graphs, K = 2 ... 64, each with every off-diagonal dispersal
+    entry times one scalar 10^U(-9, -2) and the diagonal refilled; every
+    second one also has its means scaled by 10^U(-6, 0), drawn after the
+    scalar.  The simplex route answers some of them only through its
+    fallback tiers: the float-plateau exit and the ``_J_NOISE`` floor."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        K = int(rng.integers(2, 65))
+        g = random_graph(rng, K)
+        D = g.D * 10.0 ** rng.uniform(-9, -2)
+        D[np.diag_indices(K)] = 0.0
+        D[np.diag_indices(K)] = 1.0 - D.sum(axis=1)
+        m = g.m * 10.0 ** rng.uniform(-6, 0, K) if i % 2 else g.m
+        yield MetapopGraph(m=m, D=D)
+
+
 def pair_chain(g, env):
     """The P = 2 edge chain of consecutive patch pairs, kept as the reference
     for the space-time chain of a two-state alternation.

@@ -81,6 +81,36 @@ def test_offspring_law_validation():
             OffspringLaw(kind, math.nan, p0=0.5, pair_n=2)
 
 
+BRANCHING_REFUSALS = {
+    "bernoulli-pair without p0": (lambda: OffspringLaw("bernoulli-pair", 1.0),
+                                  "bernoulli-pair needs p0 and pair_n"),
+    "one law row for two states": (
+        lambda: simulate(two_patch(M=1.0, m=1.0), laws=[[OffspringLaw("poisson", 2.0)] * 2],
+                         env=EnvironmentModel(("a", "b"), [[2.0, 2.0], [0.5, 0.5]], Periodic((0, 1))),
+                         horizon=5, n_runs=10),
+        "need one row of laws per environment state"),
+    "one law for two patches": (lambda: simulate(two_patch(), laws=[[OffspringLaw("poisson", 2.0)]],
+                                                 horizon=5, n_runs=10),
+                                "need one law per patch"),
+}
+
+
+@pytest.mark.parametrize("build, message", list(BRANCHING_REFUSALS.values()), ids=list(BRANCHING_REFUSALS))
+def test_branching_refusals_name_their_fault(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_a_one_generation_window_starts_at_the_founder():
+    # horizon 1: the growth window is generations 0 and 1, and generation 0
+    # is the lone founder, so every run doubles and the slope is log 2
+    g = two_patch(M=2.0, m=2.0)
+    rep = simulate(g, laws=[[OffspringLaw("deterministic", 2.0)] * 2], horizon=1, n_runs=50)
+    assert rep.survival_prob == 1.0
+    assert rep.growth_rate_hat == math.log(2.0) and rep.growth_rate_ci == 0.0
+
+
 def test_law_means_must_match_graph():
     g = two_patch()
     bad = [[OffspringLaw("poisson", 2.0), OffspringLaw("poisson", 0.4)]]

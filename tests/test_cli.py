@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sourcesink import cli
+from sourcesink import (cli, collapse, geometric_laws, growth_rate, load_pipeline, mean_matrix,
+                        pipeline_to_motif, simulate)
 from sourcesink.cli import dumps_report, main
 from sourcesink.graph import MetapopGraph, _assumption_report
 from sourcesink.environments import random_env_lower_bound
@@ -880,6 +881,44 @@ def test_malformed_input_exits_2_without_a_report(tmp_path, monkeypatch, capsys,
     assert main([*command.split(), "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists() and not (tmp_path / "grid.csv").exists()
     assert capsys.readouterr().err.startswith("validation error: ")
+
+
+REFUSED = {
+    "unknown law family": ("simulate", {"graph": GRAPH, "simulate": {"laws": "binomial"}},
+                           "unknown law family 'binomial' (use poisson or geometric)"),
+    "periodic without env": ("periodic", {"graph": GRAPH},
+                             'periodic analysis needs an "env" block'),
+    "randenv without env": ("randenv", {"graph": GRAPH},
+                            'random-environment analysis needs an "env" block'),
+    "pipeline without pipeline": ("pipeline", {"graph": GRAPH},
+                                  'pipeline analysis needs a "pipeline" block'),
+}
+
+
+@pytest.mark.parametrize("command, config, message", list(REFUSED.values()), ids=list(REFUSED))
+def test_refused_config_exits_2_naming_its_fault(tmp_path, capsys, command, config, message):
+    code, out = run(tmp_path, [command, "--config", write_cfg(tmp_path, config)])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_analyze_answers_a_pipeline_config_on_its_collapsed_motif(tmp_path):
+    code, out = run(tmp_path, ["analyze", "--config", write_cfg(tmp_path, {"pipeline": PIPELINE})])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    g = collapse(pipeline_to_motif(load_pipeline(PIPELINE)))
+    assert rep["spectral"]["rho"] == growth_rate(mean_matrix(g)).rho
+    assert rep["cross_checks"]["spectral_vs_return_sign_agree"] is True
+
+
+def test_simulate_with_geometric_laws_runs_the_library_simulation(tmp_path):
+    cfg = {"graph": GRAPH, "seed": 4, "simulate": {"laws": "geometric", "horizon": 20, "n_runs": 300}}
+    code, out = run(tmp_path, ["simulate", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    g = MetapopGraph(m=GRAPH["m"], D=GRAPH["D"])
+    expect = simulate(g, geometric_laws(g), horizon=20, n_runs=300, seed=4)
+    assert json.loads(out.read_text())["report"] == json.loads(dumps_report(expect.to_dict()))
+    assert expect.to_dict() != simulate(g, None, horizon=20, n_runs=300, seed=4).to_dict()
 
 
 def test_missing_model_is_validation_error(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -33,7 +34,7 @@ from sourcesink import (
     two_patch_periodic_criterion,
     validate_graph,
 )
-from sourcesink import environments, graph
+from sourcesink import environments, graph, walks
 from sourcesink.environments import LYAPUNOV_BATCHES, LYAPUNOV_BURN_IN, _env_path
 from sourcesink.variational import _twisted_occupancy
 from sourcesink.walks import return_functional
@@ -245,6 +246,53 @@ def test_repeated_schedules_keep_verdicts_and_first_phase_keys():
         assert list(twice) == ["e1", "e2"]
         assert {k: v.persists for k, v in twice.items()} == {k: v.persists for k, v in once.items()}
         assert list(phases((0, 1, 0))) == ["e1", "e2"]
+
+
+def _rotated_verdicts(g, env, home, cfg):
+    # the reference: the schedule rotated to start at each phase, every
+    # rotation solved as the product of its mean matrices (or walked), and
+    # the first phase of each state kept
+    means = env.means[list(env.schedule.cycle)]
+    out = {}
+    for s, state in enumerate(env.schedule.cycle):
+        rows = np.roll(means, -s, axis=0)
+        if cfg is None:
+            A = functools.reduce(np.matmul, [row[:, None] * g.D for row in rows])
+            value = return_functional(A, home)
+        else:
+            value = walks._mc_verdict(*walks._excursions(
+                g.D, rows, home, cfg.n_trials, cfg.seed, cfg.max_steps)).value
+        out.setdefault(env.states[state], value)
+    return out
+
+
+@pytest.mark.parametrize("case", ["P12-exact", "P12-mc", "P365-exact"])
+def test_even_return_solves_one_phase_per_reported_state(monkeypatch, case):
+    rng = np.random.default_rng(16)
+    g = random_graph(rng, 5, m_range=(1.0, 1.0))
+    if case.startswith("P12"):
+        env = EnvironmentModel(states=("a", "b", "c"), means=rng.uniform(0.3, 1.8, (3, 5)),
+                               schedule=Periodic((2, 1, 0, 0, 1, 2, 2, 0, 1, 0, 2, 1)))
+    else:
+        # wet and dry seasons, the means scaled so that the year's product has rho = 0.8
+        wet_dry = Periodic((0,) * 150 + (1,) * 215)
+        means = rng.uniform(0.5, 1.5, (2, 5))
+        rho = growth_rate(periodic_mean_matrix(g, EnvironmentModel(("wet", "dry"), means, wet_dry))).rho
+        env = EnvironmentModel(("wet", "dry"), means * (0.8 / rho) ** (1 / 365), wet_dry)
+    cfg = WalkConfig(n_trials=2000, seed=9, max_steps=10**4) if case.endswith("mc") else None
+    calls = []
+    solve = environments._phase_verdict
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(environments, "_phase_verdict", counted)
+    out = even_return_functional(g, env, 1, cfg)
+    assert list(out) == (["c", "b", "a"] if case.startswith("P12") else ["wet", "dry"])
+    assert calls == [(len(env.schedule.cycle), g.K)] * len(out)
+    assert {k: v.value for k, v in out.items()} == _rotated_verdicts(g, env, 1, cfg)
+    assert all(0.0 < v.value < math.inf for v in out.values())
 
 
 def _product(g, env):
@@ -771,6 +819,45 @@ def test_environment_validation():
     with pytest.raises(ValidationError):
         # the edge chain of the pure two-cycle is reducible/periodic
         periodic_growth_and_occupancy(g, env)
+
+
+ENV_JSON = {"states": ["a", "b"], "means": [[4.0, 0.9], [0.2, 0.9]], "schedule": {"periodic": ["a", "b"]}}
+ENV_REFUSALS = {
+    "start over three phases": (lambda: Schedule(T=np.eye(2), state=(0, 1), start=[1.0, 0.0, 0.0]),
+                                "schedule needs a P x P matrix T and a start law over P phases"),
+    "alpha above 1": (lambda: MarkovSwitching(1.5, 0.5), "alpha must lie in [0, 1]"),
+    "negative mean": (lambda: EnvironmentModel(("a",), [[1.0, -0.5]], Periodic((0,))),
+                      "environment means must be finite and >= 0"),
+    "unknown state index": (lambda: EnvironmentModel(("a",), [[1.0, 1.0]], Periodic((0, 1))),
+                            "schedule names an unknown state"),
+    "states not a list": (lambda: load_environment({**ENV_JSON, "states": "ab"}),
+                          "environment states must be a JSON list"),
+    "periodic not a list": (lambda: load_environment({**ENV_JSON, "schedule": {"periodic": "ab"}}),
+                            "periodic schedule must be a JSON list of state names"),
+    "periodic unknown name": (lambda: load_environment({**ENV_JSON, "schedule": {"periodic": ["a", "z"]}}),
+                              "periodic schedule names unknown state 'z'"),
+    "schedule of no kind": (lambda: load_environment({**ENV_JSON, "schedule": {"weekly": ["a"]}}),
+                            'schedule must contain "periodic" or "markov"'),
+    "closed form q above 1": (lambda: two_patch_periodic_criterion(2.0, 0.5, 0.5, 2.0, 0.5, 1.5),
+                              "q must lie in [0, 1]"),
+    "closed form negative mean": (lambda: two_patch_periodic_criterion(-2.0, 0.5, 0.5, 2.0, 0.5, 0.5),
+                                  "M1 must be >= 0"),
+    "chain that cannot leave a state": (
+        lambda: lyapunov_estimate(two_patch(), EnvironmentModel(("a", "b"), [[2.0, 0.5], [0.5, 2.0]],
+                                                                MarkovSwitching(0.0, 0.5))),
+        "environment chain must be irreducible (alpha, beta > 0)"),
+    "too few Lyapunov steps": (
+        lambda: lyapunov_estimate(two_patch(), alternation(None, [2.0, 0.5], [0.5, 2.0]),
+                                  n_steps=LYAPUNOV_BURN_IN + LYAPUNOV_BATCHES),
+        "n_steps too small for burn-in plus batching"),
+}
+
+
+@pytest.mark.parametrize("build, message", list(ENV_REFUSALS.values()), ids=list(ENV_REFUSALS))
+def test_environment_refusals_name_their_fault(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_schedule_kind_is_decided_by_its_data():

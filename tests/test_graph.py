@@ -297,6 +297,24 @@ def test_row_noise_within_tolerance_is_renormalized():
     assert np.allclose(g.D.sum(axis=1), 1.0, atol=1e-15)
 
 
+GRAPH_REFUSALS = {
+    "no patch": (([], np.zeros((0, 0))), {}, "need at least one patch"),
+    "dispersal of another size": (([1.0, 1.0], np.full((3, 3), 1 / 3)), {},
+                                  "dispersal matrix shape (3, 3) does not match 2 patches"),
+    "dispersal entry nan": (([1.0, 1.0], [[0.5, math.nan], [0.5, 0.5]]), {},
+                            "dispersal entries must be finite"),
+    "one label for two patches": (([1.0, 1.0], [[0.5, 0.5], [0.5, 0.5]]), {"labels": ("a",)},
+                                  "labels length does not match patch count"),
+}
+
+
+@pytest.mark.parametrize("args, kw, message", list(GRAPH_REFUSALS.values()), ids=list(GRAPH_REFUSALS))
+def test_graph_refusals_name_their_fault(args, kw, message):
+    with pytest.raises(ValidationError) as err:
+        MetapopGraph(*args, **kw)
+    assert str(err.value) == message
+
+
 def test_negative_entries_rejected():
     with pytest.raises(ValidationError):
         MetapopGraph(m=[1.0, 1.0], D=[[1.1, -0.1], [0.5, 0.5]])

@@ -313,6 +313,30 @@ def test_pipeline_degenerate_rejected():
         )  # m = 0
 
 
+PIPE = dict(n=2, p=0.5, L=0.5, s=0.2, l=0.4, m=0.5, M=2.0)
+MOTIF_REFUSALS = {
+    "no type means": (lambda: Motif(types=(0,), means_by_type=[], D=[[1.0]]),
+                      "means_by_type must be a non-empty vector"),
+    "type out of range": (lambda: Motif(types=(0, 2), means_by_type=[1.5, 0.6],
+                                        D=[[0.5, 0.5], [0.5, 0.5]]),
+                          "patch type out of range of means_by_type"),
+    "no sink": (lambda: PipelineSpec(**{**PIPE, "n": 0}), "need at least one sink in the pipeline"),
+    "p above 1": (lambda: PipelineSpec(**{**PIPE, "p": 1.5}), "p must lie in [0, 1]"),
+    "l + s above 1": (lambda: PipelineSpec(**{**PIPE, "s": 0.7}), "l + s must not exceed 1"),
+    "negative mean": (lambda: PipelineSpec(**{**PIPE, "M": -1.0}), "means must be >= 0"),
+    "m s at 1": (lambda: pipeline_depleting_rate(PipelineSpec(**{**PIPE, "s": 0.5, "l": 0.25,
+                                                                 "m": 2.0})),
+                 "need m*s < 1 for the sojourn factor to exist"),
+}
+
+
+@pytest.mark.parametrize("build, message", list(MOTIF_REFUSALS.values()), ids=list(MOTIF_REFUSALS))
+def test_motif_and_pipeline_refusals_name_their_fault(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_motif_json_roundtrip():
     labelled = Motif(types=(0, 1), means_by_type=[1.5, 0.6], D=[[0, 1], [1, 0]], labels=("a", "b"))
     for motif in (chessboard_motif(), labelled):

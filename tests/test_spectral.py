@@ -123,6 +123,14 @@ def test_malformed_mean_matrix_rejected():
             growth_rate(A)
 
 
+@pytest.mark.parametrize("A", [[[0.5, -0.5], [0.5, 0.5]], [[0.5, math.inf], [0.5, 0.5]]],
+                         ids=["negative", "infinite"])
+def test_mean_matrix_entries_must_be_finite_and_non_negative(A):
+    with pytest.raises(ValidationError) as err:
+        growth_rate(np.array(A))
+    assert str(err.value) == "mean matrix entries must be finite and >= 0"
+
+
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-5, 1e-8, 1e-12])
 def test_weakly_coupled_sources_match_dense_eigensolve(eps):
     # two equal-mean sources coupled with weight eps: the Perron gap of A and

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from sourcesink import (
     ConvergenceError,
@@ -26,6 +27,7 @@ from conftest import (
     random_fully_mixing,
     random_graph,
     sanov_lattice_rate,
+    scaled_coupling_graphs,
     symmetric_walk_visits,
     two_patch,
 )
@@ -247,6 +249,38 @@ def test_max_rate_gap_weakly_coupled_matches_twisted_route(eps):
     assert res.gap <= 1e-7
 
 
+@pytest.fixture(scope="module")
+def plateau_graphs():
+    # graphs 15 (K = 61) and 87 (K = 36) of the scaled-coupling recipe, which
+    # the simplex route answers only through its float-plateau exit
+    graphs = list(scaled_coupling_graphs(88))
+    return {15: graphs[15], 87: graphs[87]}
+
+
+@pytest.mark.parametrize("i", [15, 87])
+def test_simplex_fallback_tiers_answer_at_a_float_plateau(plateau_graphs, monkeypatch, i):
+    g = plateau_graphs[i]
+    assert g.K == {15: 61, 87: 36}[i]
+    res = max_rate_gap(g)
+    assert abs(res.log_growth - math.log(growth_rate(mean_matrix(g)).rho)) <= 1e-9
+    assert np.abs(res.occupancy - argmax_occupancy(g).occupancy).max() <= 1e-9
+    # with the decrement and step tolerances off, only the plateau exit can
+    # return, and it returns the same answer at the same step
+    monkeypatch.setattr(variational, "_DECREMENT_TOL", 0.0)
+    monkeypatch.setattr(variational, "_STEP_TOL", 0.0)
+    plateau = max_rate_gap(g)
+    assert (plateau.log_growth, plateau.iterations) == (res.log_growth, res.iterations)
+
+
+def test_simplex_plateau_needs_the_noise_floor_of_j(plateau_graphs, monkeypatch):
+    # graph 87 reaches its plateau only because gains of J below _J_NOISE
+    # do not count as a rise; graph 15 does not need the floor
+    monkeypatch.setattr(variational, "_J_NOISE", 0.0)
+    assert math.isfinite(max_rate_gap(plateau_graphs[15]).log_growth)
+    with pytest.raises(ConvergenceError):
+        max_rate_gap(plateau_graphs[87])
+
+
 def test_max_rate_gap_two_patch_benchmark():
     res = max_rate_gap(two_patch())
     assert abs(res.log_growth - math.log(1.25)) < 1e-9
@@ -438,6 +472,49 @@ def test_full_dimension_rank_identity_matches_null_space_basis():
     sparse = [_sparse_irreducible(sparse_rng, int(sparse_rng.integers(3, 9))) for _ in range(60)]
     ties = [check(D) for D in sparse]
     assert 2 < len(ties) - ties.count(0) < len(sparse)
+
+
+def _circulation_carries(D, f):
+    # LP oracle: f is realizable exactly when some flow x >= 0 on the edges
+    # of D has out- and in-marginals both equal to f
+    I, J = np.nonzero(D > 0)
+    k, e = len(f), np.arange(I.size)
+    A = np.zeros((2 * k, I.size))
+    A[I, e] = 1.0
+    A[k + J, e] = 1.0
+    res = linprog(np.zeros(I.size), A_eq=A, b_eq=np.concatenate([f, f]), bounds=(0, None),
+                  method="highs")
+    return res.status == 0
+
+
+def test_rate_function_is_infinite_off_a_tie_of_the_support():
+    # sparse graphs and f with about 30% of entries zeroed: an f that breaks
+    # a tie of its own support graph costs +inf before any inner step, even
+    # where it breaks no tie of the whole graph, and every f a circulation
+    # carries keeps a finite cost.  The rest (f outside the circulation cone
+    # by an inequality) may still raise
+    support_only = 0
+    for seed in (3, 4, 5):
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            K = int(rng.integers(3, 9))
+            D = _sparse_irreducible(rng, K)
+            f = rng.dirichlet(np.ones(K))
+            f[rng.random(K) < 0.3] = 0.0
+            if f.sum() == 0.0:
+                continue
+            f /= f.sum()
+            g = MetapopGraph(m=np.ones(K), D=D)
+            sup = np.flatnonzero(f)
+            rows, _ = _ties(D[np.ix_(sup, sup)])
+            if _circulation_carries(D, f):
+                assert math.isfinite(rate_function(g, f).cost)
+            elif rows.size and np.abs(rows @ f[sup]).max() > 1e-12:
+                ev = rate_function(g, f)
+                assert math.isinf(ev.cost) and ev.iterations == 0
+                whole, _ = _ties(D)
+                support_only += not (whole.size and np.abs(whole @ f).max() > 1e-12)
+    assert support_only >= 9
 
 
 def test_rejects_zero_means():

@@ -147,6 +147,12 @@ def test_depleting_rate_rejects_mixed_sink_means():
         depleting_rate(g)
 
 
+def test_depleting_rate_needs_a_sink_patch():
+    with pytest.raises(ValidationError) as err:
+        depleting_rate(MetapopGraph(m=[2.0], D=[[1.0]]))
+    assert str(err.value) == "depleting rate needs at least one sink patch"
+
+
 def test_excursion_deterministic_cycle():
     g = MetapopGraph(m=[1.0, 1.0], D=[[0.0, 1.0], [1.0, 0.0]])
     exc = sample_excursion(g, seed=3)
