@@ -17,7 +17,6 @@ from .branching import (
     patch_series,
     poisson_laws,
     simulate,
-    survivor_occupancy,
 )
 from .environments import (
     EnvironmentModel,
@@ -33,7 +32,6 @@ from .environments import (
     periodic_mean_matrix,
     phase_occupancy,
     random_env_lower_bound,
-    state_mean_matrix,
     two_patch_periodic_criterion,
 )
 from .errors import ConvergenceError, StatisticalError, ValidationError
@@ -62,7 +60,6 @@ from .spectral import (
     mean_matrix,
     occupancy_spectral,
     perron_value,
-    stable_geographic_distribution,
 )
 from .variational import (
     RateEvaluation,

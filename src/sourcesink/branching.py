@@ -55,7 +55,7 @@ from itertools import count, islice
 import numpy as np
 
 from .environments import EnvironmentModel, Periodic, _patch_means
-from .errors import StatisticalError, ValidationError
+from .errors import ValidationError
 from .graph import MetapopGraph, _check_home, _integer
 from .walks import CHUNK
 
@@ -632,23 +632,6 @@ def patch_series(
     for t, _ in zip(range(1, horizon + 1), steps):
         out[:, t] = Z
     return out
-
-
-def survivor_occupancy(
-    g: MetapopGraph,
-    laws: list[list[OffspringLaw]] | None = None,
-    horizon: int = 200,
-    n_runs: int = 10**4,
-    seed: int = 0,
-    **kw,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ancestral occupancy of a random survivor, with per-coordinate CI."""
-    report = simulate(g, laws, horizon, n_runs, seed, track_lineage=True, **kw)
-    if report.n_survived == 0:
-        raise StatisticalError(
-            "no run survived to the horizon; increase n_runs or shorten the horizon"
-        )
-    return report.occupancy_hat, report.occupancy_ci
 
 
 def extinction_probability(

@@ -162,11 +162,6 @@ def _patch_means(g: MetapopGraph, env: EnvironmentModel) -> np.ndarray:
     return env.means
 
 
-def state_mean_matrix(g: MetapopGraph, env: EnvironmentModel, state: int) -> np.ndarray:
-    """Mean matrix in one environment state: means[state][i] * D[i, j]."""
-    return _patch_means(g, env)[state][:, None] * g.D
-
-
 def _phase_means(g: MetapopGraph, env: EnvironmentModel, what: str) -> np.ndarray:
     """The P x K patch means of one period of ``env``'s schedule, row t those
     of step t, on ``g``; ``what`` needs a periodic schedule."""

@@ -51,10 +51,10 @@ def mean_matrix(g: MetapopGraph) -> np.ndarray:
 def perron_value(A: np.ndarray) -> float:
     """Spectral radius of a non-negative matrix (value only, no raise).
 
-    Used where A may be reducible or defective and the eigenvector need
-    not exist in a usable form, such as the type-return matrix of a motif.  The spectral radius
-    of a non-negative matrix is itself an eigenvalue, so it is the largest
-    real part among all eigenvalues; an empty matrix gives 0.
+    Its one caller passes a motif's type-return matrix R, irreducible as
+    its graph is: R[P, Q] > 0 when a walk leads from P to Q through away
+    patches (Meyer, SIAM Rev. 31, 1989).  The spectral radius of a
+    non-negative matrix is an eigenvalue: the largest real part (0 if empty).
     """
     return float(np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(initial=0.0))
 
@@ -89,8 +89,3 @@ def occupancy_spectral(sd: SpectralData) -> np.ndarray:
     """Lineage occupancy of a random survivor: left * right, normalized."""
     phi = sd.left * sd.right
     return phi / phi.sum()
-
-
-def stable_geographic_distribution(sd: SpectralData) -> np.ndarray:
-    """Asymptotic spatial profile of expected counts (the left Perron vector)."""
-    return sd.left

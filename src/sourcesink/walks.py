@@ -149,11 +149,6 @@ def return_value_matrix(A: np.ndarray, homes: list[int]) -> np.ndarray:
     return A[np.ix_(homes, homes)] + A[np.ix_(homes, away)] @ G
 
 
-def return_functional(A: np.ndarray, home: int) -> float:
-    """Scalar first-return functional of a mean matrix from one home patch."""
-    return float(return_value_matrix(A, [home])[0, 0])
-
-
 def return_functional_exact(g: MetapopGraph, home: int = 0) -> PersistenceVerdict:
     """Exact excursion criterion by linear solve on the away sub-matrix."""
     return _phase_verdict(g, g.m[None, :], home)
@@ -238,8 +233,8 @@ def _phase_verdict(
     """
     _require(g, "persistence criterion", home=home)
     if cfg is None:
-        A = functools.reduce(np.matmul, means[:, :, None] * g.D)
-        return _verdict_from_value(return_functional(A, home), "exact-linear-system")
+        R = return_value_matrix(functools.reduce(np.matmul, means[:, :, None] * g.D), [home])
+        return _verdict_from_value(float(R[0, 0]), "exact-linear-system")
     return _mc_verdict(*_excursions(g.D, means, home, cfg.n_trials, cfg.seed, cfg.max_steps))
 
 

@@ -10,7 +10,6 @@ from sourcesink import (
     MetapopGraph,
     OffspringLaw,
     Periodic,
-    StatisticalError,
     ValidationError,
     argmax_occupancy,
     extinction_probability,
@@ -18,7 +17,6 @@ from sourcesink import (
     mean_matrix,
     patch_series,
     simulate,
-    survivor_occupancy,
 )
 from sourcesink.branching import (
     _Edges,
@@ -245,7 +243,8 @@ def test_survivor_occupancy_brute_force_oracle():
     bmean = brute.mean(axis=0)
     bse = brute.std(axis=0, ddof=1) / math.sqrt(brute.shape[0])
 
-    occ, ci = survivor_occupancy(two_patch(), horizon=horizon, n_runs=60_000, seed=8)
+    rep = simulate(two_patch(), horizon=horizon, n_runs=60_000, seed=8)
+    occ, ci = rep.occupancy_hat, rep.occupancy_ci
     # the flow-backward estimator must agree with the agent-level oracle
     assert abs(occ[0] - bmean[0]) <= 1.96 * bse[0] + ci[0]
 
@@ -253,7 +252,8 @@ def test_survivor_occupancy_brute_force_oracle():
 def test_survivor_occupancy_converges_to_variational_optimum():
     g = two_patch()
     phi = argmax_occupancy(g).occupancy
-    occ, ci = survivor_occupancy(g, horizon=1600, n_runs=3000, seed=9)
+    rep = simulate(g, horizon=1600, n_runs=3000, seed=9)
+    occ, ci = rep.occupancy_hat, rep.occupancy_ci
     assert np.all(np.abs(occ - phi) <= np.maximum(ci, 1e-4) + 0.46 / 1600)
 
 
@@ -278,21 +278,17 @@ def test_survivor_occupancy_on_a_periodic_graph_is_the_twisted_optimum():
 def test_survivor_occupancy_constant_means_is_stationary():
     g = two_patch(M=0.9, m=0.9, p=0.3, q=0.6)
     # subcritical but alive often enough at a short horizon
-    occ, ci = survivor_occupancy(g, horizon=40, n_runs=40_000, seed=10)
+    rep = simulate(g, horizon=40, n_runs=40_000, seed=10)
+    occ, ci = rep.occupancy_hat, rep.occupancy_ci
     u = np.array([2.0 / 3.0, 1.0 / 3.0])
     assert np.all(np.abs(occ - u) <= np.maximum(3 * ci, 0.02))
 
 
 def test_survivor_occupancy_single_patch_trivial():
     g = MetapopGraph(m=[2.0], D=[[1.0]])
-    occ, ci = survivor_occupancy(g, horizon=50, n_runs=200, seed=11)
+    rep = simulate(g, horizon=50, n_runs=200, seed=11)
+    occ, ci = rep.occupancy_hat, rep.occupancy_ci
     assert occ[0] == 1.0 and ci[0] == 0.0
-
-
-def test_survivor_occupancy_errors_when_everything_dies():
-    g = two_patch(M=0.2, m=0.1)
-    with pytest.raises(StatisticalError):
-        survivor_occupancy(g, horizon=120, n_runs=300, seed=12)
 
 
 def test_lineage_tallies_sum_to_horizon_plus_one():

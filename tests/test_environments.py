@@ -30,14 +30,13 @@ from sourcesink import (
     return_functional_exact,
     return_functional_mc,
     simulate,
-    state_mean_matrix,
     two_patch_periodic_criterion,
     validate_graph,
 )
 from sourcesink import environments, graph, walks
 from sourcesink.environments import LYAPUNOV_BATCHES, LYAPUNOV_BURN_IN, _env_path
 from sourcesink.variational import _twisted_occupancy
-from sourcesink.walks import return_functional
+from sourcesink.walks import return_value_matrix
 from conftest import (
     eigen_solve_shapes,
     pair_chain,
@@ -96,9 +95,9 @@ def test_longer_schedules_take_ordered_products():
         schedule=Periodic((0, 1, 2)),
     )
     expect = (
-        state_mean_matrix(g, env, 0)
-        @ state_mean_matrix(g, env, 1)
-        @ state_mean_matrix(g, env, 2)
+        (env.means[0][:, None] * g.D)
+        @ (env.means[1][:, None] * g.D)
+        @ (env.means[2][:, None] * g.D)
     )
     assert np.allclose(periodic_mean_matrix(g, env), expect)
 
@@ -196,7 +195,7 @@ def test_one_state_schedule_is_the_fixed_environment():
         for home in range(g.K):
             (v,) = even_return_functional(g, env, home).values()
             assert v == return_functional_exact(g, home)
-            assert v.value == return_functional(mean_matrix(g), home)
+            assert v.value == return_value_matrix(mean_matrix(g), [home])[0, 0]
         (w,) = even_return_functional(g, env, 0, cfg).values()
         assert w == return_functional_mc(g, 0, cfg)
 
@@ -258,7 +257,7 @@ def _rotated_verdicts(g, env, home, cfg):
         rows = np.roll(means, -s, axis=0)
         if cfg is None:
             A = functools.reduce(np.matmul, [row[:, None] * g.D for row in rows])
-            value = return_functional(A, home)
+            value = float(return_value_matrix(A, [home])[0, 0])
         else:
             value = walks._mc_verdict(*walks._excursions(
                 g.D, rows, home, cfg.n_trials, cfg.seed, cfg.max_steps)).value
@@ -579,7 +578,7 @@ def test_lyapunov_block_products_match_step_loop(K, zero_means, n_states, schedu
     w = _env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN,
                          np.random.default_rng([seed, 0]))
     batch = n_steps // LYAPUNOV_BATCHES
-    mats = [state_mean_matrix(g, env, s).tolist() for s in range(n_states)]
+    mats = [(env.means[s][:, None] * g.D).tolist() for s in range(n_states)]
     sums, _ = _propagate_k_reference(mats, w.tolist(), LYAPUNOV_BURN_IN, batch,
                                      LYAPUNOV_BATCHES, K)
     gamma = sums.sum() / (batch * LYAPUNOV_BATCHES)
@@ -646,7 +645,7 @@ def test_lyapunov_kernel_memory_stays_within_its_slabs(K, n_steps):
     rng = np.random.default_rng([29, K])
     g = MetapopGraph(m=np.ones(K), D=rng.dirichlet(np.ones(K), size=K))
     env = EnvironmentModel(("e1", "e2"), rng.uniform(0.1, 3.0, (2, K)), MarkovSwitching(0.4, 0.6))
-    mats = np.stack([state_mean_matrix(g, env, s) for s in range(2)])
+    mats = env.means[:, :, None] * g.D
     w = _env_path(env.schedule, n_steps + LYAPUNOV_BURN_IN, np.random.default_rng([1, 0]))
     tracemalloc.start()
     try:
@@ -900,7 +899,6 @@ def test_lyapunov_on_a_periodic_schedule_is_the_product_rate(P):
 
 # every entry point that reads an environment's means on a graph
 ENV_ON_GRAPH = {
-    "state_mean_matrix": lambda g, env: state_mean_matrix(g, env, 0),
     "periodic_mean_matrix": periodic_mean_matrix,
     "even_return_functional": even_return_functional,
     "edge_chain": edge_chain,

@@ -11,7 +11,6 @@ from sourcesink import (
     mean_matrix,
     occupancy_spectral,
     return_functional_exact,
-    stable_geographic_distribution,
     stationary_distribution,
 )
 from conftest import (
@@ -64,7 +63,7 @@ def test_fully_mixing_rho_is_delta_dot_m():
         sd = growth_rate(mean_matrix(g))
         assert abs(sd.rho - float(delta @ g.m)) < 1e-10
         # delta is the stable geographic profile, means the fitness profile
-        assert np.abs(stable_geographic_distribution(sd) - delta).max() < 1e-8
+        assert np.abs(sd.left - delta).max() < 1e-8
         assert np.abs(sd.right - g.m / g.m.sum()).max() < 1e-8
 
 

@@ -281,6 +281,18 @@ def test_simplex_plateau_needs_the_noise_floor_of_j(plateau_graphs, monkeypatch)
         max_rate_gap(plateau_graphs[87])
 
 
+def test_simplex_accuracy_floor_at_the_weakest_coupling():
+    # graph 73 of the scaled-coupling recipe (K = 63, smallest dispersal
+    # entry 3.2e-13) answers with a certified gap, but phi is only within
+    # 3.7e-7 of the twisted route, which agrees with the spectral one to
+    # 1e-15; this pins today's floor
+    g = list(scaled_coupling_graphs(74))[73]
+    assert g.K == 63
+    res = max_rate_gap(g)
+    assert res.gap <= variational.OUTER_GAP_TOL
+    assert np.abs(res.occupancy - argmax_occupancy(g).occupancy).max() <= 1e-6
+
+
 def test_max_rate_gap_two_patch_benchmark():
     res = max_rate_gap(two_patch())
     assert abs(res.log_growth - math.log(1.25)) < 1e-9
@@ -488,11 +500,12 @@ def _circulation_carries(D, f):
 
 
 def test_rate_function_is_infinite_off_a_tie_of_the_support():
-    # sparse graphs and f with about 30% of entries zeroed: an f that breaks
-    # a tie of its own support graph costs +inf before any inner step, even
-    # where it breaks no tie of the whole graph, and every f a circulation
-    # carries keeps a finite cost.  The rest (f outside the circulation cone
-    # by an inequality) may still raise
+    # sparse graphs and f with about 30% of entries zeroed: every f a
+    # circulation carries keeps a finite cost and every other f costs +inf.
+    # An f that breaks a tie of its own support graph does so before any
+    # inner step, even where it breaks no tie of the whole graph; the rest
+    # (f outside the circulation cone by an inequality) stall at the clamp
+    # floor of the inner solve
     support_only = 0
     for seed in (3, 4, 5):
         rng = np.random.default_rng(seed)
@@ -507,14 +520,26 @@ def test_rate_function_is_infinite_off_a_tie_of_the_support():
             g = MetapopGraph(m=np.ones(K), D=D)
             sup = np.flatnonzero(f)
             rows, _ = _ties(D[np.ix_(sup, sup)])
+            ev = rate_function(g, f)
             if _circulation_carries(D, f):
-                assert math.isfinite(rate_function(g, f).cost)
-            elif rows.size and np.abs(rows @ f[sup]).max() > 1e-12:
-                ev = rate_function(g, f)
-                assert math.isinf(ev.cost) and ev.iterations == 0
+                assert math.isfinite(ev.cost)
+                continue
+            assert ev.cost == math.inf
+            if rows.size and np.abs(rows @ f[sup]).max() > 1e-12:
+                assert ev.iterations == 0
                 whole, _ = _ties(D)
                 support_only += not (whole.size and np.abs(whole @ f).max() > 1e-12)
     assert support_only >= 9
+
+
+def test_rate_function_is_infinite_where_the_inner_solve_stalls_at_the_floor():
+    # 0 -> 2 -> 1 -> 0 with loops at 1 and 2: every visit to 2 comes from 0,
+    # so a circulation needs f0 <= f2.  This f breaks no tie, and the inner
+    # solve stalls (residual 1.15) with patches 1 and 2 at the clamp floor
+    D = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.0, 0.8, 0.2]])
+    f = np.array([0.19, 0.63, 0.18])
+    assert not _circulation_carries(D, f) and _ties(D)[0].size == 0
+    assert rate_function(MetapopGraph(m=np.ones(3), D=D), f).cost == math.inf
 
 
 def test_rejects_zero_means():
@@ -584,6 +609,8 @@ def _reference_inner_solve(Dss, fs, v0, bound):
         xi, obj = xi_new, obj_new
         if obj > bound:
             return math.inf, np.exp(xi), it + 1
+    if xi.min() <= -variational._XI_RANGE:
+        return math.inf, v, it
     raise ConvergenceError("inner rate-function solve did not converge", residual=rel)
 
 
