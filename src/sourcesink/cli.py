@@ -408,8 +408,8 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     e_linear = depleting_rate(collapse(motif))
     verdict = type_return_functional(motif)
     criterion = spec.M * (1.0 - spec.p) + rates.e * spec.M * spec.p
-    # complex roots are left out
-    roots = {} if rates.lam is None else {"lambda": rates.lam, "mu": rates.mu}
+    # roots that do not exist (complex, or lam of one-way sinks) are left out
+    roots = {key: x for key, x in (("lambda", rates.lam), ("mu", rates.mu)) if x is not None}
     return {
         **roots,
         "e": rates.e,

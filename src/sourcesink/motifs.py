@@ -168,8 +168,9 @@ def load_pipeline(source: str | Path | dict) -> PipelineSpec:
 
 @dataclass(frozen=True)
 class PipelineRates:
-    """Closed-form sink sojourn factor with the quadratic's two roots
-    (None when they are complex)."""
+    """Closed-form sink sojourn factor with the quadratic's roots (None
+    where they do not exist: both when they are complex or the sinks are
+    lethal, lam when one-way sinks leave the single root mu)."""
 
     e: float
     lam: float | None
@@ -189,16 +190,26 @@ def pipeline_depleting_rate(spec: PipelineSpec) -> PipelineRates:
     while the sink block is subcritical, m*(s + 2*sqrt(l*r)*cos(pi/(n+1)))
     < 1; at and past that bound (within ``CRITICAL_RADIUS_TOL``, as the
     linear route counts it) the rate is inf, as is an overflow.
+
+    Three limits need no quadratic.  Lethal sinks (m = 0) give e = 0.
+    When m*s reaches 1 the sink block's diagonal alone is critical, so e =
+    inf.  One-way sinks (r = 0) leave the single root mu = m*l/(1 - m*s),
+    a walker entering sink k returns after exactly k left-hops, and e =
+    R*mu + L*mu^n.
     """
     m, s, l, r, n = spec.m, spec.s, spec.l, spec.r, spec.n
     L, Rr = spec.L, spec.R
-    if m <= 0 or r <= 0:
-        raise ValidationError(
-            "the closed form needs m > 0 and r > 0; use the linear-system "
-            "route on the collapsed motif for degenerate pipelines"
-        )
-    if m * s >= 1.0:
-        raise ValidationError("need m*s < 1 for the sojourn factor to exist")
+    if m <= 0:
+        return PipelineRates(e=0.0, lam=None, mu=None)
+    if m * s >= 1.0 - CRITICAL_RADIUS_TOL:
+        return PipelineRates(e=math.inf, lam=None, mu=None)
+    if r <= 0:
+        mu = m * l / (1.0 - m * s)
+        try:
+            e = Rr * mu + L * mu**n
+        except OverflowError:  # mu > 1 when m > 1
+            e = math.inf
+        return PipelineRates(e=e, lam=None, mu=mu)
     disc = (1.0 - m * s) ** 2 - 4.0 * m * m * r * l
     if disc < 0:
         rho = m * (s + 2.0 * math.sqrt(l * r) * math.cos(math.pi / (n + 1)))  # the sink block's

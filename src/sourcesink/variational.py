@@ -440,8 +440,11 @@ def _twisted_occupancy(D: np.ndarray, means: np.ndarray,
         phi[s] = Dpp[s] @ phi[(s + 1) % P]
     v, vD, phi, m = np.concatenate(v), np.concatenate(vD), np.concatenate(phi) / P, means.ravel()
     residual = float(np.abs(vD * m - root * v).max()) / root
-    cost = float(phi @ (np.log(v) - np.log(vD)))
-    gain = float(phi @ np.log(m))
+    # 0 log 0 = 0, as in ``payoff``: a chain patch whose occupancy underflows
+    # to 0 (its v does too) adds nothing, and every term keeps its place
+    live = phi > 0
+    cost = float(phi @ (np.log(np.where(live, v, 1.0)) - np.log(np.where(live, vD, 1.0))))
+    gain = float(phi @ np.log(np.where(live, m, 1.0)))
     return VariationalResult(gain - cost, phi, "twisted-eigen", residual=residual)
 
 

@@ -275,25 +275,16 @@ def test_simulate_home_out_of_range_exits_2(tmp_path, capsys):
 
 
 def test_simulate_reports_and_series(tmp_path):
-    cfg = write_cfg(tmp_path, {"graph": GRAPH, "seed": 5,
-                               "simulate": {"horizon": 40, "n_runs": 400}})
+    cfg = write_cfg(tmp_path, {"graph": GRAPH, "seed": 5})
     series = tmp_path / "series.csv"
-    code, out = run(tmp_path, ["simulate", "--config", cfg,
-                               "--series-out", str(series)])
+    code, out = run(tmp_path, ["simulate", "--config", cfg, "--trials", "400",
+                               "--horizon", "40", "--series-out", str(series)])
     assert code == 0
     rep = json.loads(out.read_text())
-    assert rep["report"]["n_runs"] == 400
+    assert rep["report"]["n_runs"] == 400 and rep["report"]["horizon"] == 40
     assert 0.0 < rep["report"]["survival_prob"] < 1.0
     head = series.read_text().splitlines()[0]
     assert head == "run,n,Z_0,Z_1"
-
-
-def test_simulate_byte_identical_across_threads(tmp_path):
-    cfg = write_cfg(tmp_path, {"graph": GRAPH, "seed": 9,
-                               "simulate": {"horizon": 30, "n_runs": 500}})
-    _, out1 = run(tmp_path, ["simulate", "--config", cfg], "a.json")
-    _, out2 = run(tmp_path, ["simulate", "--config", cfg], "b.json")
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_periodic_command(tmp_path):
@@ -379,6 +370,7 @@ def test_periodic_answers_survivor_occupancy_for_a_period_of_three(tmp_path):
     code, out = run(tmp_path, ["periodic", "--config", write_cfg(tmp_path, PERIOD3)])
     assert code == 0
     rep = json.loads(out.read_text())
+    assert list(rep["even_return"]) == ["a", "b", "c"]
     for occ in (rep["phase_occupancy"], rep["edge_chain"]["phase_occupancy"]):
         assert len(occ) == 3 and all(abs(sum(row) - 1.0) <= 1e-12 for row in occ)
     assert rep["cross_checks"]["phase_occupancy_spectral_vs_twisted_linf"] <= 1e-12
@@ -400,6 +392,31 @@ def test_periodic_answers_a_zero_mean_without_the_edge_chain(tmp_path):
     assert len(rep["phase_occupancy"]) == 3 and rep["phase_occupancy"][1][1] == 0.0
     assert "edge_chain" not in rep
     assert set(rep["cross_checks"]) == {"even_return_sign_agree"}
+
+
+def test_periodic_keeps_the_edge_chain_past_a_zero_mean_it_never_applies(tmp_path):
+    # state c kills patch 0, but the schedule runs a, b only
+    cfg = json.loads(json.dumps(PERIOD3))
+    cfg["env"]["means"][2] = [0.0, 1.0]
+    cfg["env"]["schedule"]["periodic"] = ["a", "b"]
+    code, out = run(tmp_path, ["periodic", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert len(rep["edge_chain"]["phase_occupancy"]) == 2
+    assert abs(rep["cross_checks"]["edge_chain_vs_product_log_rho"]) <= 1e-12
+
+
+def test_periodic_keys_even_return_by_first_phase_over_a_year(tmp_path):
+    # 150 wet days, then 215 dry ones; the states are declared dry first
+    graph = {"m": [1.0, 1.0, 1.0], "D": [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]}
+    env = {"states": ["dry", "wet"], "means": [[0.995, 1.002, 0.99], [1.004, 0.99, 1.0]],
+           "schedule": {"periodic": ["wet"] * 150 + ["dry"] * 215}}
+    code, out = run(tmp_path, ["periodic", "--config",
+                               write_cfg(tmp_path, {"graph": graph, "env": env})])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert list(rep["even_return"]) == ["wet", "dry"]
+    assert rep["cross_checks"]["even_return_sign_agree"] is True
 
 
 def test_periodic_reports_occupancy_on_a_periodic_product(tmp_path):
@@ -559,6 +576,30 @@ def test_pipeline_command(tmp_path):
     # n = 1 closed form: e = (1-s) m / (1 - m s)
     assert abs(rep["e"] - 0.8 * 0.5 / 0.9) < 1e-12
     assert abs(rep["cross_checks"]["e_closed_minus_linear"]) < 1e-12
+    assert abs(rep["cross_checks"]["criterion_minus_return"]) < 1e-12
+    assert rep["motif"]["labels"] == ["source", "sink1"]
+
+
+@pytest.mark.parametrize("s, l, m, n, e, roots", [
+    (0.2, 0.4, 0.0, 7, 0.0, []),  # lethal sinks
+    (0.5, 0.5, 0.5, 7, 0.16689529035208048, ["mu"]),  # one-way sinks, r = 0: one root
+    (0.3, 0.7, 0.9, 7, 0.609783238654962, ["mu"]),
+    (0.5, 0.5, 0.5, 1, 1 / 3, ["mu"]),
+    (0.5, 0.5, 1.9, 250, math.inf, ["mu"]),  # mu = 19, so mu^n overflows
+    (0.6, 0.2, 2.0, 7, math.inf, []),  # m s >= 1: the sink block's diagonal is critical
+    (0.5, 0.2, 2.0, 7, math.inf, []),
+], ids=["lethal", "one-way", "one-way-m0.9", "one-way-n1", "one-way-overflow",
+        "critical-s0.6", "critical-s0.5"])
+def test_pipeline_answers_its_degenerate_limits(tmp_path, s, l, m, n, e, roots):
+    pipe = {"n": n, "p": 0.5, "L": 0.5, "s": s, "l": l, "m": m, "M": 2.0}
+    code, out = run(tmp_path, ["pipeline", "--config", write_cfg(tmp_path, {"pipeline": pipe})])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert [key for key in ("lambda", "mu") if key in rep] == roots
+    if math.isinf(e):
+        assert rep["e"] == rep["e_linear_system"] == "inf"
+    else:
+        assert abs(rep["e"] - e) <= 1e-12 and abs(rep["e"] - rep["e_linear_system"]) <= 1e-12
 
 
 def test_reports_embed_resolved_config_and_are_reproducible(tmp_path):
@@ -869,8 +910,13 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("command, config", list(MALFORMED.values()), ids=list(MALFORMED))
-def test_malformed_input_exits_2_without_a_report(tmp_path, monkeypatch, capsys, command, config):
+# the words that name the fault, where a case pins them
+MALFORMED_FAULTS = {"reducible graph": "not irreducible"}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_input_exits_2_without_a_report(tmp_path, monkeypatch, capsys, name):
+    command, config = MALFORMED[name]
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
     if isinstance(config, bytes):
@@ -880,7 +926,8 @@ def test_malformed_input_exits_2_without_a_report(tmp_path, monkeypatch, capsys,
     out = tmp_path / "out.json"
     assert main([*command.split(), "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists() and not (tmp_path / "grid.csv").exists()
-    assert capsys.readouterr().err.startswith("validation error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and MALFORMED_FAULTS.get(name, "") in err
 
 
 REFUSED = {

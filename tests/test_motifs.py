@@ -302,17 +302,6 @@ def test_pipeline_single_sink_motif_shape():
     assert abs(g.D[0, 1] - 0.4) < 1e-12
 
 
-def test_pipeline_degenerate_rejected():
-    with pytest.raises(ValidationError):
-        pipeline_depleting_rate(
-            PipelineSpec(n=2, p=0.5, L=0.5, s=0.5, l=0.5, m=0.5, M=2.0)
-        )  # r = 0
-    with pytest.raises(ValidationError):
-        pipeline_depleting_rate(
-            PipelineSpec(n=2, p=0.5, L=0.5, s=0.0, l=0.5, m=0.0, M=2.0)
-        )  # m = 0
-
-
 PIPE = dict(n=2, p=0.5, L=0.5, s=0.2, l=0.4, m=0.5, M=2.0)
 MOTIF_REFUSALS = {
     "no type means": (lambda: Motif(types=(0,), means_by_type=[], D=[[1.0]]),
@@ -324,9 +313,6 @@ MOTIF_REFUSALS = {
     "p above 1": (lambda: PipelineSpec(**{**PIPE, "p": 1.5}), "p must lie in [0, 1]"),
     "l + s above 1": (lambda: PipelineSpec(**{**PIPE, "s": 0.7}), "l + s must not exceed 1"),
     "negative mean": (lambda: PipelineSpec(**{**PIPE, "M": -1.0}), "means must be >= 0"),
-    "m s at 1": (lambda: pipeline_depleting_rate(PipelineSpec(**{**PIPE, "s": 0.5, "l": 0.25,
-                                                                 "m": 2.0})),
-                 "need m*s < 1 for the sojourn factor to exist"),
 }
 
 

@@ -317,6 +317,16 @@ def test_argmax_occupancy_makes_one_eigen_solve(monkeypatch):
     assert abs(res.log_growth - math.log(growth_rate(mean_matrix(g)).rho)) <= 1e-12
 
 
+def test_argmax_occupancy_counts_an_underflowed_patch_as_0_log_0():
+    # the sink's twisted occupancy underflows to 0, and so does its v; the
+    # value sums over the occupied patches only, as ``payoff`` does
+    g = MetapopGraph(m=[1e-200, 1e200], D=[[0.5, 0.5], [0.5, 0.5]])
+    res = argmax_occupancy(g)
+    assert res.occupancy.tolist() == [0.0, 1.0]
+    lr = math.log(growth_rate(mean_matrix(g)).rho)
+    assert abs(res.log_growth - lr) <= 1e-12 * lr
+
+
 def test_argmax_occupancy_constant_means():
     rng = np.random.default_rng(7)
     g = random_graph(rng, 4, m_range=(0.6, 0.6))
