@@ -408,7 +408,7 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     e_linear = depleting_rate(collapse(motif))
     verdict = type_return_functional(motif)
     criterion = spec.M * (1.0 - spec.p) + rates.e * spec.M * spec.p
-    # roots that do not exist (complex, or lam of one-way sinks) are left out
+    # roots that do not exist (complex, lethal or critical sinks, lam if r = 0) are left out
     roots = {key: x for key, x in (("lambda", rates.lam), ("mu", rates.mu)) if x is not None}
     return {
         **roots,

@@ -7,13 +7,14 @@ The persistence criterion generalizes by stopping the walker when it
 re-enters any patch of a source type, not necessarily the one it left.
 
 For a source feeding a pipeline of identical sinks, the sink sojourn
-factor has a closed form in the two roots of the quadratic
-m*r*x^2 - (1 - m*s)*x + m*l = 0; large pipe lengths are evaluated with
-the root ratio factored out so nothing overflows.
+factor is one closed form in the two roots of the quadratic
+m*r*x^2 - (1 - m*s)*x + m*l = 0, whatever their kind, and inf where the
+sink block is critical, by the linear route's rule, or the form overflows.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,9 +169,9 @@ def load_pipeline(source: str | Path | dict) -> PipelineSpec:
 
 @dataclass(frozen=True)
 class PipelineRates:
-    """Closed-form sink sojourn factor with the quadratic's roots (None
-    where they do not exist: both when they are complex or the sinks are
-    lethal, lam when one-way sinks leave the single root mu)."""
+    """Closed-form sink sojourn factor with the quadratic's roots, each None
+    where it does not exist: both when they are complex or the sink block is
+    lethal or critical, lam when one-way sinks (r = 0) leave the single root."""
 
     e: float
     lam: float | None
@@ -180,61 +181,34 @@ class PipelineRates:
 def pipeline_depleting_rate(spec: PipelineSpec) -> PipelineRates:
     """Closed-form depleting rate of a pipeline of n identical sinks.
 
-    lam and mu solve m*r*x^2 - (1 - m*s)*x + m*l = 0; the rate combines
-    the roots' n-th powers with the left/right entry split.  Real roots
-    have lam > 1 > mu and everything is evaluated through the ratio
-    mu/lam < 1, so large n cannot overflow.  At a double root lam = mu
-    (neutral sinks, m = 1 and l = r, have one at 1) the rate is the limit
-    of that expression as mu/lam -> 1.  Complex roots (every m > 1 with
-    l = r has them) are conjugate, and the same expression in them is real
-    while the sink block is subcritical, m*(s + 2*sqrt(l*r)*cos(pi/(n+1)))
-    < 1; at and past that bound (within ``CRITICAL_RADIUS_TOL``, as the
-    linear route counts it) the rate is inf, as is an overflow.
-
-    Three limits need no quadratic.  Lethal sinks (m = 0) give e = 0.
-    When m*s reaches 1 the sink block's diagonal alone is critical, so e =
-    inf.  One-way sinks (r = 0) leave the single root mu = m*l/(1 - m*s),
-    a walker entering sink k returns after exactly k left-hops, and e =
-    R*mu + L*mu^n.
+    lam and mu solve m*r*x^2 - (1 - m*s)*x + m*l = 0: with q = (1 - m*s +
+    sqrt(disc))/2, complex only when disc < 0, a = 1/lam = m*r/q and mu =
+    m*l/q.  With t = a*mu and S_k = 1 + t + ... + t^k,
+    e = [S_(n-1) (a L + R mu) + R a^n + L mu^n] / S_n, which holds for
+    distinct real, double (neutral sinks, m = 1 and l = r), conjugate (every
+    m > 1 with l = r) and one-way (r = 0, so a = 0) roots alike; real roots
+    have t <= 1, so nothing large cancels.  An overflow means e = inf.
+    Lethal sinks (m = 0) give e = 0, and a sink block whose spectral radius
+    m*(s + 2*sqrt(l*r)*cos(pi/(n+1))) is within ``CRITICAL_RADIUS_TOL`` of 1
+    or past it gives e = inf, the rule the linear route follows.
     """
-    m, s, l, r, n = spec.m, spec.s, spec.l, spec.r, spec.n
-    L, Rr = spec.L, spec.R
+    m, s, l, r, n, L, Rr = spec.m, spec.s, spec.l, spec.r, spec.n, spec.L, spec.R
     if m <= 0:
         return PipelineRates(e=0.0, lam=None, mu=None)
-    if m * s >= 1.0 - CRITICAL_RADIUS_TOL:
+    if m * (s + 2.0 * math.sqrt(l * r) * math.cos(math.pi / (n + 1))) >= 1.0 - CRITICAL_RADIUS_TOL:
         return PipelineRates(e=math.inf, lam=None, mu=None)
-    if r <= 0:
-        mu = m * l / (1.0 - m * s)
-        try:
-            e = Rr * mu + L * mu**n
-        except OverflowError:  # mu > 1 when m > 1
-            e = math.inf
-        return PipelineRates(e=e, lam=None, mu=mu)
     disc = (1.0 - m * s) ** 2 - 4.0 * m * m * r * l
-    if disc < 0:
-        rho = m * (s + 2.0 * math.sqrt(l * r) * math.cos(math.pi / (n + 1)))  # the sink block's
-        if rho >= 1.0 - CRITICAL_RADIUS_TOL:
-            return PipelineRates(e=math.inf, lam=None, mu=None)
-        lam = complex(1.0 - m * s, math.sqrt(-disc)) / (2.0 * m * r)
-        e = _sojourn(lam, lam.conjugate(), n, L, Rr).real
-        return PipelineRates(e=e if math.isfinite(e) else math.inf, lam=None, mu=None)
-    lam = ((1.0 - m * s) + math.sqrt(disc)) / (2.0 * m * r)
-    # product of roots = l / r; dividing avoids cancellation in the small root
-    mu = l / (r * lam) if l > 0 else 0.0
-    if disc == 0.0:
-        term1 = n / ((n + 1) * lam) * (L + Rr * lam * lam)
-        term2 = lam / (n + 1) * (Rr * lam ** -(n + 1) + L * lam ** (n - 1))
-        return PipelineRates(e=term1 + term2, lam=lam, mu=mu)
-    return PipelineRates(e=_sojourn(lam, mu, n, L, Rr), lam=lam, mu=mu)
-
-
-def _sojourn(lam, mu, n, L, Rr):
-    """The closed form in distinct roots lam and mu, real or conjugate."""
-    t = mu / lam
-    tn1 = t ** (n + 1)
-    term1 = (1.0 - t**n) / (lam * (1.0 - tn1)) * (L + Rr * lam * mu)
-    term2 = (lam - mu) * (Rr * lam ** -(n + 1) + L * (mu**n) / lam) / (1.0 - tn1)
-    return term1 + term2
+    real = disc >= 0
+    q = (1.0 - m * s + (math.sqrt(disc) if real else cmath.sqrt(disc))) / 2.0
+    a, mu = m * r / q, m * l / q
+    t = a * mu
+    Sn1, Sn = (n, n + 1) if t == 1 else ((1 - t**n) / (1 - t), (1 - t ** (n + 1)) / (1 - t))
+    try:
+        e = ((Sn1 * (a * L + Rr * mu) + Rr * a**n + L * mu**n) / Sn).real
+    except OverflowError:
+        e = math.inf
+    return PipelineRates(e=e, lam=q / (m * r) if real and r > 0 else None,
+                         mu=mu if real else None)
 
 
 def pipeline_to_motif(spec: PipelineSpec) -> Motif:

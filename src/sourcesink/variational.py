@@ -175,7 +175,10 @@ def _inner_solve(Dss, fs, v0, bound, tails=None):
         A = -_inner_hessian(Dss, fs, v, vD, denom).take(free, 0).take(free, 1)
         A.flat[::free.size + 1] += float(np.abs(g).max()) ** 2  # lam I - H on the free block
         d = np.zeros(s)
-        d[free] = step = np.linalg.solve(A, g)
+        try:
+            d[free] = step = np.linalg.solve(A, g)
+        except np.linalg.LinAlgError:  # a singular Newton system stalls the solve
+            break
         decrement = float(g @ step)
         polish = decrement <= _POLISH_DECREMENT
         t = 1.0

@@ -8,13 +8,13 @@ system (I - B) G = rhs, B the non-negative sub-matrix of the mean matrix
 away from home; when B has spectral radius >= 1 the expectation diverges
 and persistence is immediate.
 
-One LU factorization gives the expectation and decides divergence
-(``_resolvent``).  It also solves (I - B) x = 1, and I - B is a
-nonsingular M-matrix, i.e. rho(B) < 1, exactly when x > 0 (then
-Bx = x - 1 < x; Berman & Plemmons 1994, ch. 6).
-Since max x = ||(I - B)^-1||_inf >= 1 / (1 - rho(B)), a block within
-``CRITICAL_RADIUS_TOL`` of criticality shows as max x >= 1 /
-``CRITICAL_RADIUS_TOL`` and counts as divergent.
+One LU factorization gives the expectation and decides divergence, which
+counts as rho(B) >= 1 - ``CRITICAL_RADIUS_TOL`` (``_resolvent``).  It also
+solves (I - B) x = 1; I - B is a nonsingular M-matrix, i.e. rho(B) < 1,
+exactly when x > 0 (then Bx = x - 1 < x; Berman & Plemmons 1994, ch. 6),
+and max x = ||(I - B)^-1||_inf >= 1 / (1 - rho(B)).  So max x below
+1 / ``CRITICAL_RADIUS_TOL`` settles it; past that, one more solve makes the
+same test on B / (1 - ``CRITICAL_RADIUS_TOL``).
 
 The criterion is written once, in ``_phase_verdict``, for a schedule of
 patch means that repeats with period P: the walker's return then counts
@@ -40,8 +40,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import MetapopGraph, _integer, _require
 
-# (I - B)^-1 1 reaching 1 / this counts as divergent; it always does once
-# rho(B) >= 1 - this
+# a non-negative block B with rho(B) >= 1 - this counts as divergent
 CRITICAL_RADIUS_TOL = 1e-12
 CRITICAL_BAND = 1e-9         # |R - 1| inside this band is flagged
 CHUNK = 1024                 # Monte Carlo trials per random stream
@@ -112,18 +111,22 @@ def _verdict_from_value(value: float, method: str, **kw) -> PersistenceVerdict:
 def _resolvent(B: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """G = (I - B)^-1 rhs for a non-negative block B, or None if it diverges.
 
-    One factorization solves (I - B) [x | G] = [1 | rhs].  The answer is
-    None when the solve fails, when it is not finite, when x has an entry
-    <= 0 (rho(B) >= 1) or when max x >= 1 / ``CRITICAL_RADIUS_TOL``, which
-    every block with rho(B) >= 1 - ``CRITICAL_RADIUS_TOL`` reaches.
+    One factorization solves (I - B) [x | G] = [1 | rhs].  The answer is None
+    when the solve fails, is not finite or has an entry of x <= 0.  Where max x
+    >= 1 / ``CRITICAL_RADIUS_TOL`` (a large value or criticality) it is None
+    unless (I - B / (1 - ``CRITICAL_RADIUS_TOL``)) y = 1 has a finite y > 0.
     """
     n = B.shape[0]
     try:
         X = np.linalg.solve(np.eye(n) - B, np.column_stack([np.ones(n), rhs]))
+        x = X[:, 0]
+        if not np.all(np.isfinite(X)) or x.min() <= 0:
+            return None
+        if x.max() >= 1.0 / CRITICAL_RADIUS_TOL:
+            y = np.linalg.solve(np.eye(n) - B / (1.0 - CRITICAL_RADIUS_TOL), np.ones(n))
+            if not np.all(np.isfinite(y)) or y.min() <= 0:
+                return None
     except np.linalg.LinAlgError:
-        return None
-    x = X[:, 0]
-    if not np.all(np.isfinite(X)) or x.min() <= 0 or x.max() >= 1.0 / CRITICAL_RADIUS_TOL:
         return None
     return X[:, 1:]
 

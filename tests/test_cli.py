@@ -141,6 +141,8 @@ def test_dumps_report_float_formatting():
     parsed = json.loads(s)
     assert parsed["x"] == 1.0 / 3.0  # round-trip exact
     assert parsed["b"] is True
+    with pytest.raises(TypeError, match="cannot serialize <class 'complex'>"):
+        dumps_report({"x": 1j})
 
 
 def test_validate_command(tmp_path):
@@ -588,8 +590,10 @@ def test_pipeline_command(tmp_path):
     (0.5, 0.5, 1.9, 250, math.inf, ["mu"]),  # mu = 19, so mu^n overflows
     (0.6, 0.2, 2.0, 7, math.inf, []),  # m s >= 1: the sink block's diagonal is critical
     (0.5, 0.2, 2.0, 7, math.inf, []),
+    (0.25, 0.0, 1.7, 1000, math.inf, ["lambda", "mu"]),  # l = 0: lam^-n overflows
+    (0.5, 0.5, 1.9, 10, 0.5 * 19 + 0.5 * 19**10, ["mu"]),  # subcritical (m s = 0.95), large e
 ], ids=["lethal", "one-way", "one-way-m0.9", "one-way-n1", "one-way-overflow",
-        "critical-s0.6", "critical-s0.5"])
+        "critical-s0.6", "critical-s0.5", "left-way-overflow", "one-way-large"])
 def test_pipeline_answers_its_degenerate_limits(tmp_path, s, l, m, n, e, roots):
     pipe = {"n": n, "p": 0.5, "L": 0.5, "s": s, "l": l, "m": m, "M": 2.0}
     code, out = run(tmp_path, ["pipeline", "--config", write_cfg(tmp_path, {"pipeline": pipe})])
@@ -599,7 +603,8 @@ def test_pipeline_answers_its_degenerate_limits(tmp_path, s, l, m, n, e, roots):
     if math.isinf(e):
         assert rep["e"] == rep["e_linear_system"] == "inf"
     else:
-        assert abs(rep["e"] - e) <= 1e-12 and abs(rep["e"] - rep["e_linear_system"]) <= 1e-12
+        tol = 1e-12 * max(1.0, e)
+        assert abs(rep["e"] - e) <= tol and abs(rep["e"] - rep["e_linear_system"]) <= tol
 
 
 def test_reports_embed_resolved_config_and_are_reproducible(tmp_path):
@@ -982,6 +987,28 @@ def test_non_convergence_exits_3_and_prints_residual(tmp_path, monkeypatch, caps
     code = main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")])
     assert code == 3
     assert "numerical non-convergence: x (residual 0.001)" in capsys.readouterr().err
+
+
+def test_singular_inner_newton_system_exits_3_without_a_report(tmp_path, capsys):
+    # one mean of 1e300 makes an inner Newton system of the simplex ascent
+    # singular; the solve counts it as a stall, so analyze exits 3
+    graph = {"m": [2, 2, 0.8448738788934971, 1e300],
+             "D": [[0, 1, 0, 0],
+                   [0, 0.5660251760802701, 0.15920934101624354, 0.27476548290348635],
+                   [0, 0.6815250183121114, 0.3184749815506485, 1.372400520229495e-10],
+                   [0.9412335573267937, 0.0039383627247170806, 0.05482807994848928, 0]]}
+    code, out = run(tmp_path, ["analyze", "--config", write_cfg(tmp_path, {"graph": graph})])
+    assert code == 3
+    assert "numerical non-convergence: simplex Newton solver stalled" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_without_out_goes_to_stdout_byte_for_byte(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"graph": GRAPH})
+    code, out = run(tmp_path, ["analyze", "--config", cfg])
+    assert code == 0 and capsys.readouterr().out == ""
+    assert main(["analyze", "--config", cfg]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_trials_zero_exits_2_like_negative_trials(tmp_path, capsys):

@@ -285,6 +285,40 @@ def test_pipeline_on_conjugate_roots_matches_linear_system(s, l, n):
     assert finite >= 5 and (infinite > 0 or n == 3)
 
 
+def _pipeline_sweep(rng, count):
+    # real, double and conjugate roots, l = r, one-way (r = 0), l = 0,
+    # lethal (m = 0) and neutral (m = 1) sinks, pipes of 1 to 2000 sinks
+    for _ in range(count):
+        n = int(rng.choice([1, 2, 3, 7, 10, 50, 100, 250, 1000, 2000]))
+        p = float(rng.uniform(0.05, 1.0))
+        L = [0.0, 0.5, 1.0, rng.uniform()][rng.integers(4)]
+        s = float(rng.uniform(0.0, 0.9))
+        l = [1.0 - s, (1.0 - s) / 2.0, 0.0, rng.uniform(0.0, 1.0 - s)][rng.integers(4)]
+        m = [0.0, 1.0, rng.uniform(), rng.uniform(1.0, 3.0), rng.uniform(0.0, 1.2)][rng.integers(5)]
+        yield PipelineSpec(n=n, p=p, L=float(L), s=s, l=float(l), m=float(m), M=2.0)
+
+
+def test_pipeline_closed_form_and_linear_route_agree_on_a_seeded_sweep():
+    # the closed form raises nothing and is never NaN, and where the ring is
+    # irreducible both routes are inf together (rho(sink block) >= 1 -
+    # CRITICAL_RADIUS_TOL) or agree; subnormal rates differ only in absolute terms
+    compared = infinite = 0
+    for spec in _pipeline_sweep(np.random.default_rng(1), 20_000):
+        e = pipeline_depleting_rate(spec).e
+        assert e >= 0.0, spec
+        reducible = (spec.r == 0 and spec.L == 0) or (spec.l == 0 and spec.R == 0)
+        if spec.n > 250 or compared == 300 or reducible:  # the linear route refuses a reducible ring
+            continue
+        linear = depleting_rate(collapse(pipeline_to_motif(spec)))
+        assert math.isinf(e) == math.isinf(linear), spec
+        if math.isinf(e):
+            infinite += 1
+        else:
+            assert abs(e - linear) <= 1e-12 * linear + 1e-300, spec
+        compared += 1
+    assert compared == 300 and 0 < infinite < compared
+
+
 def test_pipeline_criterion_matches_type_return():
     spec = PipelineSpec(n=3, p=0.5, L=0.5, s=0.0, l=0.5, m=0.5, M=2.0)
     e = pipeline_depleting_rate(spec).e

@@ -21,7 +21,7 @@ from sourcesink import (
     validate_graph,
 )
 from sourcesink import variational
-from sourcesink.variational import _rate_hessian, _ties
+from sourcesink.variational import _cost, _rate_hessian, _ties
 from conftest import (
     eigen_solve_shapes,
     random_fully_mixing,
@@ -252,9 +252,10 @@ def test_max_rate_gap_weakly_coupled_matches_twisted_route(eps):
 @pytest.fixture(scope="module")
 def plateau_graphs():
     # graphs 15 (K = 61) and 87 (K = 36) of the scaled-coupling recipe, which
-    # the simplex route answers only through its float-plateau exit
-    graphs = list(scaled_coupling_graphs(88))
-    return {15: graphs[15], 87: graphs[87]}
+    # the simplex route answers only through its float-plateau exit, and
+    # graph 97 (K = 5), whose line search meets inner solves that raise
+    graphs = list(scaled_coupling_graphs(98))
+    return {15: graphs[15], 87: graphs[87], 97: graphs[97]}
 
 
 @pytest.mark.parametrize("i", [15, 87])
@@ -279,6 +280,38 @@ def test_simplex_plateau_needs_the_noise_floor_of_j(plateau_graphs, monkeypatch)
     assert math.isfinite(max_rate_gap(plateau_graphs[15]).log_growth)
     with pytest.raises(ConvergenceError):
         max_rate_gap(plateau_graphs[87])
+
+
+def test_simplex_line_search_steps_past_an_inner_solve_that_raises(plateau_graphs, monkeypatch):
+    # a trial point whose inner solve raises counts as no rise of J, and the
+    # step is halved; graph 97 answers only through that rule
+    g = plateau_graphs[97]
+    raised = []
+
+    def cost(*args, **kwargs):
+        try:
+            return _cost(*args, **kwargs)
+        except ConvergenceError:
+            raised.append(args[1])
+            raise
+
+    monkeypatch.setattr(variational, "_cost", cost)
+    res = max_rate_gap(g)
+    assert g.K == 5 and res.iterations == 23 and raised
+    assert abs(res.log_growth - math.log(growth_rate(mean_matrix(g)).rho)) <= 1.8e-15
+    assert np.abs(res.occupancy - argmax_occupancy(g).occupancy).max() <= 1.2e-16
+
+
+@pytest.mark.parametrize("hessian", [np.zeros, lambda shape: np.full(shape, np.nan)],
+                         ids=["singular", "nan"])
+def test_simplex_ascent_raises_on_a_singular_or_non_finite_newton_system(monkeypatch, hessian):
+    # a KKT system that cannot be solved, or whose solution is not finite,
+    # is a stall: ConvergenceError with the duality gap as residual
+    g = two_patch()
+    monkeypatch.setattr(variational, "_rate_hessian", lambda D, *args: hessian(D.shape))
+    with pytest.raises(ConvergenceError, match="simplex Newton solver stalled") as err:
+        max_rate_gap(g)
+    assert err.value.residual is not None
 
 
 def test_simplex_accuracy_floor_at_the_weakest_coupling():
