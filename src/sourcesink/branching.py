@@ -54,7 +54,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .environments import EnvironmentModel, Periodic, _patch_means
+from .environments import EnvironmentModel, Periodic, _env_states_for_gen, _patch_means
 from .errors import ValidationError
 from .graph import MetapopGraph, _check_home, _integer
 from .walks import CHUNK
@@ -191,18 +191,6 @@ class SimReport:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 
-def _env_states_for_gen(env, t, states, rng):
-    """Environment state per run at generation t (updates ``states`` in place)."""
-    cycle = env.schedule.cycle
-    if cycle is not None:
-        states.fill(cycle[t % len(cycle)])
-    elif t == 0:
-        states[:] = rng.random(states.size) >= env.schedule.start[0]
-    else:
-        states ^= rng.random(states.size) < env.schedule.leave.take(states)
-    return states
-
-
 def _add_columns(X):
     """``X.sum(axis=1)`` as K - 1 vector adds.
 
@@ -289,7 +277,12 @@ def _generation(Z, states, laws, edges, rng, flows=None):
     for row, rows in groups:
         dest, at = counts[rows], (rows if order is None else order[rows])
         for i, (law, cols, p, span) in enumerate(zip(row, edges.cols, edges.probs, edges.span)):
-            split = rng.multinomial(law.sample_brood(Z[rows, i], rng), p)
+            try:
+                brood = law.sample_brood(Z[rows, i], rng)
+            except ValueError as e:
+                raise ValidationError(f"patch {i}'s {law.kind} brood (mean {law.mean:g} per parent) "
+                                      f"cannot be drawn: {e}") from None
+            split = rng.multinomial(brood, p)
             if cols is None:
                 np.add(dest, split, out=dest)
             else:

@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .branching import patch_series, poisson_laws, geometric_laws, simulate
+from .branching import _laws, patch_series, simulate
 from .environments import (
     EnvironmentModel,
     edge_chain,
@@ -210,14 +210,12 @@ def _graph_from_config(cfg: dict) -> MetapopGraph:
     raise ValidationError('config needs one of "graph", "motif" or "pipeline"')
 
 
-def _walk_config(cfg: dict, max_steps: int = 10**7) -> WalkConfig:
-    """The config's ``mc`` block, with ``max_steps`` where it sets none."""
-    mc = cfg.get("mc", {})
-    return WalkConfig(
-        max_steps=_number(mc.get("max_steps", max_steps), "mc max_steps", int),
-        n_trials=_number(mc.get("n_trials", 10**5), "mc n_trials", int),
-        seed=cfg["seed"],
-    )
+def _given(cfg: dict, block: str, **kinds) -> dict:
+    """The settings named in ``kinds`` that the config's ``block`` gives, each
+    read by ``_number`` as its kind; the library's defaults fill the rest."""
+    given = cfg.get(block, {})
+    return {key: _number(given[key], f"{block} {key}", kind)
+            for key, kind in kinds.items() if key in given}
 
 
 def _home(cfg: dict) -> int:
@@ -225,12 +223,13 @@ def _home(cfg: dict) -> int:
 
 
 def _laws_from_config(cfg, g, env):
-    name = cfg.get("simulate", {}).get("laws", "poisson")
-    if name == "poisson":
-        return poisson_laws(g, env)
-    if name == "geometric":
-        return geometric_laws(g, env)
-    raise ValidationError(f"unknown law family {name!r} (use poisson or geometric)")
+    """The named law family's laws, or None (the library's Poisson laws)."""
+    sim = cfg.get("simulate", {})
+    if "laws" not in sim:
+        return None
+    if sim["laws"] not in ("poisson", "geometric"):
+        raise ValidationError(f"unknown law family {sim['laws']!r} (use poisson or geometric)")
+    return _laws(sim["laws"], g, env)
 
 
 def _env_from_config(cfg: dict, what: str) -> EnvironmentModel:
@@ -297,7 +296,8 @@ def cmd_analyze(cfg: dict, args) -> dict:
         },
     }
     if "mc" in cfg:
-        mc = return_functional_mc(g, home, _walk_config(cfg))
+        mc = return_functional_mc(g, home, WalkConfig(
+            seed=cfg["seed"], **_given(cfg, "mc", max_steps=int, n_trials=int)))
         out["return_functional_mc"] = mc.to_dict()
         out["cross_checks"]["exact_minus_mc"] = verdict.value - mc.value
     if args.grid_out:
@@ -305,8 +305,8 @@ def cmd_analyze(cfg: dict, args) -> dict:
                    (f"{f1:.17g},{R:.17g},{I:.17g},{RI:.17g}"
                     for f1, R, I, RI in rate_grid_2patch(g)))
     if args.excursions_out:
-        walk = _excursion_walk(g, home, cfg["seed"],
-                               _walk_config(cfg, EXCURSIONS_MAX_STEPS).max_steps)
+        max_steps = _given(cfg, "mc", max_steps=int).get("max_steps", EXCURSIONS_MAX_STEPS)
+        walk = _excursion_walk(g, home, cfg["seed"], max_steps)
         _write_csv(args.excursions_out, "step,patch", (f"{s},{p}" for s, p in enumerate(walk)))
     return out
 
@@ -314,23 +314,21 @@ def cmd_analyze(cfg: dict, args) -> dict:
 def cmd_simulate(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
     env = load_environment(cfg["env"]) if "env" in cfg else None
-    sim = cfg.get("simulate", {})
     # the run settings ``simulate`` and ``patch_series`` share
-    run = dict(laws=_laws_from_config(cfg, g, env),
-               horizon=_number(sim.get("horizon", 200), "simulate horizon", int),
-               seed=cfg["seed"], env=env, start_patch=_home(cfg))
-    n_runs = _number(sim.get("n_runs", 10**4), "simulate n_runs", int)
-    lineage = sim.get("lineage", True)
+    run = dict(laws=_laws_from_config(cfg, g, env), seed=cfg["seed"], env=env,
+               start_patch=_home(cfg))
+    lineage = cfg.get("simulate", {}).get("lineage", True)
     if not isinstance(lineage, bool):
         raise ValidationError(f"simulate lineage must be true or false, not {lineage!r}")
-    rep = simulate(g, n_runs=n_runs, track_lineage=lineage, **run)
+    rep = simulate(g, **_given(cfg, "simulate", horizon=int, n_runs=int),
+                   track_lineage=lineage, **run)
     if lineage and rep.n_survived == 0:
         raise StatisticalError(
             "no run survived to the horizon, so survivor statistics are "
             'undefined; increase n_runs or set "simulate": {"lineage": false}'
         )
     if args.series_out:
-        series = patch_series(g, n_runs=min(n_runs, 100), **run)
+        series = patch_series(g, horizon=rep.horizon, n_runs=min(rep.n_runs, 100), **run)
         _write_csv(args.series_out, "run,n," + ",".join(f"Z_{i}" for i in range(g.K)),
                    (f"{r},{t}," + ",".join(str(int(x)) for x in series[r, t])
                     for r, t in np.ndindex(series.shape[:2])))
@@ -377,8 +375,7 @@ def cmd_periodic(cfg: dict, args) -> dict:
 def cmd_randenv(cfg: dict, args) -> dict:
     g = _graph_from_config(cfg)
     env = _env_from_config(cfg, "random-environment")
-    n_steps = _number(cfg.get("randenv", {}).get("n_steps", 10**6), "randenv n_steps", int)
-    ly = lyapunov_estimate(g, env, n_steps=n_steps, seed=cfg["seed"])
+    ly = lyapunov_estimate(g, env, seed=cfg["seed"], **_given(cfg, "randenv", n_steps=int))
     out = {
         "lyapunov": ly.to_dict(),
         "persists": ly.gamma > 0.0,

@@ -46,9 +46,7 @@ class Schedule:
 
     ``cycle``, set once, holds the states of one period from the start if
     ``T`` is a permutation and ``start`` one phase.  Otherwise it is None: the
-    chain draws, and must for now be the two-state chain (phase i, state i),
-    whose probabilities of leaving each state, ``T[0, 1]`` and ``T[1, 0]``
-    bit for bit, ``leave`` holds (None for a cycle).
+    chain draws, and must for now be the two-state chain (phase i, state i).
     """
 
     T: np.ndarray
@@ -76,8 +74,6 @@ class Schedule:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "state", tuple(self.state))
         object.__setattr__(self, "cycle", cycle)
-        leave = None if cycle is not None else _readonly(T[[0, 1], [1, 0]])
-        object.__setattr__(self, "leave", leave)
 
 
 def Periodic(order) -> Schedule:
@@ -305,6 +301,18 @@ class LyapunovEstimate:
         }
 
 
+def _env_states_for_gen(env, t, states, rng):
+    """Environment state per run at generation t (updates ``states`` in place)."""
+    cycle = env.schedule.cycle
+    if cycle is not None:
+        states.fill(cycle[t % len(cycle)])
+    elif t == 0:
+        states[:] = rng.random(states.size) >= env.schedule.start[0]
+    else:  # T's entries 1 and 2 row by row, T[0, 1] and T[1, 0], are the leave probabilities
+        states ^= rng.random(states.size) < env.schedule.T.ravel()[1:3].take(states)
+    return states
+
+
 def _env_path(sched: Schedule, n: int, rng) -> np.ndarray:
     """A length-n path of states, one byte a step for up to 256 states: the
     cycle repeated, in the smallest unsigned type that holds its largest
@@ -314,20 +322,19 @@ def _env_path(sched: Schedule, n: int, rng) -> np.ndarray:
     steps by marking the step where each run ends and the state flips, and a
     running XOR of the marks; only the steps still missing are written, so
     memory follows n, not the mean sojourn 1/alpha, and the draws are those
-    of the whole runs."""
+    of the whole runs.  A sojourn in a state the chain cannot leave lasts the
+    rest of the path."""
     if sched.cycle is not None:
         return np.resize(np.array(sched.cycle, dtype=np.min_scalar_type(max(sched.cycle))), n)
-    leave = sched.leave.tolist()
-    if min(leave) <= 0.0:
-        raise ValidationError("environment chain must be irreducible (alpha, beta > 0)")
+    leave = sched.T[[0, 1], [1, 0]].tolist()
     cur = 0 if rng.random() < sched.start[0] else 1
     pieces = []
     total = 0
     while total < n:
         k = max(64, int((n - total) * max(leave) // 2) + 64)
         ends = np.empty(2 * k, dtype=np.int64)
-        ends[0::2] = rng.geometric(leave[cur], size=k)
-        ends[1::2] = rng.geometric(leave[1 - cur], size=k)
+        ends[0::2] = rng.geometric(leave[cur], size=k) if leave[cur] > 0.0 else n
+        ends[1::2] = rng.geometric(leave[1 - cur], size=k) if leave[1 - cur] > 0.0 else n
         np.cumsum(ends, out=ends)
         piece = np.zeros(min(int(ends[-1]), n - total), dtype=np.int8)
         piece[ends[: np.searchsorted(ends, piece.size)]] = 1

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -13,8 +14,9 @@ from sourcesink import (cli, collapse, geometric_laws, growth_rate, load_pipelin
                         pipeline_to_motif, simulate)
 from sourcesink.cli import dumps_report, main
 from sourcesink.graph import MetapopGraph, _assumption_report
-from sourcesink.environments import random_env_lower_bound
+from sourcesink.environments import lyapunov_estimate, random_env_lower_bound
 from sourcesink.errors import ConvergenceError
+from sourcesink.walks import WalkConfig
 from conftest import eigen_solve_shapes
 
 GRAPH = {"m": [2.0, 0.5], "D": [[0.5, 0.5], [0.5, 0.5]]}
@@ -1023,3 +1025,59 @@ def test_trials_zero_exits_2_like_negative_trials(tmp_path, capsys):
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_randenv_answers_a_chain_that_cannot_leave_its_start_as_that_state_alone(tmp_path):
+    # MarkovSwitching(0, 0.5) starts in "a" (its stationary law) and never
+    # leaves it, so its path is the one-state schedule's
+    env = {"states": ["a", "b"], "means": [[2.0, 0.5], [0.5, 0.5]]}
+    reports = []
+    for name, schedule in (("markov", {"markov": {"alpha": 0.0, "beta": 0.5}}),
+                           ("periodic", {"periodic": ["a"]})):
+        cfg = {"graph": GRAPH, "env": {**env, "schedule": schedule}, "randenv": {"n_steps": 20000}}
+        code, out = run(tmp_path, ["randenv", "--config", write_cfg(tmp_path, cfg)], f"{name}.json")
+        assert code == 0
+        reports.append(json.loads(out.read_text()))
+    markov, periodic = reports
+    assert markov["lyapunov"]["gamma"] == periodic["lyapunov"]["gamma"]
+    assert markov["lyapunov"]["ci"] == periodic["lyapunov"]["ci"]
+    assert abs(markov["lyapunov"]["gamma"] - math.log(1.25)) < 1e-12
+    assert markov["lower_bound"] == 0.0
+
+
+@pytest.mark.parametrize("laws", ["poisson", "geometric"])
+def test_simulate_brood_numpy_cannot_draw_exits_2_without_a_report(tmp_path, capsys, laws):
+    cfg = {"graph": {"m": [1e19, 0.5], "D": [[0.5, 0.5], [0.5, 0.5]]},
+           "simulate": {"laws": laws, "horizon": 5, "n_runs": 10}}
+    code, out = run(tmp_path, ["simulate", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: patch 0's ") and f"{laws} brood (mean 1e+19 per parent)" in err
+
+
+# each command's config without the run settings the library defaults, and
+# the settings that spell those defaults out, read from the library itself
+LIBRARY_DEFAULTS = {
+    "analyze": ({"graph": GRAPH, "mc": {}},
+                {"mc": {"max_steps": WalkConfig().max_steps, "n_trials": WalkConfig().n_trials}}),
+    "simulate": ({"graph": GRAPH, "simulate": {"lineage": False}},
+                 {"simulate": {"lineage": False, "laws": "poisson",
+                               **{key: inspect.signature(simulate).parameters[key].default
+                                  for key in ("horizon", "n_runs")}}}),
+    "randenv": ({"graph": GRAPH, "env": MARKOV_ENV},
+                {"randenv": {"n_steps": inspect.signature(lyapunov_estimate)
+                             .parameters["n_steps"].default}}),
+}
+
+
+@pytest.mark.parametrize("command", list(LIBRARY_DEFAULTS))
+def test_a_setting_left_out_runs_at_the_librarys_default(tmp_path, command):
+    bare, spelled = LIBRARY_DEFAULTS[command]
+    reports = []
+    for name, cfg in (("bare", bare), ("spelled", {**bare, **spelled})):
+        code, out = run(tmp_path, [command, "--config", write_cfg(tmp_path, cfg, f"{name}.cfg")],
+                        f"{name}.json")
+        assert code == 0
+        reports.append({k: v for k, v in json.loads(out.read_text()).items()
+                        if k not in ("config", "provenance")})
+    assert reports[0] == reports[1]

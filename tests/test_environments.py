@@ -688,6 +688,19 @@ def test_env_path_keeps_its_draws_when_cut_at_n(alpha, beta, n):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_a_state_the_chain_cannot_leave_holds_the_path():
+    # the second state cannot be left: one sojourn of the start state, then
+    # the other state to the end
+    sched = Schedule(T=[[0.9, 0.1], [0.0, 1.0]], state=(0, 1), start=[1.0, 0.0])
+    path = _env_path(sched, 1000, np.random.default_rng(3))
+    assert path.dtype == np.int8 and path.shape == (1000,)
+    assert path[0] == 0 and path[-1] == 1 and np.count_nonzero(np.diff(path)) == 1
+    # a start state that cannot be left holds the whole path
+    for alpha, beta, state in ((0.0, 0.5, 0), (0.5, 0.0, 1)):
+        path = _env_path(MarkovSwitching(alpha, beta), 1000, np.random.default_rng(3))
+        assert np.array_equal(path, np.full(1000, state, dtype=np.int8))
+
+
 def test_env_path_memory_follows_the_path_not_the_sojourns():
     # the old sampler expanded at least 64 sojourn pairs of mean 1e5 here,
     # about 26 MB for a path of 2101 steps
@@ -841,10 +854,6 @@ ENV_REFUSALS = {
                               "q must lie in [0, 1]"),
     "closed form negative mean": (lambda: two_patch_periodic_criterion(-2.0, 0.5, 0.5, 2.0, 0.5, 0.5),
                                   "M1 must be >= 0"),
-    "chain that cannot leave a state": (
-        lambda: lyapunov_estimate(two_patch(), EnvironmentModel(("a", "b"), [[2.0, 0.5], [0.5, 2.0]],
-                                                                MarkovSwitching(0.0, 0.5))),
-        "environment chain must be irreducible (alpha, beta > 0)"),
     "too few Lyapunov steps": (
         lambda: lyapunov_estimate(two_patch(), alternation(None, [2.0, 0.5], [0.5, 2.0]),
                                   n_steps=LYAPUNOV_BURN_IN + LYAPUNOV_BATCHES),
